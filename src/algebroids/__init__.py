@@ -7,13 +7,13 @@ of them may run in parallel.
 
 from .errors import (
     AlgebroidsError, ChartMismatch, DegreeError, DegreeMismatch,
-    MissingSection, NotAction, NotLieAlgebra, NotPoisson, NotSplit,
+    MissingSection, NotLieAlgebra, NotPoisson, NotSplit,
     NotTriangular, OddSquare, ParseError, TruncationIncomplete,
     UndeclaredVariable,
 )
 from .gpoly import (
     Chart, GPoly, GVar, Monomial, inject, mono_normalize, partial_left,
-    poly_mul, render_poly, substitute,
+    render_poly, substitute,
 )
 from .expr import parse_expression
 from .symplectic import (
@@ -46,7 +46,7 @@ __all__ = [
     "Chart", "ChartMismatch", "CheckRecord", "Connection", "DegreeError",
     "DegreeMismatch", "FullMorphism", "GPoly", "GVar", "Hamiltonian",
     "LinftyHamiltonian", "MissingSection", "Monomial", "NijenhuisData",
-    "NotAction", "NotLieAlgebra", "NotPoisson", "NotSplit", "NotTriangular",
+    "NotLieAlgebra", "NotPoisson", "NotSplit", "NotTriangular",
     "OddSquare", "ParseError", "PolyMap", "Report", "SpecFile",
     "SymplecticChart", "TruncationIncomplete", "UndeclaredVariable",
     "action_algebroid", "adjoint_line_connection", "assemble_hamiltonian",
@@ -58,7 +58,7 @@ __all__ = [
     "legendre", "legendre_quadratic_check", "lie_derivative", "lie_poisson",
     "line_connection", "linfty_bialgebra", "linfty_morphism_check",
     "mono_normalize", "nijenhuis_check", "parse_expression", "parse_spec",
-    "partial_left", "poisson_bialgebroid", "poly_mul", "render_poly",
+    "partial_left", "poisson_bialgebroid", "render_poly",
     "schouten_bracket", "schouten_context", "section_bracket",
     "semistrict_morphism_check", "serialize", "shifted_cotangent",
     "substitute", "tangent_algebroid", "tangent_spec", "taylor", "torsion",

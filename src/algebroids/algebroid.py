@@ -24,13 +24,13 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .errors import (ChartMismatch, DegreeError, DegreeMismatch, NotPoisson,
                      NotSplit)
 from .expr import parse_expression
-from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, inject,
-                    mono_normalize, partial_left, restrict_to,
+from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, apply_vector_field,
+                    inject, mono_normalize, partial_left, restrict_to,
                     vector_field_commutator)
 from .report import Report
 from .symplectic import (BracketContext, Hamiltonian, SymplecticChart,
                          biderivation_bracket, canonical_bracket,
-                         shifted_cotangent)
+                         is_integrable, shifted_cotangent)
 
 Section = Mapping[str, GPoly]   # fiber name -> coefficient polynomial on base
 
@@ -138,13 +138,16 @@ class AlgebroidSpec:
             self._charts[key] = build()
         return self._charts[key]
 
+    def _fiber_chart(self, key, names, degree) -> Chart:
+        """The base chart followed by one fiber coordinate per section, of
+        degree `degree(d_a)`."""
+        return self._cached(key, lambda: self.base.extend(
+            (n, degree(d), KIND_FIBER)
+            for n, d in zip(names, self.fiber_degrees)))
+
     def ce_chart(self) -> Chart:
         """V[1]: base coordinates then fiber coordinates of degree 1 - d_a."""
-        return self._cached("ce", lambda: Chart(
-            [(v.name, v.degree, v.kind) for v in self.base.vars]
-            + [(n, 1 - d, KIND_FIBER)
-               for n, d in zip(self.fiber_names, self.fiber_degrees)],
-            trunc=self.base.trunc))
+        return self._fiber_chart("ce", self.fiber_names, lambda d: 1 - d)
 
     def symplectic_chart(self) -> SymplecticChart:
         return self._cached("symp", lambda: shifted_cotangent(self.ce_chart(), 2))
@@ -154,19 +157,11 @@ class AlgebroidSpec:
 
     def multivector_chart(self) -> Chart:
         """V*[1]: multivectors; the section e_a is the starred symbol."""
-        return self._cached("multi", lambda: Chart(
-            [(v.name, v.degree, v.kind) for v in self.base.vars]
-            + [(n, 1 + d, KIND_FIBER)
-               for n, d in zip(self.starred_names(), self.fiber_degrees)],
-            trunc=self.base.trunc))
+        return self._fiber_chart("multi", self.starred_names(), lambda d: 1 + d)
 
     def lie_poisson_chart(self) -> Chart:
         """Unshifted V*: fiber-linear functions are sections of V."""
-        return self._cached("lp", lambda: Chart(
-            [(v.name, v.degree, v.kind) for v in self.base.vars]
-            + [(n, d, KIND_FIBER)
-               for n, d in zip(self.starred_names(), self.fiber_degrees)],
-            trunc=self.base.trunc))
+        return self._fiber_chart("lp", self.starred_names(), lambda d: d)
 
     def __repr__(self):
         return (f"AlgebroidSpec(base={self.base!r}, "
@@ -209,10 +204,7 @@ def anchor_of(spec: AlgebroidSpec, x: Section) -> dict:
 
 def apply_anchor(spec: AlgebroidSpec, x: Section, f: GPoly) -> GPoly:
     """rho(X)(f) for f on the base chart."""
-    out = spec.base.zero()
-    for name, q in anchor_of(spec, x).items():
-        out = out + q * partial_left(f, name)
-    return out
+    return apply_vector_field(anchor_of(spec, x), f)
 
 
 def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
@@ -224,15 +216,14 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
     dy = section_degree(spec, y)
     if dx is None or dy is None:
         raise DegreeMismatch("section_bracket requires homogeneous sections")
-    base = spec.base
-    out = {n: base.zero() for n in spec.fiber_names}
+    parts = {n: [] for n in spec.fiber_names}
     for bn, g in y.items():
         if g.is_zero():
             continue
         b = spec.fiber_index(bn)
         db = spec.fiber_degrees[b]
         # rho(X)(g^b) e_b
-        out[bn] = out[bn] + apply_anchor(spec, x, g)
+        parts[bn].append(apply_anchor(spec, x, g))
         for an, f in x.items():
             if f.is_zero():
                 continue
@@ -244,12 +235,12 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
             s1 = -1 if (dx * gdeg) % 2 else 1
             row = spec.structure.get((a, b), {})
             for c, centry in row.items():
-                term = g * (f * centry)
-                out[spec.fiber_names[c]] = out[spec.fiber_names[c]] + s1 * term
+                parts[spec.fiber_names[c]].append(s1 * (g * (f * centry)))
             rb = apply_anchor(spec, basis_section(spec, b), f)
             if rb:
                 s2 = -1 if ((fdeg + da) * db) % 2 else 1
-                out[an] = out[an] - (s1 * s2) * (g * rb)
+                parts[an].append((-s1 * s2) * (g * rb))
+    out = {n: spec.base.sum(ps) for n, ps in parts.items()}
     return {n: p for n, p in out.items() if p}
 
 
@@ -266,11 +257,8 @@ def section_is_zero(x: Section) -> bool:
 
 def section_to_multivector(spec: AlgebroidSpec, x: Section) -> GPoly:
     chart = spec.multivector_chart()
-    out = chart.zero()
-    for name, coeff in x.items():
-        star = name + "*"
-        out = out + inject(coeff, chart) * chart.var_poly(star)
-    return out
+    return chart.sum(inject(coeff, chart) * chart.var_poly(name + "*")
+                     for name, coeff in x.items())
 
 
 # -- the Hamiltonian encoding --------------------------------------------------
@@ -288,7 +276,7 @@ def hamiltonian_of_algebroid(spec: AlgebroidSpec,
     """
     sc = sympl if sympl is not None else spec.symplectic_chart()
     C = sc.chart
-    mu = C.zero()
+    terms = []
     for a, an in enumerate(spec.fiber_names):
         xi_a = C.var_poly(an)
         for i, xv in enumerate(spec.base.vars):
@@ -296,23 +284,22 @@ def hamiltonian_of_algebroid(spec: AlgebroidSpec,
             if entry.is_zero():
                 continue
             mom = sc.momentum_of(xv.name).name
-            mu = mu + xi_a * inject(entry, C) * C.var_poly(mom)
+            terms.append(xi_a * inject(entry, C) * C.var_poly(mom))
     half = Fraction(-1, 2)
     for (a, b), row in spec.structure.items():
         xi_a = C.var_poly(spec.fiber_names[a])
         xi_b = C.var_poly(spec.fiber_names[b])
         for c, centry in row.items():
             mom = sc.momentum_of(spec.fiber_names[c]).name
-            mu = mu + half * (inject(centry, C) * xi_a * xi_b * C.var_poly(mom))
-    return Hamiltonian(sc, mu)
+            terms.append(half * (inject(centry, C) * xi_a * xi_b
+                                 * C.var_poly(mom)))
+    return Hamiltonian(sc, C.sum(terms))
 
 
 def check_algebroid(spec: AlgebroidSpec) -> Report:
     """Cross-validate {mu, mu} = 0 against the direct bracket axioms."""
     report = Report("algebroid")
-    ham = hamiltonian_of_algebroid(spec)
-    residual = canonical_bracket(ham.body, ham.body, ham.chart)
-    mu_ok = residual.is_zero()
+    residual, mu_ok = is_integrable(hamiltonian_of_algebroid(spec))
     report.add("mu-squared", "{mu, mu} = 0", residual)
 
     names = spec.fiber_names
@@ -367,10 +354,9 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
             lhs = anchor_of(spec, section_bracket(spec, ea, eb))
             rhs = vector_field_commutator(spec.base, anchor_of(spec, ea),
                                           anchor_of(spec, eb))
-            res = spec.base.zero()
-            for n in spec.base.names:
-                res = res + (lhs.get(n, spec.base.zero())
-                             - rhs.get(n, spec.base.zero())) * spec.base.var_poly(n)
+            res = spec.base.sum(
+                p * spec.base.var_poly(n)
+                for n, p in section_add(spec, lhs, rhs, scale=-1).items())
             ok = res.is_zero()
             axioms_ok = axioms_ok and ok
             report.add(f"anchor-morphism({names[a]},{names[b]})",
@@ -391,8 +377,7 @@ def ce_differential(spec: AlgebroidSpec, phi: GPoly,
                     sympl: Optional[SymplecticChart] = None) -> GPoly:
     """d(phi) = {mu, phi}, a degree +1 derivation of functions on V[1]."""
     sc = sympl if sympl is not None else spec.symplectic_chart()
-    ce = Chart([(v.name, v.degree, v.kind) for v in sc.base_chart.vars],
-               trunc=sc.base_chart.trunc)
+    ce = sc.base_chart
     if phi.chart != ce:
         raise ChartMismatch("ce_differential input must be momentum-free")
     mu = hamiltonian_of_algebroid(spec, sc).body
@@ -405,11 +390,11 @@ def contraction(spec: AlgebroidSpec, x: Section, phi: GPoly) -> GPoly:
     ce = spec.ce_chart()
     if phi.chart != ce:
         raise ChartMismatch("contraction input must live on V[1]")
-    out = ce.zero()
+    terms = []
     for name, coeff in x.items():
         spec.fiber_index(name)
-        out = out + inject(coeff, ce) * partial_left(phi, name)
-    return out
+        terms.append(inject(coeff, ce) * partial_left(phi, name))
+    return ce.sum(terms)
 
 
 def lie_derivative(spec: AlgebroidSpec, x: Section, phi: GPoly) -> GPoly:
@@ -437,11 +422,10 @@ def _table_bracket(spec: AlgebroidSpec, chart: Chart, shift: int, sign: int):
             row = spec.structure.get((k - nbase, l - nbase))
             if not row:
                 return None
-            out = chart.zero()
-            for c, centry in row.items():
-                out = out + inject(centry, chart) * chart.var_poly(
-                    spec.starred_names()[c])
-            return sign * out
+            stars = spec.starred_names()
+            return sign * chart.sum(inject(centry, chart)
+                                    * chart.var_poly(stars[c])
+                                    for c, centry in row.items())
         if k_fiber:
             entry = spec.anchor[k - nbase][l]
             return sign * inject(entry, chart) if entry else None
@@ -526,14 +510,10 @@ def bivector_multivector(spec_t: AlgebroidSpec, pi_full: Mapping) -> GPoly:
     algebroid."""
     chart = spec_t.multivector_chart()
     stars = spec_t.starred_names()
-    out = chart.zero()
     half = Fraction(1, 2)
-    for (i, j), entry in pi_full.items():
-        if entry.is_zero():
-            continue
-        out = out + half * (inject(entry, chart)
-                            * chart.var_poly(stars[i]) * chart.var_poly(stars[j]))
-    return out
+    return chart.sum(half * (inject(entry, chart) * chart.var_poly(stars[i])
+                             * chart.var_poly(stars[j]))
+                     for (i, j), entry in pi_full.items() if entry)
 
 
 def koszul_algebroid(base: Chart, pi: Mapping,
@@ -594,20 +574,19 @@ class Connection:
     def apply(self, x: Section, s: Mapping[str, GPoly]) -> dict:
         """nabla_X s, C-linear in X, Leibniz in s."""
         spec = self.spec
-        base = spec.base
-        out = {n: base.zero() for n in self.bundle_names}
+        parts = {n: [] for n in self.bundle_names}
         bidx = {n: i for i, n in enumerate(self.bundle_names)}
         for an, f in x.items():
             a = spec.fiber_index(an)
             for sn, h in s.items():
                 alpha = bidx[sn]
-                out[sn] = out[sn] + f * apply_anchor(
-                    spec, basis_section(spec, a), h)
+                parts[sn].append(f * apply_anchor(
+                    spec, basis_section(spec, a), h))
                 for beta in range(self.rank):
                     g = self.gamma[a][beta][alpha]
                     if g:
-                        out[self.bundle_names[beta]] = (
-                            out[self.bundle_names[beta]] + f * (h * g))
+                        parts[self.bundle_names[beta]].append(f * (h * g))
+        out = {n: spec.base.sum(ps) for n, ps in parts.items()}
         return {n: p for n, p in out.items() if p}
 
 
@@ -627,12 +606,9 @@ def adjoint_line_connection(spec: AlgebroidSpec) -> Connection:
     connection when the anchor vanishes (families of Lie algebras)."""
     if any(any(p for p in row) for row in spec.anchor):
         raise NotSplit("the adjoint line connection needs a zero anchor")
-    gammas = {}
-    for a, name in enumerate(spec.fiber_names):
-        total = spec.base.zero()
-        for c in range(spec.rank):
-            total = total + spec.structure.get((a, c), {}).get(c, spec.base.zero())
-        gammas[name] = total
+    gammas = {name: spec.base.sum(spec.structure_entry(a, c, c)
+                                  for c in range(spec.rank))
+              for a, name in enumerate(spec.fiber_names)}
     return line_connection(spec, gammas)
 
 
@@ -698,7 +674,7 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
     gamma = [conn.gamma[a][0][0] for a in range(n)]
 
     by_arity = omega.split_by(lambda m: sum(m[nbase:]))
-    out = chart.zero()
+    out = []
     for q, part in by_arity.items():
         if q == 0:
             continue
@@ -710,7 +686,7 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
         # values of the displayed alternating formula on ascending basis tuples
         values = {}
         for tup in itertools.combinations(range(n), p + 1):
-            total = spec.base.zero()
+            terms = []
             for k, ik in enumerate(tup):
                 rest = [chart.var_poly(stars[j]) for j in tup if j != ik]
                 wedge = chart.one()
@@ -718,7 +694,7 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
                     wedge = wedge * f
                 h = _top_coefficient(spec, wedge * part)
                 val = apply_anchor(spec, basis_section(spec, ik), h) + h * gamma[ik]
-                total = total + ((-1) ** k) * val
+                terms.append(((-1) ** k) * val)
             for k in range(len(tup)):
                 for l in range(k + 1, len(tup)):
                     br = section_bracket(spec, basis_section(spec, tup[k]),
@@ -728,10 +704,9 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
                         if j != tup[k] and j != tup[l]:
                             wedge = wedge * chart.var_poly(stars[j])
                     h = _top_coefficient(spec, wedge * part)
-                    total = total + ((-1) ** (k + l)) * h
-            values[tup] = total
+                    terms.append(((-1) ** (k + l)) * h)
+            values[tup] = spec.base.sum(terms)
         # reconstruct the arity q-1 multivector from its wedge evaluations
-        rec = chart.zero()
         for ktup in itertools.combinations(range(n), q - 1):
             itup = tuple(j for j in range(n) if j not in ktup)
             word = [(stars[j], 1) for j in itup] + [(stars[j], 1) for j in ktup]
@@ -742,6 +717,5 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
             term = inject(coeff, chart) * Fraction(sign * side)
             for j in ktup:
                 term = term * chart.var_poly(stars[j])
-            rec = rec + term
-        out = out + rec
-    return out
+            out.append(term)
+    return chart.sum(out)

@@ -29,7 +29,8 @@ from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
                     partial_left, substitute)
 from .report import Report
 from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
-                         canonical_bracket, legendre, twin_chart)
+                         canonical_bracket, is_integrable, legendre,
+                         twin_chart)
 
 HBAR = "hbar"
 
@@ -129,8 +130,7 @@ def check_linfty(lham: LinftyHamiltonian) -> Report:
                           for i, e in enumerate(m)))
     report.add("vanish-over-base",
                "every monomial carries a fiber-direction variable", bad_base)
-    residual = canonical_bracket(body, body, lham.chart)
-    report.add("integrable", "{chi, chi} = 0", residual)
+    report.add("integrable", "{chi, chi} = 0", is_integrable(lham)[0])
     return report
 
 
@@ -145,9 +145,7 @@ def check_bialgebroid(b: BialgebroidSpec) -> Report:
     report.add("dual-structure", "dual data passes the algebroid checks",
                passed=rep_dual.passed)
 
-    chi = assemble_hamiltonian(b)
-    residual = canonical_bracket(chi.body, chi.body, b.chart)
-    bracket_ok = residual.is_zero()
+    residual, bracket_ok = is_integrable(assemble_hamiltonian(b))
     report.add("chi-squared", "{chi, chi} = 0", residual)
 
     # derivation identity on basis-section pairs; sections are the starred
@@ -200,7 +198,7 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
 
     C = b.chart.chart
     dual = b.dual
-    direct = C.zero()
+    terms = []
     stars = dual.fiber_names           # starred symbols, momenta on the chart
     plain = b.primal.fiber_names
     for a, an in enumerate(stars):
@@ -209,17 +207,15 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
             if entry.is_zero():
                 continue
             mom = b.chart.momentum_of(xv.name).name
-            direct = direct + C.var_poly(an) * inject(entry, C) * C.var_poly(mom)
+            terms.append(C.var_poly(an) * inject(entry, C) * C.var_poly(mom))
     half = Fraction(-1, 2)
     for (a, bb), row in dual.structure.items():
         for c, centry in row.items():
-            direct = direct + half * (inject(centry, C)
-                                      * C.var_poly(stars[a])
-                                      * C.var_poly(stars[bb])
-                                      * C.var_poly(plain[c]))
+            terms.append(half * (inject(centry, C) * C.var_poly(stars[a])
+                                 * C.var_poly(stars[bb]) * C.var_poly(plain[c])))
     report.add("quadratic-form",
                "Legendre pullback of the dual Hamiltonian equals the direct "
-               "quadratic assembly", via_legendre - direct)
+               "quadratic assembly", via_legendre - C.sum(terms))
     return report
 
 
@@ -234,22 +230,16 @@ def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
     Hamiltonians this is exactly {H, g}.  The result lives on the V[1]
     chart extended by the formal parameter.
     """
-    if isinstance(lham, LinftyHamiltonian):
-        sc, body = lham.chart, lham.body
-        cap = lham.hbar_cap if hbar_cap is None else hbar_cap
-    elif isinstance(lham, Hamiltonian):
-        sc, body, cap = lham.chart, lham.body, hbar_cap
-    else:
-        sc, body = lham
-        cap = hbar_cap
-    ce = Chart([(v.name, v.degree, v.kind) for v in sc.base_chart.vars],
-               trunc=sc.base_chart.trunc)
+    sc, body, cap = lham.chart, lham.body, hbar_cap
+    if cap is None and isinstance(lham, LinftyHamiltonian):
+        cap = lham.hbar_cap
+    ce = sc.base_chart
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     out_chart = with_formal_parameter(ce)
     hb = out_chart.var_poly(HBAR)
     npairs = sc.npairs
-    out = out_chart.zero()
+    terms = []
     for mono, coeff in body.terms.items():
         momentum_part = [(j, e) for j, e in enumerate(mono[npairs:]) if e]
         k = sum(e for _, e in momentum_part)
@@ -267,8 +257,8 @@ def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
         if deriv.is_zero():
             continue
         u = GPoly(ce, {mono[:npairs]: coeff})
-        term = inject(u * deriv, out_chart) * hb ** (k - 1)
-        out = out + term
+        terms.append(inject(u * deriv, out_chart) * hb ** (k - 1))
+    out = out_chart.sum(terms)
     if cap is not None:
         out = truncate_formal(out, cap)
     return out
@@ -306,7 +296,8 @@ def semistrict_morphism_check(f: PolyMap, ham_source, ham_target) -> Report:
     F* substitutes the coordinates of the target V[1]-chart by their images
     and keeps target momenta; Phi* substitutes every source momentum by the
     left-derivative Jacobian pairing  p_i -> sum_j (d_i f^j) p_j.  Both land
-    on the mixed chart (source coordinates, target momenta).
+    on the mixed chart (source coordinates, target momenta).  Only the
+    `chart` and `body` of the two Hamiltonians are read.
     """
     sc_v: SymplecticChart = ham_source.chart
     sc_w: SymplecticChart = ham_target.chart
@@ -322,10 +313,7 @@ def semistrict_morphism_check(f: PolyMap, ham_source, ham_target) -> Report:
             raise ChartMismatch(
                 f"source and target coordinate names overlap: {sorted(shared)}")
 
-    mixed = Chart(
-        [(v.name, v.degree, v.kind) for v in ce_v.vars]
-        + [(v.name, v.degree, v.kind) for v in sc_w.momenta()],
-        trunc=ce_v.trunc)
+    mixed = ce_v.extend(sc_w.momenta())
 
     # F* : substitute W[1]-coordinates, keep W-momenta
     f_assign = {}
@@ -337,14 +325,14 @@ def semistrict_morphism_check(f: PolyMap, ham_source, ham_target) -> Report:
     phi_assign = {}
     for q in ce_v.vars:
         p_name = sc_v.momentum_of(q.name).name
-        img = mixed.zero()
+        terms = []
         for w in ce_w.vars:
             jac = partial_left(f.image_of(w.name), q.name)
             if jac.is_zero():
                 continue
             p_w = sc_w.momentum_of(w.name).name
-            img = img + inject(jac, mixed) * mixed.var_poly(p_w)
-        phi_assign[p_name] = img
+            terms.append(inject(jac, mixed) * mixed.var_poly(p_w))
+        phi_assign[p_name] = mixed.sum(terms)
     phi_star = substitute(ham_source.body, phi_assign, target=mixed)
 
     report.add("hamiltonian-relation",
@@ -414,20 +402,20 @@ class FullMorphism:
 
     def pull_taylor(self, g: GPoly) -> GPoly:
         """Apply f* after the Taylor expansion of g about the zero section."""
-        out = self.source.zero()
+        terms = []
         for word, coeff in taylor(g, self.cap).items():
             pulled_coeff = self.pull_base(coeff)
             if pulled_coeff.is_zero():
                 continue
             if not any(word):
-                out = out + pulled_coeff
+                terms.append(pulled_coeff)
                 continue
             img = self.words.get(word)
             if img is None:
                 raise TruncationIncomplete(
                     f"missing word {word} below the weight cap {self.cap}")
-            out = out + pulled_coeff * img
-        return out
+            terms.append(pulled_coeff * img)
+        return self.source.sum(terms)
 
 
 def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
@@ -465,10 +453,8 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
     """
     cap = fm.cap if cap is None else cap
     report = Report("homotopy-morphism")
-    ce_v = Chart([(v.name, v.degree, v.kind)
-                  for v in lham_source.chart.base_chart.vars])
-    ce_w = Chart([(v.name, v.degree, v.kind)
-                  for v in lham_target.chart.base_chart.vars])
+    ce_v = lham_source.chart.base_chart
+    ce_w = lham_target.chart.base_chart
     if fm.source != ce_v or fm.target != ce_w:
         raise ChartMismatch("table endpoints must be the V[1] charts")
     out_chart = with_formal_parameter(ce_v)
@@ -484,15 +470,15 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
         # right side: act upstairs, expand in the formal parameter, pull back
         acted = hamiltonian_action(lham_target, g, hbar_cap=cap)
         hb_idx = acted.chart.index_of(HBAR)
-        rhs = out_chart.zero()
+        terms = []
         for power, piece in acted.split_by(lambda m: m[hb_idx]).items():
             # strip the formal parameter before the Taylor pullback
             stripped = GPoly(ce_w, {m[:len(ce_w.vars)]: c
                                     for m, c in piece.terms.items()})
             pulled = fm.pull_taylor(stripped)
-            rhs = rhs + (inject(pulled, out_chart)
+            terms.append(inject(pulled, out_chart)
                          * out_chart.var_poly(HBAR) ** power)
-        rhs = truncate_formal(rhs, cap)
+        rhs = truncate_formal(out_chart.sum(terms), cap)
         lhs = truncate_formal(inject(lhs, out_chart), cap)
         report.add(f"generator({name})",
                    "operator identity on the generator", lhs - rhs)

@@ -17,8 +17,8 @@ from .errors import (AlgebroidsError, ChartMismatch, DegreeError,
                      NotLieAlgebra, NotPoisson, NotTriangular)
 from .gpoly import Chart, GPoly, KIND_FIBER, MOMENTUM_KINDS, inject
 from .report import Report
-from .symplectic import (canonical_bracket, hamiltonian_lift, legendre,
-                         shifted_cotangent, twin_chart)
+from .symplectic import (SymplecticChart, canonical_bracket, hamiltonian_lift,
+                         legendre, shifted_cotangent, twin_chart)
 
 
 def tangent_algebroid(base: Chart,
@@ -157,32 +157,19 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     def nof(x):
         return _apply_endo(base, nmat, x)
 
-    def vf_sub(x, y):
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out.get(k, base.zero()) - v
-        return {k: v for k, v in out.items() if v}
-
-    def render_vf(x):
-        out = base.zero()
-        for k, v in x.items():
-            out = out + v * base.var_poly(k)
-        return out
-
-    torsion_ok = True
+    # vector fields add componentwise like sections of the tangent algebroid
     for i in range(nb):
         for j in range(i + 1, nb):
             ni, nj = nof(coords[i]), nof(coords[j])
-            tors = vf_sub(
-                vector_field_commutator(base, ni, nj),
-                nof(section_add_vf(base,
-                                   vector_field_commutator(base, ni, coords[j]),
-                                   vector_field_commutator(base, coords[i], nj))))
-            ok = all(p.is_zero() for p in tors.values())
-            torsion_ok = torsion_ok and ok
+            tors = section_add(
+                t, vector_field_commutator(base, ni, nj),
+                nof(section_add(t,
+                                vector_field_commutator(base, ni, coords[j]),
+                                vector_field_commutator(base, coords[i], nj))),
+                scale=-1)
             report.add(f"torsion({base.names[i]},{base.names[j]})",
                        "[NX,NY] - N([NX,Y] + [X,NY]) + N^2([X,Y]) = 0",
-                       render_vf(tors))
+                       base.sum(v * base.var_poly(k) for k, v in tors.items()))
 
     # deformed algebroid on the tangent bundle with anchor N
     fiber_names = ["d" + v.name for v in base.vars]
@@ -194,8 +181,8 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     bracket = {}
     for i in range(nb):
         for j in range(i + 1, nb):
-            deformed = section_add_vf(
-                base,
+            deformed = section_add(
+                t,
                 vector_field_commutator(base, nof(coords[i]), coords[j]),
                 vector_field_commutator(base, coords[i], nof(coords[j])))
             for k, comp in deformed.items():
@@ -214,12 +201,10 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     compat_ok = True
     for a in range(nb):
         for k in range(nb):
-            lhs = zero
-            for b_ in range(nb):
-                lhs = lhs + full.get((b_, a), zero) * nmat[k][b_]
-            rhs = zero
-            for j in range(nb):
-                rhs = rhs + nmat[a][j] * full.get((k, j), zero)
+            lhs = base.sum(full.get((b_, a), zero) * nmat[k][b_]
+                           for b_ in range(nb))
+            rhs = base.sum(nmat[a][j] * full.get((k, j), zero)
+                           for j in range(nb))
             res = lhs - rhs
             ok = res.is_zero()
             compat_ok = compat_ok and ok
@@ -232,9 +217,8 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
         npi_in = {}
         for a in range(nb):
             for k in range(a):
-                entry = zero
-                for b_ in range(nb):
-                    entry = entry + nmat[k][b_] * full.get((b_, a), zero)
+                entry = base.sum(nmat[k][b_] * full.get((b_, a), zero)
+                                 for b_ in range(nb))
                 if entry:
                     npi_in[(k, a)] = entry
         try:
@@ -252,15 +236,15 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
                     ei = basis_section(kspec_pi, i)
                     ej = basis_section(kspec_pi, j)
                     lhs = section_bracket(kspec_npi, ei, ej)
-                    nstar_ei = _endo_transpose_on_forms(base, nmat, ei)
-                    nstar_ej = _endo_transpose_on_forms(base, nmat, ej)
+                    nstar_ei = _endo_transpose_on_forms(kspec_pi, nmat, ei)
+                    nstar_ej = _endo_transpose_on_forms(kspec_pi, nmat, ej)
                     rhs = section_add(
                         kspec_pi,
                         section_add(kspec_pi,
                                     section_bracket(kspec_pi, nstar_ei, ej),
                                     section_bracket(kspec_pi, ei, nstar_ej)),
                         _endo_transpose_on_forms(
-                            base, nmat, section_bracket(kspec_pi, ei, ej)),
+                            kspec_pi, nmat, section_bracket(kspec_pi, ei, ej)),
                         scale=-1)
                     res = section_add(kspec_pi, lhs, rhs, scale=-1)
                     ok = section_is_zero(res)
@@ -275,43 +259,40 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     return report
 
 
-def section_add_vf(base: Chart, x: Mapping, y: Mapping) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        out[k] = out.get(k, base.zero()) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _endo_transpose_on_forms(base: Chart, nmat, form: Mapping) -> dict:
+def _endo_transpose_on_forms(kspec: AlgebroidSpec, nmat, form: Mapping) -> dict:
     """N-transpose on coordinate forms: the a-th form maps to sum_j N^a_j
-    times the j-th form.  Form sections are keyed by the koszul fiber names
-    xi1, xi2, ..."""
-    nb = len(base.vars)
+    times the j-th form.  Form sections are keyed by the fiber names of the
+    cotangent algebroid `kspec`."""
+    names = kspec.fiber_names
     out = {}
-    for a in range(nb):
-        comp = form.get(f"xi{a + 1}")
+    for a, name in enumerate(names):
+        comp = form.get(name)
         if comp is None or comp.is_zero():
             continue
-        for j in range(nb):
+        for j, key in enumerate(names):
             entry = nmat[a][j]
             if entry.is_zero():
                 continue
-            key = f"xi{j + 1}"
-            out[key] = out.get(key, base.zero()) + comp * entry
+            out[key] = out.get(key, kspec.base.zero()) + comp * entry
     return {k: v for k, v in out.items() if v}
 
 
-def linfty_bialgebra(fiber: Sequence[Tuple[str, int]], components: Mapping,
+def linfty_bialgebra(fiber, components: Mapping,
                      hbar_cap: int = 4) -> LinftyHamiltonian:
     """A point-case homotopy structure from weighted components.
 
-    `components` maps (m, n) with m, n >= 1 to a polynomial on the double
-    chart with m fiber factors, n momentum factors, and total degree 3.
+    `fiber` is either the double chart T*[2]V[1] over a point or the
+    (name, section degree) pairs of V to build it from.  `components` maps
+    (m, n) with m, n >= 1 to a polynomial on the double chart with m fiber
+    factors, n momentum factors, and total degree 3.
     """
-    coords = Chart([(str(nm), 1 - int(d), KIND_FIBER) for nm, d in fiber])
-    sc = shifted_cotangent(coords, 2)
+    if isinstance(fiber, SymplecticChart):
+        sc = fiber
+    else:
+        sc = shifted_cotangent(Chart(
+            [(str(nm), 1 - int(d), KIND_FIBER) for nm, d in fiber]), 2)
     chart = sc.chart
-    total = chart.zero()
+    parts = []
     for (m, n), val in sorted(components.items()):
         if m < 1 or n < 1:
             raise DegreeError("component indices must be at least one")
@@ -324,5 +305,5 @@ def linfty_bialgebra(fiber: Sequence[Tuple[str, int]], components: Mapping,
             if fw != m or mw != n:
                 raise DegreeError(
                     f"component ({m},{n}) has a term of bidegree ({fw},{mw})")
-        total = total + p
-    return LinftyHamiltonian(sc, total, hbar_cap)
+        parts.append(p)
+    return LinftyHamiltonian(sc, chart.sum(parts), hbar_cap)

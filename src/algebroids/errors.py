@@ -29,10 +29,6 @@ class NotLieAlgebra(AlgebroidsError):
     """Structure constants violate the Jacobi identity."""
 
 
-class NotAction(AlgebroidsError):
-    """The action map is not a Lie algebra morphism."""
-
-
 class NotTriangular(AlgebroidsError):
     """The classical element r does not satisfy [r, r] = 0."""
 

@@ -124,7 +124,11 @@ class _Parser:
     def atom(self) -> GPoly:
         kind, value, line, col = self.next()
         if kind == "num":
-            return self.chart.const(Fraction(value))
+            try:
+                return self.chart.const(Fraction(value))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}",
+                                 line, col) from None
         if kind == "ident":
             if not self.chart.has(value):
                 raise UndeclaredVariable(value, line, col)

@@ -11,7 +11,7 @@ Values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -65,7 +65,7 @@ def _make_vars(variables: Iterable[VarSpec]):
     for pos, v in enumerate(variables):
         if isinstance(v, GVar):
             if v.index != pos:
-                v = GVar(v.name, v.degree, v.kind, pos)
+                v = replace(v, index=pos)
         else:
             name, degree = v[0], v[1]
             kind = v[2] if len(v) > 2 else KIND_BASE
@@ -128,19 +128,26 @@ class Chart:
     def has(self, name: str) -> bool:
         return name in self._index
 
-    def extend(self, variables: Iterable[VarSpec], trunc="same") -> "Chart":
-        cap = self.trunc if trunc == "same" else trunc
-        extra = []
-        for v in variables:
-            if isinstance(v, GVar):
-                extra.append((v.name, v.degree, v.kind))
-            else:
-                extra.append(v)
-        spec = [(v.name, v.degree, v.kind) for v in self.vars] + list(extra)
-        return Chart(spec, trunc=cap)
+    def extend(self, variables: Iterable[VarSpec]) -> "Chart":
+        """This chart followed by `variables`, under the same weight cap."""
+        return Chart(self.vars + tuple(variables), trunc=self.trunc)
 
-    def with_trunc(self, trunc: Optional[int]) -> "Chart":
-        return Chart([(v.name, v.degree, v.kind) for v in self.vars], trunc=trunc)
+    def sum(self, polys: Iterable["GPoly"]) -> "GPoly":
+        """The sum of polynomials on this chart, built in one fresh dict.
+
+        The summands are never mutated: memoised bracket values share them.
+        """
+        res = {}
+        for p in polys:
+            if p.chart != self:
+                raise ChartMismatch(f"{self!r} vs {p.chart!r}")
+            for m, c in p.terms.items():
+                s = res.get(m, 0) + c
+                if s:
+                    res[m] = s
+                else:
+                    del res[m]
+        return GPoly._raw(self, res)
 
     # -- polynomial constructors ------------------------------------------
 
@@ -263,11 +270,11 @@ class GPoly:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: Chart, terms: Mapping[tuple, Scalar] = ()):
+    def __init__(self, chart: Chart, terms: dict):
         self.chart = chart
         cap = chart.trunc
         clean = {}
-        for exps, c in (terms.items() if isinstance(terms, Mapping) else terms):
+        for exps, c in terms.items():
             c = Fraction(c)
             if c == 0:
                 continue
@@ -393,10 +400,6 @@ class GPoly:
             return False
         return degree is None or d == degree
 
-    def coefficient_of(self, mono) -> Fraction:
-        exps = mono.exps if isinstance(mono, Monomial) else tuple(mono)
-        return self.terms.get(exps, Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.chart.vars), Fraction(0))
 
@@ -417,17 +420,8 @@ class GPoly:
     def kind_weights(self, kinds) -> frozenset:
         return frozenset(self.chart.kind_weight(m, kinds) for m in self.terms)
 
-    def max_kind_weight(self, kinds) -> int:
-        return max((self.chart.kind_weight(m, kinds) for m in self.terms),
-                   default=0)
-
     def __repr__(self):
         return render_poly(self)
-
-
-def poly_mul(f: GPoly, g: GPoly) -> GPoly:
-    """Graded-commutative product (same as `f * g`)."""
-    return f * g
 
 
 def partial_left(f: GPoly, v) -> GPoly:
@@ -486,16 +480,17 @@ def substitute(f: GPoly, assignment: Mapping, target: Optional[Chart] = None) ->
                 raise DegreeMismatch(
                     f"image of {v.name!r} is not homogeneous of degree {v.degree}")
         full.append(img)
-    out = target.zero()
-    for m, c in f.terms.items():
+
+    def image(m, c):
         part = target.const(c)
         for idx, e in enumerate(m):
             for _ in range(e):
                 if not part:
-                    break
+                    return part
                 part = part * full[idx]
-        out = out + part
-    return out
+        return part
+
+    return target.sum(image(m, c) for m, c in f.terms.items())
 
 
 def inject(f: GPoly, target: Chart) -> GPoly:
@@ -531,12 +526,8 @@ def restrict_to(f: GPoly, target: Chart) -> GPoly:
 
 def apply_vector_field(comps: Mapping[str, GPoly], f: GPoly) -> GPoly:
     """Apply Q = sum_v Q^v d_v (left derivatives, coefficients on the left)."""
-    out = f.chart.zero()
-    for name, q in comps.items():
-        if not q:
-            continue
-        out = out + q * partial_left(f, name)
-    return out
+    return f.chart.sum(q * partial_left(f, name)
+                       for name, q in comps.items() if q)
 
 
 def vector_field_commutator(chart: Chart, q1: Mapping[str, GPoly],
@@ -556,18 +547,16 @@ def vector_field_commutator(chart: Chart, q1: Mapping[str, GPoly],
         return {d: {n: GPoly(chart, t) for n, t in comp.items()}
                 for d, comp in parts.items()}
 
-    out = {name: chart.zero() for name in chart.names}
+    parts = {name: [] for name in chart.names}
     for d1, c1 in split(q1).items():
         for d2, c2 in split(q2).items():
             sign = -1 if (d1 * d2) % 2 else 1
             for name in chart.names:
-                t = chart.zero()
                 if name in c2:
-                    t = t + apply_vector_field(c1, c2[name])
+                    parts[name].append(apply_vector_field(c1, c2[name]))
                 if name in c1:
-                    t = t - sign * apply_vector_field(c2, c1[name])
-                if t:
-                    out[name] = out[name] + t
+                    parts[name].append(-sign * apply_vector_field(c2, c1[name]))
+    out = {name: chart.sum(ps) for name, ps in parts.items()}
     return {n: p for n, p in out.items() if p}
 
 

@@ -177,10 +177,15 @@ def parse_spec(text: str, trunc_override: Optional[int] = None) -> SpecFile:
 
 def _resolve_chart(doc, section):
     variables = []
+    seen = set()
     for key, args, expr, lineno in section.entries:
         if len(args) != 2 or expr is not None:
             raise ParseError("chart rows read 'var <name> <degree>'", lineno)
         name, degree = args
+        if name in seen:
+            raise ParseError(f"duplicate variable {name!r} in chart "
+                             f"{section.name!r}", lineno)
+        seen.add(name)
         try:
             degree = int(degree)
         except ValueError:
@@ -274,9 +279,7 @@ def _resolve_morphism(doc, section):
     def ce_chart_of(obj):
         if isinstance(obj, AlgebroidSpec):
             return obj.ce_chart()
-        return Chart([(v.name, v.degree, v.kind)
-                      for v in obj.chart.base_chart.vars],
-                     trunc=obj.chart.base_chart.trunc)
+        return obj.chart.base_chart
 
     src_ce, tgt_ce = ce_chart_of(source), ce_chart_of(target)
     if mtype == "semistrict":
@@ -418,7 +421,7 @@ def _resolve_construct(doc, section):
             components[(m, n)] = _expr(expr, sc.chart, lineno)
         cap_row = section.single("hbar-cap", required=False)
         section.resolved = ("linfty-bialgebra",
-                            (fiber, components,
+                            (sc, components,
                              int(cap_row[1][0]) if cap_row else 4))
 
 

@@ -30,21 +30,17 @@ from .report import Report
 class SymplecticChart:
     """T*[n] of a graded chart: coordinates first, conjugate momenta after."""
 
-    def __init__(self, coords: Sequence[GVar], momenta: Sequence[GVar],
-                 shift: int, trunc: Optional[int] = None):
-        if len(coords) != len(momenta):
+    def __init__(self, base: Chart, momenta: Sequence[GVar], shift: int):
+        if len(base.vars) != len(momenta):
             raise ChartMismatch("coordinates and momenta must pair up")
-        for q, p in zip(coords, momenta):
+        for q, p in zip(base.vars, momenta):
             if q.degree + p.degree != shift:
                 raise DegreeMismatch(
                     f"|{p.name}| + |{q.name}| must equal {shift}")
         self.shift = shift
-        self.npairs = len(coords)
-        self.chart = Chart(
-            [(v.name, v.degree, v.kind) for v in coords]
-            + [(v.name, v.degree, v.kind) for v in momenta], trunc=trunc)
-        self.base_chart = Chart([(v.name, v.degree, v.kind) for v in coords],
-                                trunc=trunc)
+        self.npairs = len(momenta)
+        self.base_chart = base
+        self.chart = base.extend(momenta)
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticChart) and self.chart == other.chart
@@ -99,7 +95,7 @@ def shifted_cotangent(base: Chart, n: int,
         taken.add(name)
         kind = KIND_MOMENTUM_BASE if v.kind == KIND_BASE else KIND_MOMENTUM_FIBER
         momenta.append(GVar(name, n - v.degree, kind))
-    return SymplecticChart(base.vars, momenta, n, trunc=base.trunc)
+    return SymplecticChart(base, momenta, n)
 
 
 def _split_base_fiber(sc: SymplecticChart):
@@ -127,7 +123,8 @@ def twin_chart(sc: SymplecticChart) -> SymplecticChart:
     momenta = ([GVar(mom[v.name].name, mom[v.name].degree, KIND_MOMENTUM_BASE)
                 for v in base]
                + [GVar(v.name, v.degree, KIND_MOMENTUM_FIBER) for v in fiber])
-    return SymplecticChart(coords, momenta, sc.shift, trunc=sc.chart.trunc)
+    return SymplecticChart(Chart(coords, trunc=sc.chart.trunc), momenta,
+                           sc.shift)
 
 
 # -- the biderivation extension engine ---------------------------------------
@@ -145,7 +142,6 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     if g.chart != chart:
         raise ChartMismatch("bracket operands live on different charts")
     degs = chart.degrees
-    zero = chart.zero()
     nvars = len(degs)
 
     def mono_degree(m):
@@ -167,20 +163,18 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         if key in vb_memo:
             return vb_memo[key]
         first = next((i for i, e in enumerate(m2) if e), None)
-        if first is None:
-            out = zero
-        else:
+        parts = []
+        if first is not None:
             rest = m2[:first] + (m2[first] - 1,) + m2[first + 1:]
             head = pair(k, first)
-            out = zero
             if head is not None and head:
-                out = out + head * mono_poly(rest)
+                parts.append(head * mono_poly(rest))
             s = (degs[k] - shift) * degs[first]
             tail = vbracket(k, rest)
             if tail:
                 tail = var_poly(first) * tail
-                out = out + (-tail if s % 2 else tail)
-        vb_memo[key] = out
+                parts.append(-tail if s % 2 else tail)
+        out = vb_memo[key] = chart.sum(parts)
         return out
 
     mb_memo = {}
@@ -191,29 +185,23 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         if key in mb_memo:
             return mb_memo[key]
         first = next((i for i, e in enumerate(m1) if e), None)
-        if first is None:
-            out = zero
-        else:
+        parts = []
+        if first is not None:
             rest = m1[:first] + (m1[first] - 1,) + m1[first + 1:]
-            out = zero
             t1 = mbracket(rest, m2)
             if t1:
-                out = out + var_poly(first) * t1
+                parts.append(var_poly(first) * t1)
             t2 = vbracket(first, m2)
             if t2:
                 s = mono_degree(rest) * (mono_degree(m2) - shift)
                 t2 = t2 * mono_poly(rest)
-                out = out + (-t2 if s % 2 else t2)
-        mb_memo[key] = out
+                parts.append(-t2 if s % 2 else t2)
+        out = mb_memo[key] = chart.sum(parts)
         return out
 
-    out = zero
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            t = mbracket(m1, m2)
-            if t:
-                out = out + (c1 * c2) * t
-    return out
+    products = ((c1 * c2, mbracket(m1, m2))
+                for m1, c1 in f.terms.items() for m2, c2 in g.terms.items())
+    return chart.sum(c * t for c, t in products if t)
 
 
 @dataclass(frozen=True)
@@ -280,17 +268,14 @@ class Hamiltonian:
 
 def hamiltonian_lift(sc: SymplecticChart, components: Mapping[str, GPoly]) -> GPoly:
     """Lift a vector field Q = sum Q^i d/dq^i to mu_Q = sum Q^i p_i."""
-    out = sc.chart.zero()
-    for name, comp in components.items():
-        if comp.is_zero():
-            continue
-        q = inject(comp, sc.chart)
-        out = out + q * sc.chart.var_poly(sc.momentum_of(name).name)
-    return out
+    return sc.chart.sum(
+        inject(comp, sc.chart) * sc.chart.var_poly(sc.momentum_of(name).name)
+        for name, comp in components.items() if comp)
 
 
-def is_integrable(ham: Hamiltonian):
-    """Return ({H, H}, {H, H} == 0)."""
+def is_integrable(ham):
+    """Return ({H, H}, {H, H} == 0) for a Hamiltonian or any value with the
+    same `chart` and `body`."""
     residual = canonical_bracket(ham.body, ham.body, ham.chart)
     return residual, residual.is_zero()
 

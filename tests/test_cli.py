@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from algebroids import cli
 from algebroids.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -120,3 +121,47 @@ def test_name_filter():
 def test_seed_changes_only_detail():
     _, a = run_cli(["legendre", "tests/data/two_dim_algebra.alg", "--seed", "1"])
     assert "seed=1" in a and "PASS" in a
+
+
+BAD_INPUTS = {
+    "duplicate-var": (b"chart M\n  var x 0\n  var x 1\n", "at line 3"),
+    "zero-denominator": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                         b"  fiber xi1 0\n  fiber xi2 0\n"
+                         b"  bracket xi1 xi2 xi1 = 1/0\n", "at 7:1"),
+    "non-utf8": (b"chart M\n  var x\xff 0\n", "utf-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    data, where = BAD_INPUTS[case]
+    path = tmp_path / "bad.alg"
+    path.write_bytes(data)
+    code, _ = run_cli(["check-algebroid", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors and where in errors[0]
+    assert "Traceback" not in err
+
+
+# caps of 2 and below are left out: constructs.alg then passes with
+# `degree-three: PASS [degree=None]` because the structure truncates to zero
+@pytest.mark.parametrize("cap", ["3", "4"])
+@pytest.mark.parametrize("sub,fname", [("check-morphism", "morphism.alg"),
+                                       ("construct", "constructs.alg")])
+def test_trunc_keeps_golden(sub, fname, cap):
+    code, out = run_cli([sub, f"tests/data/{fname}", "--trunc", cap])
+    with open(os.path.join(GOLDEN, f"{sub}.txt")) as fh:
+        golden = fh.read()
+    assert golden == f"# exit={code}\n" + out
+
+
+def test_timings_per_section(monkeypatch):
+    ticks = iter([0.0, 0.004, 0.010, 0.0125])
+    monkeypatch.setattr(cli, "perf_counter", lambda: next(ticks))
+    code, out = run_cli(["check-morphism", "tests/data/morphism.alg",
+                         "--timings"])
+    assert code == 0
+    assert "-- morphism: OK (4.0 ms)" in out.splitlines()
+    assert "-- homotopy-morphism: OK (2.5 ms)" in out.splitlines()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from algebroids.errors import ChartMismatch, DegreeMismatch, OddSquare
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, GPoly, Monomial, enumerate_monomials,
-                              inject, mono_normalize, partial_left, poly_mul,
+                              inject, mono_normalize, partial_left,
                               random_poly, render_poly, substitute,
                               vector_field_commutator, apply_vector_field)
 
