@@ -66,6 +66,12 @@ class AlgebroidSpec:
         self.fiber_degrees = tuple(int(d) for _, d in fiber)
         if len(set(self.fiber_names)) != len(self.fiber_names):
             raise DegreeError("fiber names must be unique")
+        for fname in self.fiber_names:
+            # derived charts hold the base variables beside e.g. xi and xi*
+            for name in (fname, fname + "*"):
+                if base.has(name):
+                    raise DegreeError(f"fiber {fname!r} clashes with the base "
+                                      f"variable {name!r}")
         self.rank = len(self.fiber_names)
         self._fidx = {n: i for i, n in enumerate(self.fiber_names)}
 
@@ -114,7 +120,7 @@ class AlgebroidSpec:
                 sign = -1 if (da * db) % 2 == 0 else 1
                 full[(b, a)] = {c: (p if sign > 0 else -p) for c, p in row.items()}
         self.structure = full
-        self._charts = {}
+        self._cache = {}
 
     # -- structure access ---------------------------------------------------
 
@@ -134,9 +140,9 @@ class AlgebroidSpec:
     # -- derived charts -------------------------------------------------------
 
     def _cached(self, key, build):
-        if key not in self._charts:
-            self._charts[key] = build()
-        return self._charts[key]
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def _fiber_chart(self, key, names, degree) -> Chart:
         """The base chart followed by one fiber coordinate per section, of
@@ -202,6 +208,12 @@ def anchor_of(spec: AlgebroidSpec, x: Section) -> dict:
     return {n: p for n, p in comps.items() if p}
 
 
+def basis_anchor(spec: AlgebroidSpec, b: int) -> dict:
+    """rho(e_b), read straight from anchor row b."""
+    return {xv.name: entry for xv, entry in zip(spec.base.vars, spec.anchor[b])
+            if entry}
+
+
 def apply_anchor(spec: AlgebroidSpec, x: Section, f: GPoly) -> GPoly:
     """rho(X)(f) for f on the base chart."""
     return apply_vector_field(anchor_of(spec, x), f)
@@ -216,14 +228,17 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
     dy = section_degree(spec, y)
     if dx is None or dy is None:
         raise DegreeMismatch("section_bracket requires homogeneous sections")
-    parts = {n: [] for n in spec.fiber_names}
+    parts = {}   # only the fiber names a term lands on
+    rho_x = anchor_of(spec, x)
     for bn, g in y.items():
         if g.is_zero():
             continue
         b = spec.fiber_index(bn)
         db = spec.fiber_degrees[b]
+        rho_b = basis_anchor(spec, b)
         # rho(X)(g^b) e_b
-        parts[bn].append(apply_anchor(spec, x, g))
+        if rho_x:
+            parts.setdefault(bn, []).append(apply_vector_field(rho_x, g))
         for an, f in x.items():
             if f.is_zero():
                 continue
@@ -235,13 +250,14 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
             s1 = -1 if (dx * gdeg) % 2 else 1
             row = spec.structure.get((a, b), {})
             for c, centry in row.items():
-                parts[spec.fiber_names[c]].append(s1 * (g * (f * centry)))
-            rb = apply_anchor(spec, basis_section(spec, b), f)
+                parts.setdefault(spec.fiber_names[c], []).append(
+                    s1 * (g * (f * centry)))
+            rb = apply_vector_field(rho_b, f) if rho_b else None
             if rb:
                 s2 = -1 if ((fdeg + da) * db) % 2 else 1
-                parts[an].append((-s1 * s2) * (g * rb))
-    out = {n: spec.base.sum(ps) for n, ps in parts.items()}
-    return {n: p for n, p in out.items() if p}
+                parts.setdefault(an, []).append((-s1 * s2) * (g * rb))
+    out = ((n, spec.base.sum(parts[n])) for n in spec.fiber_names if n in parts)
+    return {n: p for n, p in out if p}
 
 
 def section_add(spec, x, y, scale=1):
@@ -304,6 +320,15 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
 
     names = spec.fiber_names
     axioms_ok = True
+    basis = {}
+
+    def basis_bracket(a, b):
+        # [e_a, e_b], computed once per check
+        if (a, b) not in basis:
+            basis[(a, b)] = section_bracket(spec, basis_section(spec, a),
+                                            basis_section(spec, b))
+        return basis[(a, b)]
+
     # graded Jacobi on basis triples
     for a in range(spec.rank):
         for b in range(spec.rank):
@@ -317,11 +342,11 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
                     section_add(
                         spec,
                         {n: ((-1) ** (da * dc)) * p for n, p in
-                         section_bracket(spec, section_bracket(spec, ea, eb), ec).items()},
+                         section_bracket(spec, basis_bracket(a, b), ec).items()},
                         {n: ((-1) ** (db * da)) * p for n, p in
-                         section_bracket(spec, section_bracket(spec, eb, ec), ea).items()}),
+                         section_bracket(spec, basis_bracket(b, c), ea).items()}),
                     {n: ((-1) ** (dc * db)) * p for n, p in
-                     section_bracket(spec, section_bracket(spec, ec, ea), eb).items()})
+                     section_bracket(spec, basis_bracket(c, a), eb).items()})
                 ok = section_is_zero(j)
                 axioms_ok = axioms_ok and ok
                 report.add(f"jacobi({names[a]},{names[b]},{names[c]})",
@@ -339,8 +364,8 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
                 rhs = section_add(
                     spec,
                     {n: sign * (f * p) for n, p in
-                     section_bracket(spec, ea, basis_section(spec, b)).items()},
-                    {names[b]: apply_anchor(spec, ea, f)})
+                     basis_bracket(a, b).items()},
+                    {names[b]: apply_vector_field(basis_anchor(spec, a), f)})
                 res = section_add(spec, lhs, rhs, scale=-1)
                 ok = section_is_zero(res)
                 axioms_ok = axioms_ok and ok
@@ -350,10 +375,9 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
     # anchor is a bracket morphism
     for a in range(spec.rank):
         for b in range(a, spec.rank):
-            ea, eb = basis_section(spec, a), basis_section(spec, b)
-            lhs = anchor_of(spec, section_bracket(spec, ea, eb))
-            rhs = vector_field_commutator(spec.base, anchor_of(spec, ea),
-                                          anchor_of(spec, eb))
+            lhs = anchor_of(spec, basis_bracket(a, b))
+            rhs = vector_field_commutator(spec.base, basis_anchor(spec, a),
+                                          basis_anchor(spec, b))
             res = spec.base.sum(
                 p * spec.base.var_poly(n)
                 for n, p in section_add(spec, lhs, rhs, scale=-1).items())
@@ -380,7 +404,8 @@ def ce_differential(spec: AlgebroidSpec, phi: GPoly,
     ce = sc.base_chart
     if phi.chart != ce:
         raise ChartMismatch("ce_differential input must be momentum-free")
-    mu = hamiltonian_of_algebroid(spec, sc).body
+    mu = spec._cached(("mu", sc.chart),
+                      lambda: hamiltonian_of_algebroid(spec, sc).body)
     out = canonical_bracket(mu, inject(phi, sc.chart), sc)
     return restrict_to(out, ce)   # momentum-free by momentum-weight one
 
@@ -580,8 +605,8 @@ class Connection:
             a = spec.fiber_index(an)
             for sn, h in s.items():
                 alpha = bidx[sn]
-                parts[sn].append(f * apply_anchor(
-                    spec, basis_section(spec, a), h))
+                parts[sn].append(f * apply_vector_field(
+                    basis_anchor(spec, a), h))
                 for beta in range(self.rank):
                     g = self.gamma[a][beta][alpha]
                     if g:
@@ -693,7 +718,7 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
                 for f in rest:
                     wedge = wedge * f
                 h = _top_coefficient(spec, wedge * part)
-                val = apply_anchor(spec, basis_section(spec, ik), h) + h * gamma[ik]
+                val = apply_vector_field(basis_anchor(spec, ik), h) + h * gamma[ik]
                 terms.append(((-1) ** k) * val)
             for k in range(len(tup)):
                 for l in range(k + 1, len(tup)):

@@ -14,6 +14,7 @@ identifier and products must be spelled with an explicit `*` surrounded by
 whitespace (`x* * y`).  Juxtaposition is not multiplication.  `^` takes a
 non-negative integer exponent.  Odd identifiers multiply in the order
 written; the normal form (and its Koszul sign) is produced on parse.
+Parentheses nest at most MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ _TOKEN = re.compile(r"""
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*\*{0,3})
   | (?P<op>[-+*^()])
 """, re.VERBOSE)
+
+MAX_DEPTH = 100   # parenthesis nesting; each level costs four parser frames
 
 
 def tokenize(text: str, line: int = 1):
@@ -55,6 +58,7 @@ class _Parser:
         self.tokens = tokens
         self.chart = chart
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -134,7 +138,12 @@ class _Parser:
                 raise UndeclaredVariable(value, line, col)
             return self.chart.var_poly(value)
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_DEPTH}", line, col)
             out = self.expr()
+            self.depth -= 1
             kind, value, line, col = self.next()
             if value != ")":
                 raise ParseError("unbalanced parenthesis", line, col,

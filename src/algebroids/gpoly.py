@@ -346,7 +346,8 @@ class GPoly:
                 sign, m = merged
                 if cap is not None and weight(m) > cap:
                     continue
-                s = res.get(m, 0) + sign * c1 * c2
+                c = c1 * c2
+                s = res.get(m, 0) + (c if sign > 0 else -c)
                 if s:
                     res[m] = s
                 else:
@@ -424,6 +425,31 @@ class GPoly:
         return render_poly(self)
 
 
+def mul_monomial(p: GPoly, m: tuple, left: bool = False) -> GPoly:
+    """p times the monomial with exponents `m` and coefficient one, or that
+    monomial times p when `left`.
+
+    The product is an exponent shift with the Koszul sign of `_merge_exps`,
+    under the chart cap.  Shifting by one monomial maps distinct monomials to
+    distinct monomials, so no two terms collide.
+    """
+    chart = p.chart
+    parities = chart.parities
+    cap = chart.trunc
+    weight = chart.monomial_weight
+    res = {}
+    for e, c in p.terms.items():
+        merged = _merge_exps(m, e, parities) if left else \
+            _merge_exps(e, m, parities)
+        if merged is None:
+            continue
+        sign, out = merged
+        if cap is not None and weight(out) > cap:
+            continue
+        res[out] = c if sign > 0 else -c
+    return GPoly._raw(chart, res)
+
+
 def partial_left(f: GPoly, v) -> GPoly:
     """Left derivative of f by the variable v (a GVar or name)."""
     chart = f.chart
@@ -465,29 +491,39 @@ def substitute(f: GPoly, assignment: Mapping, target: Optional[Chart] = None) ->
         images[name] = val
     if target is None:
         target = next((p.chart for p in images.values()), src)
-    full = []
+    # each leg is an image polynomial, or the target index of an unassigned
+    # variable: an identity leg, applied as a monomial shift
+    legs = []
     for v in src.vars:
         img = images.get(v.name)
         if img is None:
             if not target.has(v.name) or target.var(v.name).degree != v.degree:
                 raise DegreeMismatch(
                     f"variable {v.name!r} has no same-degree counterpart on the target chart")
-            img = target.var_poly(v.name)
+            legs.append(target.index_of(v.name))
         else:
             if img.chart != target:
                 raise ChartMismatch("assigned polynomial lives on the wrong chart")
             if not img.is_homogeneous(v.degree):
                 raise DegreeMismatch(
                     f"image of {v.name!r} is not homogeneous of degree {v.degree}")
-        full.append(img)
+            legs.append(img)
 
     def image(m, c):
         part = target.const(c)
         for idx, e in enumerate(m):
-            for _ in range(e):
-                if not part:
-                    return part
-                part = part * full[idx]
+            if not e:
+                continue
+            leg = legs[idx]
+            if isinstance(leg, int):
+                exps = [0] * len(target.vars)
+                exps[leg] = e
+                part = mul_monomial(part, tuple(exps))
+            else:
+                for _ in range(e):
+                    part = part * leg
+            if not part:
+                return part
         return part
 
     return target.sum(image(m, c) for m, c in f.terms.items())

@@ -38,6 +38,7 @@ class Section:
     name: str
     line: int
     entries: List[tuple]          # (key, args, expr_text, line)
+    # expr_text keeps its columns in the line: what precedes it is blanked
     subtype: Optional[str] = None
     resolved: object = None
 
@@ -82,7 +83,7 @@ def _tokenize_line(line: str):
         line = line[:line.index("#")]
     if "=" in line:
         head, expr = line.split("=", 1)
-        return head.split(), expr.strip()
+        return head.split(), " " * (len(head) + 1) + expr.rstrip()
     return line.split(), None
 
 
@@ -127,6 +128,13 @@ def _scan(text: str) -> List[Section]:
             raise ParseError("indented line outside any section", lineno)
         current.entries.append((tokens[0], tuple(tokens[1:]), expr, lineno))
     return sections, trunc
+
+
+def _int(token, lineno, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad {what} {token!r}", lineno) from None
 
 
 def _expr(text, chart, lineno):
@@ -186,11 +194,7 @@ def _resolve_chart(doc, section):
             raise ParseError(f"duplicate variable {name!r} in chart "
                              f"{section.name!r}", lineno)
         seen.add(name)
-        try:
-            degree = int(degree)
-        except ValueError:
-            raise ParseError(f"bad degree {degree!r}", lineno) from None
-        variables.append((name, degree, KIND_BASE))
+        variables.append((name, _int(degree, lineno, "degree"), KIND_BASE))
     section.resolved = Chart(variables, trunc=doc.trunc)
 
 
@@ -204,7 +208,7 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
     for key, args, expr, lineno in section.rows("fiber"):
         if len(args) != 2:
             raise ParseError("fiber rows read 'fiber <name> <degree>'", lineno)
-        fiber.append((args[0], int(args[1])))
+        fiber.append((args[0], _int(args[1], lineno, "degree")))
         seen.add(args[0])
     if not fiber:
         raise ParseError(f"section {section.name!r} declares no fiber", section.line)
@@ -257,7 +261,7 @@ def _resolve_hamiltonian(doc, section):
         raise ParseError("hamiltonian sections reference an algebroid",
                          alg_row[3])
     cap_row = section.single("hbar-cap", required=False)
-    cap = int(cap_row[1][0]) if cap_row else 4
+    cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
     value_row = section.single("value")
     sc = spec.symplectic_chart()
     body = _expr(value_row[2], sc.chart, value_row[3])
@@ -292,7 +296,7 @@ def _resolve_morphism(doc, section):
         resolved = PolyMap(src_ce, tgt_ce, assignment)
     else:
         cap_row = section.single("cap")
-        cap = int(cap_row[1][0])
+        cap = _int(cap_row[1][0], cap_row[3], "cap")
         base_map = {}
         for key, args, expr, lineno in section.rows("base"):
             base_map[args[0]] = _expr(expr, src_ce, lineno)
@@ -354,7 +358,7 @@ def _resolve_lift(doc, section):
     if not isinstance(chart, Chart):
         raise ParseError("lift sections reference a chart", section.line)
     shift_row = section.single("shift", required=False)
-    shift = int(shift_row[1][0]) if shift_row else 2
+    shift = _int(shift_row[1][0], shift_row[3], "shift") if shift_row else 2
     comps = {}
     for key, args, expr, lineno in section.rows("component"):
         comps[args[0]] = _expr(expr, chart, lineno)
@@ -373,8 +377,8 @@ def _resolve_construct(doc, section):
         section.resolved = ("tangent", (base,))
     elif kind == "action":
         base = doc.lookup(section.single("base")[1][0], section.line).resolved
-        fiber = [(args[0], int(args[1]))
-                 for _, args, _, _ in section.rows("fiber")]
+        fiber = [(args[0], _int(args[1], lineno, "degree"))
+                 for _, args, _, lineno in section.rows("fiber")]
         brackets = {}
         for key, args, expr, lineno in section.rows("bracket"):
             p = _expr(expr, base, lineno)
@@ -392,8 +396,8 @@ def _resolve_construct(doc, section):
         for key, args, expr, lineno in section.rows("bivector"):
             pi[(args[0], args[1])] = _expr(expr, base, lineno)
         cap_row = section.single("hbar-cap", required=False)
-        section.resolved = ("poisson", (base, pi,
-                                        int(cap_row[1][0]) if cap_row else 4))
+        cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
+        section.resolved = ("poisson", (base, pi, cap))
     elif kind == "triangular":
         spec = doc.lookup(section.single("algebroid")[1][0],
                           section.line).resolved
@@ -410,19 +414,18 @@ def _resolve_construct(doc, section):
             pi[(args[0], args[1])] = _expr(expr, base, lineno)
         section.resolved = ("nijenhuis", (NijenhuisData(base, endo, pi),))
     elif kind == "linfty-bialgebra":
-        fiber = [(args[0], int(args[1]))
-                 for _, args, _, _ in section.rows("fiber")]
+        fiber = [(args[0], _int(args[1], lineno, "degree"))
+                 for _, args, _, lineno in section.rows("fiber")]
         coords = Chart([(n, 1 - d, "fiber") for n, d in fiber],
                        trunc=doc.trunc)
         sc = shifted_cotangent(coords, 2)
         components = {}
         for key, args, expr, lineno in section.rows("component"):
-            m, n = int(args[0]), int(args[1])
+            m, n = _int(args[0], lineno, "arity"), _int(args[1], lineno, "arity")
             components[(m, n)] = _expr(expr, sc.chart, lineno)
         cap_row = section.single("hbar-cap", required=False)
-        section.resolved = ("linfty-bialgebra",
-                            (sc, components,
-                             int(cap_row[1][0]) if cap_row else 4))
+        cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
+        section.resolved = ("linfty-bialgebra", (sc, components, cap))
 
 
 _RESOLVERS = {

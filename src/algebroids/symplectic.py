@@ -16,13 +16,12 @@ package (Schouten, Lie-Poisson), each from its own generator table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
-    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, inject, substitute,
+    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, inject, mul_monomial, substitute,
 )
 from .report import Report
 
@@ -134,9 +133,9 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
                          pair: Callable[[int, int], Optional[GPoly]]) -> GPoly:
     """Extend a generator table to a bracket of degree -shift.
 
-    `pair(k, l)` returns {v_k, v_l} for chart indices k, l (None for zero).
-    The extension applies the two Leibniz rules recursively; it never uses a
-    closed sign formula.
+    `pair(k, l)` returns {v_k, v_l} for chart indices k, l (None for zero);
+    it is called at most once per (k, l).  The extension applies the two
+    Leibniz rules recursively; it never uses a closed sign formula.
     """
     chart = f.chart
     if g.chart != chart:
@@ -147,13 +146,23 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     def mono_degree(m):
         return sum(e * d for e, d in zip(m, degs))
 
-    def var_poly(k):
-        exps = [0] * nvars
-        exps[k] = 1
-        return GPoly(chart, {tuple(exps): Fraction(1)})
+    units = {}
 
-    def mono_poly(m):
-        return GPoly(chart, {m: Fraction(1)})
+    def unit(k):
+        if k not in units:
+            exps = [0] * nvars
+            exps[k] = 1
+            units[k] = tuple(exps)
+        return units[k]
+
+    table = {}
+
+    def value(k, l):
+        # {v_k, v_l}, or None when it is zero
+        key = (k, l)
+        if key not in table:
+            table[key] = pair(k, l) or None
+        return table[key]
 
     vb_memo = {}
 
@@ -166,13 +175,13 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         parts = []
         if first is not None:
             rest = m2[:first] + (m2[first] - 1,) + m2[first + 1:]
-            head = pair(k, first)
-            if head is not None and head:
-                parts.append(head * mono_poly(rest))
+            head = value(k, first)
+            if head is not None:
+                parts.append(mul_monomial(head, rest))
             s = (degs[k] - shift) * degs[first]
             tail = vbracket(k, rest)
             if tail:
-                tail = var_poly(first) * tail
+                tail = mul_monomial(tail, unit(first), left=True)
                 parts.append(-tail if s % 2 else tail)
         out = vb_memo[key] = chart.sum(parts)
         return out
@@ -190,17 +199,27 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
             rest = m1[:first] + (m1[first] - 1,) + m1[first + 1:]
             t1 = mbracket(rest, m2)
             if t1:
-                parts.append(var_poly(first) * t1)
+                parts.append(mul_monomial(t1, unit(first), left=True))
             t2 = vbracket(first, m2)
             if t2:
                 s = mono_degree(rest) * (mono_degree(m2) - shift)
-                t2 = t2 * mono_poly(rest)
+                t2 = mul_monomial(t2, rest)
                 parts.append(-t2 if s % 2 else t2)
         out = mb_memo[key] = chart.sum(parts)
         return out
 
+    # By the two Leibniz rules every term of {m1, m2} carries a factor
+    # {v_k, v_l} with v_k in m1 and v_l in m2, so a pair of monomials with no
+    # non-zero such value brackets to zero and is skipped.
+    supp_g = {m: frozenset(k for k, e in enumerate(m) if e) for m in g.terms}
+    g_vars = frozenset().union(*supp_g.values())
+    # for each monomial of f, the variables of g it has a non-zero value with
+    reach_f = {m1: {l for k, e in enumerate(m1) if e for l in g_vars
+                    if value(k, l) is not None}
+               for m1 in f.terms}
     products = ((c1 * c2, mbracket(m1, m2))
-                for m1, c1 in f.terms.items() for m2, c2 in g.terms.items())
+                for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()
+                if not reach_f[m1].isdisjoint(supp_g[m2]))
     return chart.sum(c * t for c, t in products if t)
 
 
@@ -222,12 +241,13 @@ def canonical_bracket(f: GPoly, g: GPoly, sc: SymplecticChart) -> GPoly:
     degs = sc.chart.degrees
     npairs = sc.npairs
 
+    one = sc.chart.one()
+
     def pair(k, l):
         if k >= npairs and l < npairs:            # {p, q}
-            return sc.chart.one() if k - npairs == l else None
+            return one if k - npairs == l else None
         if k < npairs and l >= npairs and l - npairs == k:   # {q, p}
             s = (degs[k] - n) * (degs[l] - n)
-            one = sc.chart.one()
             return one if s % 2 else -one
         return None
 

@@ -21,7 +21,8 @@ from algebroids.algebroid import (AlgebroidSpec, adjoint_line_connection,
 from algebroids.errors import DegreeError, NotPoisson
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import Chart, partial_left, random_poly
-from algebroids.symplectic import canonical_bracket, check_poisson_map
+from algebroids.symplectic import (canonical_bracket, check_poisson_map,
+                                   shifted_cotangent)
 
 
 class TestSpecValidation:
@@ -118,6 +119,15 @@ class TestCEDifferential:
     def test_constant(self):
         spec = two_dim_algebra()
         assert ce_differential(spec, spec.ce_chart().one()).is_zero()
+
+    def test_mu_is_kept_per_chart(self):
+        # the same spec on two cotangent charts that name the momenta apart
+        spec = two_dim_algebra()
+        ce = spec.ce_chart()
+        other = shifted_cotangent(ce, 2, [n + "_p" for n in ce.names])
+        phi = pe("xi1", ce)
+        assert ce_differential(spec, phi) == ce_differential(spec, phi, other)
+        assert ce_differential(spec, phi, other) == pe("-xi1 * xi2", ce)
 
     def test_square_zero_on_passing_corpus(self):
         rng = random.Random(17)

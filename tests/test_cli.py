@@ -55,6 +55,26 @@ def test_golden(sub, fname, flags):
     assert golden == f"# exit={code}\n" + out
 
 
+# inputs on which the monomial shifts, the zero-support skip, the basis
+# bracket table and the cached mu all fire; each golden is named after its
+# input and its tag
+KERNEL_CASES = [
+    ("check-algebroid", "gl3_broken.alg", ["--json", "--residuals"]),
+    ("check-morphism", "log_canonical_d3.alg", ["--json"]),
+]
+
+
+@pytest.mark.parametrize("sub,fname,flags", KERNEL_CASES,
+                         ids=[c[1].split(".")[0] for c in KERNEL_CASES])
+def test_kernel_golden(sub, fname, flags):
+    code, out = run_cli([sub, f"tests/data/kernel/{fname}"] + flags)
+    stem = fname.split(".")[0]
+    tag = sub + ("-json" if "--json" in flags else "")
+    with open(os.path.join(DATA, "kernel", f"{stem}.{tag}.txt")) as fh:
+        golden = fh.read()
+    assert golden == f"# exit={code}\n" + out
+
+
 def test_json_deterministic():
     runs = [run_cli(["check-bialgebroid", "tests/data/poisson.alg", "--json"])
             for _ in range(2)]
@@ -127,8 +147,18 @@ BAD_INPUTS = {
     "duplicate-var": (b"chart M\n  var x 0\n  var x 1\n", "at line 3"),
     "zero-denominator": (b"chart pt\n\nalgebroid V\n  base pt\n"
                          b"  fiber xi1 0\n  fiber xi2 0\n"
-                         b"  bracket xi1 xi2 xi1 = 1/0\n", "at 7:1"),
+                         b"  bracket xi1 xi2 xi1 = 1/0\n", "at 7:25"),
     "non-utf8": (b"chart M\n  var x\xff 0\n", "utf-8"),
+    "fiber-named-like-base": (b"chart M\n  var x 0\n\nalgebroid V\n"
+                              b"  base M\n  fiber x 0\n",
+                              "fiber 'x' clashes with the base variable 'x'"),
+    "non-integer-degree": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                           b"  fiber e1 q\n", "bad degree 'q' at line 5"),
+    "deep-nesting": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                     b"  fiber xi1 0\n  fiber xi2 0\n"
+                     b"  bracket xi1 xi2 xi1 = " + b"(" * 3000 + b"1"
+                     + b")" * 3000 + b"\n",
+                     "parentheses nested deeper than 100 at 7:125"),
 }
 
 

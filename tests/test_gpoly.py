@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from algebroids.errors import ChartMismatch, DegreeMismatch, OddSquare
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, GPoly, Monomial, enumerate_monomials,
-                              inject, mono_normalize, partial_left,
-                              random_poly, render_poly, substitute,
-                              vector_field_commutator, apply_vector_field)
+                              inject, mono_normalize, mul_monomial,
+                              partial_left, random_poly, render_poly,
+                              substitute, vector_field_commutator,
+                              apply_vector_field)
 
 ODD2 = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
 MIXED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
@@ -183,6 +184,50 @@ class TestRingInvariants:
             lhs = partial_left(f * g, v)
             rhs = partial_left(f, v) * g + sign * (f * partial_left(g, v))
             assert lhs == rhs
+
+
+# the fast kernels against the general product they replace
+CAPPED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),
+                ("t", 2, "formal-parameter")], trunc=2)
+SOURCE = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),
+                ("t", 2, "formal-parameter")])
+# the source variables in another order, with an extra variable between
+SHUFFLED = [("xi2", 1, "fiber"), ("z", 0), ("t", 2, "formal-parameter"),
+            ("x", 0), ("xi1", 1, "fiber")]
+TARGETS = [Chart(SHUFFLED), Chart(SHUFFLED, trunc=1)]
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mul_monomial_is_product_by_one_term(self, data):
+        chart = data.draw(st.sampled_from([MIXED, CAPPED]))
+        p = data.draw(small_poly(chart))
+        m = data.draw(st.sampled_from(enumerate_monomials(chart, 3)))
+        mono = GPoly(chart, {m: 1})
+        assert mul_monomial(p, m) == p * mono
+        assert mul_monomial(p, m, left=True) == mono * p
+
+    def test_mul_monomial_odd_square_and_cap_drop(self):
+        f = pe("xi1 + x * xi2 + xi2 * t", CAPPED)
+        xi1 = (0, 1, 0, 0)
+        assert mul_monomial(f, xi1) == pe("x * xi2 * xi1", CAPPED)
+        assert mul_monomial(f, xi1, left=True) == pe("x * xi1 * xi2", CAPPED)
+        # xi2 * t * x^2 * t has weight 3 > 2 and drops
+        assert mul_monomial(f, (2, 0, 0, 1)) == \
+            pe("x^2 * t * xi1 + x^3 * xi2 * t", CAPPED)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_identity_legs_match_explicit_images(self, data):
+        target = data.draw(st.sampled_from(TARGETS))
+        f = data.draw(small_poly(SOURCE))
+        explicit = {name: target.var_poly(name) for name in SOURCE.names}
+        assert substitute(f, {}, target) == substitute(f, explicit, target)
+        # one assigned leg among identity legs
+        x_image = {"x": pe("x + z", target)}
+        assert substitute(f, x_image, target) == \
+            substitute(f, {**explicit, **x_image}, target)
 
 
 class TestTruncation:

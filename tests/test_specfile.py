@@ -111,3 +111,24 @@ hamiltonian H
     lham = doc.lookup("H").resolved
     assert isinstance(lham, LinftyHamiltonian)
     assert lham.body.is_homogeneous(3)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1 q\n",
+     "bad degree 'q' at line 5"),
+    ("construct linfty-bialgebra LB\n  fiber xi1 0\n  fiber xi2 1/2\n",
+     "bad degree '1/2' at line 3"),
+    ("construct linfty-bialgebra LB\n  fiber xi1 0\n"
+     "  component 2 x = xi1\n", "bad arity 'x' at line 3"),
+    ("chart M\n  var x 0\n\nlift L\n  chart M\n  shift two\n",
+     "bad shift 'two' at line 6"),
+])
+def test_integer_fields_reject_other_tokens(text, where):
+    with pytest.raises(ParseError, match=where):
+        parse_spec(text)
+
+
+def test_expression_columns_count_from_line_start():
+    text = TWO_DIM.replace("= 1", "= 1 + y")
+    with pytest.raises(UndeclaredVariable, match="at 7:29"):
+        parse_spec(text)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from algebroids.algebroid import koszul_algebroid, schouten_bracket
 from algebroids.errors import ChartMismatch, DegreeMismatch, NotSplit
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import Chart, inject, random_poly, vector_field_commutator
@@ -68,41 +69,63 @@ def random_homogeneous(chart, rng, max_weight=4):
     return f
 
 
+def assert_bracket_laws(bracket, f, g, h, n):
+    """Graded antisymmetry, Leibniz in the second slot, Jacobi and degree
+    bookkeeping of a degree -n bracket on homogeneous f, g, h."""
+    df, dg = f.degree(), g.degree()
+    sign = -1 if ((df - n) * (dg - n)) % 2 else 1
+    assert bracket(f, g) == -sign * bracket(g, f)
+    sign2 = -1 if ((df - n) * dg) % 2 else 1
+    assert bracket(f, g * h) == \
+        bracket(f, g) * h + sign2 * (g * bracket(f, h))
+    lhs = bracket(f, bracket(g, h))
+    rhs = bracket(bracket(f, g), h) + sign * bracket(g, bracket(f, h))
+    assert lhs == rhs
+    br = bracket(f, g)
+    if not br.is_zero():
+        assert br.degree() == df + dg - n
+
+
 class TestBracketInvariants:
     CHARTS = [shifted_cotangent(SUPERLINE, 2),
               shifted_cotangent(POINT2, 2),
-              shifted_cotangent(LINE, 1)]
+              shifted_cotangent(LINE, 1),
+              # six coordinates: most monomial pairs have no non-zero
+              # generator value between them and are skipped
+              shifted_cotangent(Chart([("x", 0), ("y", 0),
+                                       ("xi", 1, "fiber")]), 2)]
 
     def test_antisymmetry_leibniz_jacobi_degree(self):
         rng = random.Random(5)
         for sc in self.CHARTS:
-            n = sc.shift
-            chart = sc.chart
             for _ in range(40):
-                f = random_homogeneous(chart, rng)
-                g = random_homogeneous(chart, rng)
-                h = random_homogeneous(chart, rng)
+                f = random_homogeneous(sc.chart, rng)
+                g = random_homogeneous(sc.chart, rng)
+                h = random_homogeneous(sc.chart, rng)
                 if f.is_zero() or g.is_zero() or h.is_zero():
                     continue
-                df, dg = f.degree(), g.degree()
-                sign = -1 if ((df - n) * (dg - n)) % 2 else 1
-                assert canonical_bracket(f, g, sc) == \
-                    -sign * canonical_bracket(g, f, sc)
-                # Leibniz in the second slot
-                sign2 = -1 if ((df - n) * dg) % 2 else 1
-                assert canonical_bracket(f, g * h, sc) == \
-                    canonical_bracket(f, g, sc) * h + \
-                    sign2 * (g * canonical_bracket(f, h, sc))
-                # graded Jacobi
-                sign3 = -1 if ((df - n) * (dg - n)) % 2 else 1
-                lhs = canonical_bracket(f, canonical_bracket(g, h, sc), sc)
-                rhs = canonical_bracket(canonical_bracket(f, g, sc), h, sc) + \
-                    sign3 * canonical_bracket(g, canonical_bracket(f, h, sc), sc)
-                assert lhs == rhs
-                # degree bookkeeping
-                br = canonical_bracket(f, g, sc)
-                if not br.is_zero():
-                    assert br.degree() == df + dg - n
+                assert_bracket_laws(
+                    lambda a, b: canonical_bracket(a, b, sc), f, g, h, sc.shift)
+
+    def test_schouten_laws_rank_four_over_polynomial_base(self):
+        # the cotangent algebroid of a log-canonical bivector on R^4
+        base = Chart([(f"x{i}", 0) for i in range(1, 5)])
+        pi = {(f"x{i}", f"x{j}"): f"{i + j} * x{i} * x{j}"
+              for i in range(1, 5) for j in range(i + 1, 5)}
+        spec = koszul_algebroid(base, pi)
+        assert spec.rank == 4
+        chart = spec.multivector_chart()
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(30):
+            f, g, h = (random_homogeneous(chart, rng, max_weight=2)
+                       for _ in range(3))
+            if f.is_zero() or g.is_zero() or h.is_zero():
+                continue
+            assert_bracket_laws(lambda a, b: schouten_bracket(spec, a, b),
+                                f, g, h, 1)
+            checked += 1
+        assert checked >= 15
 
 
 class TestHamiltonianLift:
