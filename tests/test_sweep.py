@@ -1,0 +1,71 @@
+"""Every subcommand over every spec file under tests/data, byte for byte.
+
+`tests/data/sweep.sha256` holds, for each call, the sha256 of its exit code,
+stdout and stderr.  A change that must keep every output byte recomputes the
+sweep here; a change that means to alter an output regenerates the manifest
+with
+
+    PYTHONPATH=src python tests/test_sweep.py
+
+and shows the altered lines in its diff.
+"""
+
+import contextlib
+import glob
+import hashlib
+import io
+import os
+
+from algebroids.cli import SUBCOMMANDS, main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+MANIFEST = os.path.join(HERE, "data", "sweep.sha256")
+
+FLAG_SETS = ([], ["--json", "--residuals"],
+             ["--trunc", "0"], ["--trunc", "1"], ["--trunc", "2"],
+             ["--trunc", "3"])
+
+
+def spec_files():
+    paths = glob.glob(os.path.join(ROOT, "tests", "data", "**", "*.alg"),
+                      recursive=True)
+    return sorted(os.path.relpath(p, ROOT).replace(os.sep, "/")
+                  for p in paths)
+
+
+def call_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def sweep_lines():
+    lines = []
+    for sub in SUBCOMMANDS:
+        for path in spec_files():
+            for flags in FLAG_SETS:
+                argv = [sub, path] + flags
+                lines.append(f"{call_digest(argv)}  {' '.join(argv)}")
+    return lines
+
+
+def test_sweep_matches_manifest():
+    with open(MANIFEST) as fh:
+        expected = fh.read().splitlines()
+    got = sweep_lines()
+    assert len(got) == len(expected)
+    changed = [g.split("  ", 1)[1] for g, e in zip(got, expected) if g != e]
+    assert not changed, f"{len(changed)} calls changed, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    with open(MANIFEST, "w") as fh:
+        fh.write("\n".join(sweep_lines()) + "\n")
