@@ -26,7 +26,7 @@ from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
                      TruncationIncomplete)
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
                     FIBER_DIRECTION_KINDS, MOMENTUM_KINDS, inject,
-                    partial_left, substitute)
+                    mul_monomial, partial_left, substitute)
 from .report import Report
 from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
                          canonical_bracket, is_integrable, legendre,
@@ -35,18 +35,26 @@ from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
 HBAR = "hbar"
 
 
-def with_formal_parameter(chart: Chart, name: str = HBAR) -> Chart:
-    if chart.has(name):
-        return chart
-    return chart.extend([(name, 2, KIND_FORMAL)])
+def with_formal_parameter(chart: Chart) -> Chart:
+    """`chart` followed by the formal parameter, under the same weight cap."""
+    if chart.has(HBAR):
+        raise ChartMismatch(
+            f"the coordinate name {HBAR!r} is reserved for the formal parameter")
+    return chart.extend([(HBAR, 2, KIND_FORMAL)])
 
 
-def truncate_formal(poly: GPoly, cap: int, name: str = HBAR) -> GPoly:
-    """Drop monomials whose formal-parameter exponent exceeds cap."""
-    if not poly.chart.has(name):
-        return poly
-    k = poly.chart.index_of(name)
-    return poly.component(lambda m: m[k] <= cap)
+def _times_hbar(p: GPoly, out_chart: Chart, power: int) -> GPoly:
+    """p * hbar^power on `out_chart`, which is p's chart with the formal
+    parameter inserted: `power` is written into the hbar slot, under the
+    weight cap of `out_chart`.  hbar is even, so no Koszul sign arises."""
+    hb = out_chart.index_of(HBAR)
+    cap = out_chart.trunc
+    if cap is not None:
+        cap -= power * out_chart.weights[hb]
+    weight = p.chart.monomial_weight
+    return GPoly._raw(out_chart, {
+        m[:hb] + (power,) + m[hb:]: c for m, c in p.terms.items()
+        if cap is None or weight(m) <= cap})
 
 
 class BialgebroidSpec:
@@ -111,8 +119,10 @@ def assemble_hamiltonian(b: BialgebroidSpec, hbar_cap: int = 4) -> LinftyHamilto
     return LinftyHamiltonian(b.chart, chi, hbar_cap)
 
 
-def check_linfty(lham: LinftyHamiltonian) -> Report:
-    """Degree-three homogeneity, the two vanishing conditions, integrability."""
+def check_linfty(lham: LinftyHamiltonian, squared=None) -> Report:
+    """Degree-three homogeneity, the two vanishing conditions, integrability.
+
+    `squared` is `is_integrable(lham)` when the caller has it already."""
     report = Report("homotopy-structure")
     body = lham.body
     chart = lham.chart.chart
@@ -130,13 +140,17 @@ def check_linfty(lham: LinftyHamiltonian) -> Report:
                           for i, e in enumerate(m)))
     report.add("vanish-over-base",
                "every monomial carries a fiber-direction variable", bad_base)
-    report.add("integrable", "{chi, chi} = 0", is_integrable(lham)[0])
+    residual, _ = squared or is_integrable(lham)
+    report.add("integrable", "{chi, chi} = 0", residual)
     return report
 
 
-def check_bialgebroid(b: BialgebroidSpec) -> Report:
+def check_bialgebroid(b: BialgebroidSpec, squared=None) -> Report:
     """{chi, chi} = 0 cross-checked against the derivation identity
-    d([X,Y]) = [dX, Y] + [X, dY] on all generator pairs."""
+    d([X,Y]) = [dX, Y] + [X, dY] on all generator pairs.
+
+    `squared` is `is_integrable` of the assembled chi when the caller has it
+    already."""
     report = Report("bialgebroid")
     rep_primal = check_algebroid(b.primal)
     rep_dual = check_algebroid(b.dual)
@@ -145,7 +159,7 @@ def check_bialgebroid(b: BialgebroidSpec) -> Report:
     report.add("dual-structure", "dual data passes the algebroid checks",
                passed=rep_dual.passed)
 
-    residual, bracket_ok = is_integrable(assemble_hamiltonian(b))
+    residual, bracket_ok = squared or is_integrable(assemble_hamiltonian(b))
     report.add("chi-squared", "{chi, chi} = 0", residual)
 
     # derivation identity on basis-section pairs; sections are the starred
@@ -237,13 +251,12 @@ def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     out_chart = with_formal_parameter(ce)
-    hb = out_chart.var_poly(HBAR)
     npairs = sc.npairs
     terms = []
     for mono, coeff in body.terms.items():
         momentum_part = [(j, e) for j, e in enumerate(mono[npairs:]) if e]
         k = sum(e for _, e in momentum_part)
-        if k == 0:
+        if k == 0 or (cap is not None and k - 1 > cap):
             continue
         deriv = g
         # strip the momentum tail right to left: zero extra Koszul signs
@@ -256,12 +269,10 @@ def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
                 break
         if deriv.is_zero():
             continue
-        u = GPoly(ce, {mono[:npairs]: coeff})
-        terms.append(inject(u * deriv, out_chart) * hb ** (k - 1))
-    out = out_chart.sum(terms)
-    if cap is not None:
-        out = truncate_formal(out, cap)
-    return out
+        terms.append(_times_hbar(
+            mul_monomial(deriv, mono[:npairs], left=True, coeff=coeff),
+            out_chart, k - 1))
+    return out_chart.sum(terms)
 
 
 def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
@@ -283,7 +294,7 @@ def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
             continue
         base_part = m[:nbase] + (0,) * (len(m) - nbase)
         entry = table.setdefault(word, {})
-        entry[base_part] = entry.get(base_part, Fraction(0)) + c
+        entry[base_part] = entry.get(base_part, 0) + c
     return {w: GPoly(chart, terms) for w, terms in sorted(table.items())}
 
 
@@ -464,22 +475,20 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
                  if any(m)]
     for mono in arguments:
         name = render_monomial(ce_w, mono)
-        g = GPoly(ce_w, {mono: Fraction(1)})
+        g = GPoly(ce_w, {mono: 1})
         # left side: act downstairs after pulling back
         lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), hbar_cap=cap)
-        # right side: act upstairs, expand in the formal parameter, pull back
+        # right side: act upstairs, expand in the formal parameter, pull back;
+        # the action already dropped the powers of hbar above the cap
         acted = hamiltonian_action(lham_target, g, hbar_cap=cap)
         hb_idx = acted.chart.index_of(HBAR)
         terms = []
         for power, piece in acted.split_by(lambda m: m[hb_idx]).items():
             # strip the formal parameter before the Taylor pullback
-            stripped = GPoly(ce_w, {m[:len(ce_w.vars)]: c
+            stripped = GPoly(ce_w, {m[:hb_idx] + m[hb_idx + 1:]: c
                                     for m, c in piece.terms.items()})
-            pulled = fm.pull_taylor(stripped)
-            terms.append(inject(pulled, out_chart)
-                         * out_chart.var_poly(HBAR) ** power)
-        rhs = truncate_formal(out_chart.sum(terms), cap)
-        lhs = truncate_formal(inject(lhs, out_chart), cap)
+            terms.append(_times_hbar(fm.pull_taylor(stripped), out_chart, power))
+        rhs = out_chart.sum(terms)
         report.add(f"generator({name})",
                    "operator identity on the generator", lhs - rhs)
     return report

@@ -26,8 +26,8 @@ from .errors import AlgebroidsError, MissingSection
 from .gpoly import MOMENTUM_KINDS, random_poly, render_poly
 from .report import Report
 from .specfile import Section, SpecFile, parse_spec, serialize
-from .symplectic import (canonical_bracket, hamiltonian_lift, legendre,
-                         shifted_cotangent, twin_chart)
+from .symplectic import (canonical_bracket, hamiltonian_lift, is_integrable,
+                         legendre, shifted_cotangent, twin_chart)
 
 
 def _value_report(title, value) -> Report:
@@ -76,8 +76,9 @@ def _legendre_report(spec: AlgebroidSpec, seed: int) -> Report:
 
 def _poisson_report(built) -> Report:
     b, chi = built
-    rep = check_bialgebroid(b)
-    rep.extend(check_linfty(chi))
+    squared = is_integrable(chi)    # read by chi-squared and by integrable
+    rep = check_bialgebroid(b, squared)
+    rep.extend(check_linfty(chi, squared))
     return _titled(rep, "construct poisson")
 
 

@@ -14,7 +14,8 @@ identifier and products must be spelled with an explicit `*` surrounded by
 whitespace (`x* * y`).  Juxtaposition is not multiplication.  `^` takes a
 non-negative integer exponent.  Odd identifiers multiply in the order
 written; the normal form (and its Koszul sign) is produced on parse.
-Parentheses nest at most MAX_DEPTH deep.
+Parentheses nest at most MAX_DEPTH deep; an exponent, and the total degree
+of every monomial of a product or power, is at most MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 MAX_DEPTH = 100   # parenthesis nesting; each level costs four parser frames
+MAX_DEGREE = 200  # total degree of a monomial; each factor of a bracket
+#                   operand costs a frame of the Leibniz recursion
+
+
+def _within_degree(poly: GPoly, line: int, col: int) -> GPoly:
+    if any(sum(m) > MAX_DEGREE for m in poly.terms):
+        raise ParseError(f"a monomial of degree above {MAX_DEGREE}", line, col)
+    return poly
 
 
 def tokenize(text: str, line: int = 1):
@@ -100,7 +109,8 @@ class _Parser:
             kind, value, _, _ = self.peek()
             if kind == "op" and value == "*":
                 self.next()
-                out = out * self.factor()
+                _, _, line, col = self.peek()
+                out = _within_degree(out * self.factor(), line, col)
             else:
                 return out
 
@@ -113,6 +123,7 @@ class _Parser:
                 sign = -sign
             else:
                 break
+        _, _, start_line, start_col = self.peek()
         out = self.atom()
         kind, value, line, col = self.peek()
         if kind == "op" and value == "^":
@@ -121,8 +132,11 @@ class _Parser:
             if kind != "num" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer",
                                  line, col, expected=["integer"])
+            if int(value) > MAX_DEGREE:
+                raise ParseError(f"exponent {value} is above {MAX_DEGREE}",
+                                 line, col)
             self.next()
-            out = out ** int(value)
+            out = _within_degree(out ** int(value), start_line, start_col)
         return out if sign > 0 else -out
 
     def atom(self) -> GPoly:

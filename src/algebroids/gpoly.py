@@ -3,7 +3,9 @@
 A chart fixes an ordered list of graded variables; monomials are stored in
 chart order, and every reordering performed during arithmetic contributes the
 Koszul sign (-1)^{|x||y|} per transposition of odd variables.  Odd variables
-square to zero.  Coefficients are exact rationals.  All derivatives are LEFT
+square to zero.  Coefficients are exact rationals, stored as an `int` when
+integral and as a `Fraction` only when they have a denominator; every
+constructor and every accumulation returns that form.  All derivatives are LEFT
 derivatives: d_v(f*g) = d_v(f)*g + (-1)^{|v||f|} f*d_v(g).
 
 Values are immutable after construction and all operations are pure.
@@ -29,6 +31,18 @@ MOMENTUM_KINDS = (KIND_MOMENTUM_BASE, KIND_MOMENTUM_FIBER)
 FIBER_DIRECTION_KINDS = (KIND_FIBER, KIND_MOMENTUM_FIBER)
 
 Scalar = Union[int, Fraction]
+
+
+def _reduce(c: Scalar) -> Scalar:
+    """An integral Fraction as its int; any other scalar unchanged."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _scalar(c) -> Scalar:
+    """Any exact number as a stored coefficient: an int when integral."""
+    return c if c.__class__ is int else _reduce(Fraction(c))
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,7 @@ class Chart:
             for m, c in p.terms.items():
                 s = res.get(m, 0) + c
                 if s:
-                    res[m] = s
+                    res[m] = _reduce(s)
                 else:
                     del res[m]
         return GPoly._raw(self, res)
@@ -158,7 +172,7 @@ class Chart:
         return self.const(1)
 
     def const(self, c: Scalar) -> "GPoly":
-        c = Fraction(c)
+        c = _scalar(c)
         if c == 0:
             return self.zero()
         return GPoly(self, {(0,) * len(self.vars): c})
@@ -167,7 +181,7 @@ class Chart:
         k = self.index_of(name)
         exps = [0] * len(self.vars)
         exps[k] = 1
-        return GPoly(self, {tuple(exps): Fraction(1)})
+        return GPoly(self, {tuple(exps): 1})
 
     def monomial_weight(self, exps: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(exps, self.weights))
@@ -202,7 +216,7 @@ class Monomial:
         return self.chart.monomial_weight(self.exps)
 
     def as_poly(self) -> "GPoly":
-        return GPoly(self.chart, {self.exps: Fraction(1)})
+        return GPoly(self.chart, {self.exps: 1})
 
     def __repr__(self):
         return render_monomial(self.chart, self.exps) or "1"
@@ -275,7 +289,7 @@ class GPoly:
         cap = chart.trunc
         clean = {}
         for exps, c in terms.items():
-            c = Fraction(c)
+            c = _scalar(c)
             if c == 0:
                 continue
             if cap is not None and chart.monomial_weight(exps) > cap:
@@ -304,7 +318,7 @@ class GPoly:
         for m, c in other.terms.items():
             s = res.get(m, 0) + c
             if s:
-                res[m] = s
+                res[m] = _reduce(s)
             else:
                 res.pop(m, None)
         return GPoly._raw(self.chart, res)
@@ -317,7 +331,7 @@ class GPoly:
         for m, c in other.terms.items():
             s = res.get(m, 0) - c
             if s:
-                res[m] = s
+                res[m] = _reduce(s)
             else:
                 res.pop(m, None)
         return GPoly._raw(self.chart, res)
@@ -327,10 +341,11 @@ class GPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _scalar(other)
             if c == 0:
                 return self.chart.zero()
-            return GPoly._raw(self.chart, {m: k * c for m, k in self.terms.items()})
+            return GPoly._raw(self.chart,
+                              {m: _reduce(k * c) for m, k in self.terms.items()})
         if not isinstance(other, GPoly):
             return NotImplemented
         self._check(other)
@@ -349,7 +364,7 @@ class GPoly:
                 c = c1 * c2
                 s = res.get(m, 0) + (c if sign > 0 else -c)
                 if s:
-                    res[m] = s
+                    res[m] = _reduce(s)
                 else:
                     del res[m]
         return GPoly._raw(self.chart, res)
@@ -401,8 +416,8 @@ class GPoly:
             return False
         return degree is None or d == degree
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.chart.vars), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.chart.vars), 0)
 
     def monomials(self):
         return [Monomial(self.chart, m) for m in sorted(self.terms)]
@@ -425,9 +440,10 @@ class GPoly:
         return render_poly(self)
 
 
-def mul_monomial(p: GPoly, m: tuple, left: bool = False) -> GPoly:
-    """p times the monomial with exponents `m` and coefficient one, or that
-    monomial times p when `left`.
+def mul_monomial(p: GPoly, m: tuple, left: bool = False,
+                 coeff: Scalar = 1) -> GPoly:
+    """p times the term `coeff` * (monomial with exponents `m`), or that term
+    times p when `left`.
 
     The product is an exponent shift with the Koszul sign of `_merge_exps`,
     under the chart cap.  Shifting by one monomial maps distinct monomials to
@@ -446,6 +462,8 @@ def mul_monomial(p: GPoly, m: tuple, left: bool = False) -> GPoly:
         sign, out = merged
         if cap is not None and weight(out) > cap:
             continue
+        if coeff != 1:
+            c = _reduce(c * coeff)
         res[out] = c if sign > 0 else -c
     return GPoly._raw(chart, res)
 
@@ -469,7 +487,7 @@ def partial_left(f: GPoly, v) -> GPoly:
         nm = m[:k] + (e - 1,) + m[k + 1:]
         s = res.get(nm, 0) + coeff
         if s:
-            res[nm] = s
+            res[nm] = _reduce(s)
         else:
             del res[nm]
     return GPoly._raw(chart, res)

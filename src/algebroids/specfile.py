@@ -137,6 +137,15 @@ def _int(token, lineno, what):
         raise ParseError(f"bad {what} {token!r}", lineno) from None
 
 
+def _arg(row, i=0):
+    """Argument `i` of a `key arg ...` row; a missing one is a ParseError at
+    the row's line."""
+    key, args, _, lineno = row
+    if i >= len(args):
+        raise ParseError(f"{key!r} row is missing argument {i + 1}", lineno)
+    return args[i]
+
+
 def _expr(text, chart, lineno):
     if text is None:
         raise ParseError("missing '=' expression", lineno)
@@ -200,7 +209,7 @@ def _resolve_chart(doc, section):
 
 def _algebroid_section(doc, section) -> AlgebroidSpec:
     base_row = section.single("base")
-    base = doc.lookup(base_row[1][0], base_row[3]).resolved
+    base = doc.lookup(_arg(base_row), base_row[3]).resolved
     if not isinstance(base, Chart):
         raise ParseError("the base must reference a chart section", base_row[3])
     fiber = []
@@ -246,8 +255,8 @@ def _resolve_algebroid(doc, section):
 def _resolve_bialgebroid(doc, section):
     primal_row = section.single("primal")
     dual_row = section.single("dual")
-    primal = doc.lookup(primal_row[1][0], primal_row[3]).resolved
-    dual = doc.lookup(dual_row[1][0], dual_row[3]).resolved
+    primal = doc.lookup(_arg(primal_row), primal_row[3]).resolved
+    dual = doc.lookup(_arg(dual_row), dual_row[3]).resolved
     if not isinstance(primal, AlgebroidSpec) or not isinstance(dual, AlgebroidSpec):
         raise ParseError("bialgebroid sections reference algebroid sections",
                          section.line)
@@ -256,12 +265,12 @@ def _resolve_bialgebroid(doc, section):
 
 def _resolve_hamiltonian(doc, section):
     alg_row = section.single("algebroid")
-    spec = doc.lookup(alg_row[1][0], alg_row[3]).resolved
+    spec = doc.lookup(_arg(alg_row), alg_row[3]).resolved
     if not isinstance(spec, AlgebroidSpec):
         raise ParseError("hamiltonian sections reference an algebroid",
                          alg_row[3])
     cap_row = section.single("hbar-cap", required=False)
-    cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
+    cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
     value_row = section.single("value")
     sc = spec.symplectic_chart()
     body = _expr(value_row[2], sc.chart, value_row[3])
@@ -270,11 +279,11 @@ def _resolve_hamiltonian(doc, section):
 
 def _resolve_morphism(doc, section):
     type_row = section.single("type")
-    mtype = type_row[1][0]
+    mtype = _arg(type_row)
     if mtype not in ("semistrict", "full"):
         raise ParseError("morphism type is 'semistrict' or 'full'", type_row[3])
-    source = doc.lookup(section.single("source")[1][0], section.line).resolved
-    target = doc.lookup(section.single("target")[1][0], section.line).resolved
+    source = doc.lookup(_arg(section.single("source")), section.line).resolved
+    target = doc.lookup(_arg(section.single("target")), section.line).resolved
     for endpoint in (source, target):
         if not isinstance(endpoint, (AlgebroidSpec, LinftyHamiltonian)):
             raise ParseError("morphism endpoints reference algebroid or "
@@ -296,10 +305,10 @@ def _resolve_morphism(doc, section):
         resolved = PolyMap(src_ce, tgt_ce, assignment)
     else:
         cap_row = section.single("cap")
-        cap = _int(cap_row[1][0], cap_row[3], "cap")
+        cap = _int(_arg(cap_row), cap_row[3], "cap")
         base_map = {}
-        for key, args, expr, lineno in section.rows("base"):
-            base_map[args[0]] = _expr(expr, src_ce, lineno)
+        for row in section.rows("base"):
+            base_map[_arg(row)] = _expr(row[2], src_ce, row[3])
         words = {}
         for key, args, expr, lineno in section.rows("word"):
             exps = [0] * len(tgt_ce.vars)
@@ -311,15 +320,15 @@ def _resolve_morphism(doc, section):
 
 
 def _resolve_connection(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
     gammas = {}
-    for key, args, expr, lineno in section.rows("gamma"):
-        gammas[args[0]] = _expr(expr, spec.base, lineno)
+    for row in section.rows("gamma"):
+        gammas[_arg(row)] = _expr(row[2], spec.base, row[3])
     section.resolved = (spec, line_connection(spec, gammas))
 
 
 def _resolve_bracket(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
     sc = spec.symplectic_chart()
     left = _expr(section.single("left")[2], sc.chart, section.single("left")[3])
     right = _expr(section.single("right")[2], sc.chart,
@@ -328,13 +337,13 @@ def _resolve_bracket(doc, section):
 
 
 def _resolve_cediff(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
     row = section.single("value")
     section.resolved = (spec, _expr(row[2], spec.ce_chart(), row[3]))
 
 
 def _resolve_schouten(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
     mv = spec.multivector_chart()
     left = _expr(section.single("left")[2], mv, section.single("left")[3])
     right = _expr(section.single("right")[2], mv, section.single("right")[3])
@@ -342,8 +351,8 @@ def _resolve_schouten(doc, section):
 
 
 def _resolve_bv(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
-    conn_spec, conn = doc.lookup(section.single("connection")[1][0],
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
+    conn_spec, conn = doc.lookup(_arg(section.single("connection")),
                                  section.line).resolved
     if conn_spec is not spec:
         raise ParseError("the connection must belong to the same algebroid",
@@ -354,77 +363,77 @@ def _resolve_bv(doc, section):
 
 
 def _resolve_lift(doc, section):
-    chart = doc.lookup(section.single("chart")[1][0], section.line).resolved
+    chart = doc.lookup(_arg(section.single("chart")), section.line).resolved
     if not isinstance(chart, Chart):
         raise ParseError("lift sections reference a chart", section.line)
     shift_row = section.single("shift", required=False)
-    shift = _int(shift_row[1][0], shift_row[3], "shift") if shift_row else 2
+    shift = _int(_arg(shift_row), shift_row[3], "shift") if shift_row else 2
     comps = {}
-    for key, args, expr, lineno in section.rows("component"):
-        comps[args[0]] = _expr(expr, chart, lineno)
+    for row in section.rows("component"):
+        comps[_arg(row)] = _expr(row[2], chart, row[3])
     section.resolved = (chart, shift, comps)
 
 
 def _resolve_legendre(doc, section):
-    spec = doc.lookup(section.single("algebroid")[1][0], section.line).resolved
+    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
     section.resolved = spec
 
 
 def _resolve_construct(doc, section):
     kind = section.subtype
     if kind == "tangent":
-        base = doc.lookup(section.single("base")[1][0], section.line).resolved
+        base = doc.lookup(_arg(section.single("base")), section.line).resolved
         section.resolved = ("tangent", (base,))
     elif kind == "action":
-        base = doc.lookup(section.single("base")[1][0], section.line).resolved
-        fiber = [(args[0], _int(args[1], lineno, "degree"))
-                 for _, args, _, lineno in section.rows("fiber")]
+        base = doc.lookup(_arg(section.single("base")), section.line).resolved
+        fiber = [(_arg(row), _int(_arg(row, 1), row[3], "degree"))
+                 for row in section.rows("fiber")]
         brackets = {}
-        for key, args, expr, lineno in section.rows("bracket"):
-            p = _expr(expr, base, lineno)
+        for row in section.rows("bracket"):
+            p = _expr(row[2], base, row[3])
             if any(any(m) for m in p.terms):
                 raise DegreeError(
                     "action structure coefficients must be constants")
-            brackets[(args[0], args[1], args[2])] = p
+            brackets[(_arg(row), _arg(row, 1), _arg(row, 2))] = p
         action = {}
-        for key, args, expr, lineno in section.rows("act"):
-            action[(args[0], args[1])] = _expr(expr, base, lineno)
+        for row in section.rows("act"):
+            action[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
         section.resolved = ("action", (base, fiber, brackets, action))
     elif kind == "poisson":
-        base = doc.lookup(section.single("base")[1][0], section.line).resolved
+        base = doc.lookup(_arg(section.single("base")), section.line).resolved
         pi = {}
-        for key, args, expr, lineno in section.rows("bivector"):
-            pi[(args[0], args[1])] = _expr(expr, base, lineno)
+        for row in section.rows("bivector"):
+            pi[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
         cap_row = section.single("hbar-cap", required=False)
-        cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
+        cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
         section.resolved = ("poisson", (base, pi, cap))
     elif kind == "triangular":
-        spec = doc.lookup(section.single("algebroid")[1][0],
+        spec = doc.lookup(_arg(section.single("algebroid")),
                           section.line).resolved
         row = section.single("r")
         r = _expr(row[2], spec.multivector_chart(), row[3])
         section.resolved = ("triangular", (spec, r))
     elif kind == "nijenhuis":
-        base = doc.lookup(section.single("base")[1][0], section.line).resolved
+        base = doc.lookup(_arg(section.single("base")), section.line).resolved
         endo = {}
-        for key, args, expr, lineno in section.rows("endo"):
-            endo[(args[0], args[1])] = _expr(expr, base, lineno)
+        for row in section.rows("endo"):
+            endo[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
         pi = {}
-        for key, args, expr, lineno in section.rows("bivector"):
-            pi[(args[0], args[1])] = _expr(expr, base, lineno)
+        for row in section.rows("bivector"):
+            pi[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
         section.resolved = ("nijenhuis", (NijenhuisData(base, endo, pi),))
     elif kind == "linfty-bialgebra":
-        fiber = [(args[0], _int(args[1], lineno, "degree"))
-                 for _, args, _, lineno in section.rows("fiber")]
+        fiber = [(_arg(row), _int(_arg(row, 1), row[3], "degree"))
+                 for row in section.rows("fiber")]
         coords = Chart([(n, 1 - d, "fiber") for n, d in fiber],
                        trunc=doc.trunc)
         sc = shifted_cotangent(coords, 2)
         components = {}
-        for key, args, expr, lineno in section.rows("component"):
-            m, n = _int(args[0], lineno, "arity"), _int(args[1], lineno, "arity")
-            components[(m, n)] = _expr(expr, sc.chart, lineno)
+        for row in section.rows("component"):
+            m, n = (_int(_arg(row, i), row[3], "arity") for i in (0, 1))
+            components[(m, n)] = _expr(row[2], sc.chart, row[3])
         cap_row = section.single("hbar-cap", required=False)
-        cap = _int(cap_row[1][0], cap_row[3], "hbar-cap") if cap_row else 4
+        cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
         section.resolved = ("linfty-bialgebra", (sc, components, cap))
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (BIALGEBROID_FAILING, BIALGEBROID_PASSING, LINE, PLANE,
                     POINT, abelian, dual_tangent_type, koszul_linear,
@@ -16,11 +18,12 @@ from algebroids.bialgebroid import (BialgebroidSpec, FullMorphism, HBAR,
                                     legendre_quadratic_check,
                                     linfty_morphism_check,
                                     semistrict_morphism_check, taylor,
-                                    truncate_formal, with_formal_parameter)
+                                    with_formal_parameter)
 from algebroids.errors import (ChartMismatch, DegreeError,
                                TruncationIncomplete)
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import Chart, GPoly, inject, random_poly
+from algebroids.gpoly import (Chart, GPoly, inject, partial_left,
+                              random_poly)
 from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
                                    shifted_cotangent)
 
@@ -218,6 +221,75 @@ class TestHamiltonianAction:
             br0 = sc.zero_momenta(br)
             from algebroids.gpoly import restrict_to
             assert k1 == restrict_to(br0, ce)
+
+
+def action_by_injection(sc, body, g, hbar_cap):
+    """The operator action by its first implementation, kept as a reference:
+    each term built on the V[1] chart, injected next to hbar, multiplied by
+    hbar ** (k - 1), and the sum truncated at the hbar cap."""
+    ce = sc.base_chart
+    out_chart = with_formal_parameter(ce)
+    hb = out_chart.var_poly(HBAR)
+    terms = []
+    for mono, coeff in body.terms.items():
+        k = sum(mono[sc.npairs:])
+        if k == 0:
+            continue
+        deriv = g
+        for j in reversed(range(sc.npairs)):
+            for _ in range(mono[sc.npairs + j]):
+                deriv = partial_left(deriv, ce.names[j])
+        u = GPoly(ce, {mono[:sc.npairs]: coeff})
+        terms.append(inject(u * deriv, out_chart) * hb ** (k - 1))
+    out = out_chart.sum(terms)
+    if hbar_cap is None:
+        return out
+    hb_idx = out_chart.index_of(HBAR)
+    return out.component(lambda m: m[hb_idx] <= hbar_cap)
+
+
+class TestActionKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           trunc=st.sampled_from([None, 1, 2, 3]),
+           hbar_cap=st.sampled_from([None, 0, 1, 2]))
+    def test_matches_injection_route(self, seed, trunc, hbar_cap):
+        rng = random.Random(seed)
+        ce = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")],
+                   trunc=trunc)
+        sc = shifted_cotangent(ce, 2)
+        body = random_poly(sc.chart, rng, max_weight=4, max_base_degree=2,
+                           max_terms=6)
+        g = random_poly(ce, rng, max_weight=3, max_base_degree=2, max_terms=4)
+        ham = (Hamiltonian(sc, body) if hbar_cap is None
+               else LinftyHamiltonian(sc, body, hbar_cap))
+        assert hamiltonian_action(ham, g) == \
+            action_by_injection(sc, body, g, hbar_cap)
+
+    def test_hbar_cap_drops_whole_terms(self):
+        pt = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
+        sc = shifted_cotangent(pt, 2)
+        body = pe("xi1* * xi2* * xi1 + xi1 * xi1*", sc.chart)
+        g = pe("xi1 * xi2", pt)
+        out = hamiltonian_action(LinftyHamiltonian(sc, body, hbar_cap=0), g)
+        assert out == pe("xi1 * xi2", out.chart)
+        out = hamiltonian_action(LinftyHamiltonian(sc, body, hbar_cap=1), g)
+        assert out == pe("xi1 * xi2 - xi1 * hbar", out.chart)
+
+    def test_weight_cap_counts_hbar(self):
+        # d_x d_x (x^2 * xi1 * xi2) = 2 * xi1 * xi2 comes with one hbar, and
+        # hbar has weight one: the term has weight 3
+        for trunc, want in ((2, "0"), (3, "2 * xi1 * xi2 * hbar")):
+            ce = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")],
+                       trunc=trunc)
+            sc = shifted_cotangent(ce, 2)
+            ham = Hamiltonian(sc, pe("x*^2", sc.chart))
+            out = hamiltonian_action(ham, pe("x^2 * xi1 * xi2", ce))
+            assert out == pe(want, out.chart)
+
+    def test_hbar_name_is_reserved(self):
+        with pytest.raises(ChartMismatch):
+            with_formal_parameter(Chart([("hbar", 0)]))
 
 
 class TestNilpotency:

@@ -159,6 +159,22 @@ BAD_INPUTS = {
                      b"  bracket xi1 xi2 xi1 = " + b"(" * 3000 + b"1"
                      + b")" * 3000 + b"\n",
                      "parentheses nested deeper than 100 at 7:125"),
+    "hbar-cap-without-value": (b"chart pt\n\nalgebroid G\n  base pt\n"
+                               b"  fiber xi1 0\n\nhamiltonian H\n"
+                               b"  algebroid G\n  hbar-cap\n"
+                               b"  value = xi1 * xi1*\n",
+                               "'hbar-cap' row is missing argument 1 at line 9"),
+    "bare-primal": (b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n\n"
+                    b"algebroid Gd\n  base pt\n  fiber xi1* 0\n\n"
+                    b"bialgebroid B\n  primal\n  dual Gd\n",
+                    "'primal' row is missing argument 1 at line 12"),
+    "huge-exponent": (b"chart M\n  var x1 0\n\nalgebroid V\n  base M\n"
+                      b"  fiber dx 0\n  anchor dx x1 = x1^2000000\n",
+                      "exponent 2000000 is above 200 at 7:21"),
+    "bracket-degree-1500": (b"chart M\n  var x 0\n\nalgebroid V\n  base M\n"
+                            b"  fiber dx 0\n\nbracket B\n  algebroid V\n"
+                            b"  left = x^1500\n  right = x*\n",
+                            "exponent 1500 is above 200 at 10:12"),
 }
 
 
@@ -195,3 +211,39 @@ def test_timings_per_section(monkeypatch):
     assert code == 0
     assert "-- morphism: OK (4.0 ms)" in out.splitlines()
     assert "-- homotopy-morphism: OK (2.5 ms)" in out.splitlines()
+
+
+def test_bracket_at_the_degree_budget(tmp_path):
+    # the Leibniz recursion takes one frame per factor of each operand
+    from algebroids.expr import MAX_DEGREE
+    path = tmp_path / "deep.alg"
+    path.write_text("chart M\n  var x 0\n\nalgebroid V\n  base M\n"
+                    "  fiber dx 0\n\nbracket B\n  algebroid V\n"
+                    f"  left = x^{MAX_DEGREE}\n  right = x*^{MAX_DEGREE}\n")
+    code, out = run_cli(["bracket", str(path)])
+    assert code == 0
+    n = MAX_DEGREE
+    assert f"[-{n * n} * x^{n - 1} * x*^{n - 1}]" in out
+
+
+def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
+    from algebroids import algebroid, bialgebroid, symplectic
+    from algebroids.constructions import poisson_bialgebroid
+    from algebroids.specfile import parse_spec
+
+    bodies = []
+    original = symplectic.is_integrable
+
+    def counted(ham):
+        bodies.append(repr(ham.body))
+        return original(ham)
+
+    for module in (symplectic, algebroid, bialgebroid, cli):
+        monkeypatch.setattr(module, "is_integrable", counted)
+    code, _ = run_cli(["construct", "tests/data/poisson.alg"])
+    assert code == 0
+    with open(os.path.join(DATA, "poisson.alg")) as fh:
+        doc = parse_spec(fh.read())
+    b, chi = poisson_bialgebroid(*doc.lookup("P").resolved[1])
+    mu, mu_dual = b.hamiltonians()
+    assert sorted(bodies) == sorted(repr(h.body) for h in (mu, mu_dual, chi))

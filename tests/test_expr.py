@@ -72,3 +72,20 @@ def test_unbalanced_parenthesis():
 def test_unexpected_character():
     with pytest.raises(ParseError):
         pe("x @ 1")
+
+
+def test_degree_budget():
+    from algebroids.expr import MAX_DEGREE
+    assert pe(f"x^{MAX_DEGREE}") == pe("x") ** MAX_DEGREE
+    assert pe(f"x^{MAX_DEGREE - 1} * x") == pe(f"x^{MAX_DEGREE}")
+    # the exponent itself is refused before the power is computed
+    with pytest.raises(ParseError, match=f"exponent 2000000 is above "
+                                         f"{MAX_DEGREE} at 1:7"):
+        pe("1 + x^2000000")
+    with pytest.raises(ParseError, match=f"degree above {MAX_DEGREE} at 1:9"):
+        pe(f"x^{MAX_DEGREE} * x")
+    with pytest.raises(ParseError, match=f"degree above {MAX_DEGREE} at 1:1"):
+        pe(f"(x^{MAX_DEGREE // 2 + 1})^2")
+    # odd squares vanish, so only monomials that survive count
+    assert pe(f"(xi1 + x)^{MAX_DEGREE}") == pe(f"x^{MAX_DEGREE}") \
+        + MAX_DEGREE * pe(f"x^{MAX_DEGREE - 1} * xi1")

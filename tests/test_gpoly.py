@@ -230,6 +230,139 @@ class TestKernelEquivalence:
             substitute(f, {**explicit, **x_image}, target)
 
 
+# integer coefficients against a reference that computes with Fractions only;
+# the reference multiplies through mono_normalize, not _merge_exps
+
+
+def coefficient():
+    return st.one_of(st.integers(-4, 4),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def mixed_poly(draw, chart=MIXED, degree=None):
+    pool = [m for m in enumerate_monomials(chart, 2, max_base_degree=2)
+            if degree is None or chart.monomial_degree(m) == degree]
+    terms = {}
+    for m in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        terms[m] = terms.get(m, 0) + draw(coefficient())
+    return GPoly(chart, terms)
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def ref(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def ref_clean(chart, terms):
+    cap = chart.trunc
+    return {m: c for m, c in terms.items() if c != 0
+            and (cap is None or chart.monomial_weight(m) <= cap)}
+
+
+def ref_add(chart, *summands):
+    out = {}
+    for terms in summands:
+        for m, c in terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(chart, out)
+
+
+def ref_scale(chart, a, s):
+    return ref_clean(chart, {m: c * Fraction(s) for m, c in a.items()})
+
+
+def ref_mul(chart, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            word = list(zip(chart.names, m1)) + list(zip(chart.names, m2))
+            try:
+                sign, mono = mono_normalize(chart, word)
+            except OddSquare:
+                continue
+            out[mono.exps] = out.get(mono.exps, Fraction(0)) + sign * c1 * c2
+    return ref_clean(chart, out)
+
+
+def ref_partial(chart, a, k):
+    out = {}
+    for m, c in a.items():
+        if not m[k]:
+            continue
+        odd_before = sum(m[j] for j in range(k) if chart.parities[j])
+        sign = -1 if chart.parities[k] and odd_before % 2 else 1
+        nm = m[:k] + (m[k] - 1,) + m[k + 1:]
+        out[nm] = out.get(nm, Fraction(0)) + sign * m[k] * c
+    return ref_clean(chart, out)
+
+
+def ref_substitute(f, images, target):
+    parts = []
+    for m, c in f.terms.items():
+        part = {(0,) * len(target.vars): Fraction(c)}
+        for name, e in zip(f.chart.names, m):
+            for _ in range(e):
+                part = ref_mul(target, part, images[name])
+        parts.append(part)
+    return ref_add(target, *parts)
+
+
+class TestIntegerCoefficients:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ring_operations_match_fraction_reference(self, data):
+        chart = data.draw(st.sampled_from([MIXED, CAPPED]))
+        f, g, h = (data.draw(mixed_poly(chart)) for _ in range(3))
+        s = data.draw(coefficient().filter(bool))
+        a, b = ref(f), ref(g)
+        cases = [(f + g, ref_add(chart, a, b)),
+                 (f - g, ref_add(chart, a, ref_scale(chart, b, -1))),
+                 (f * g, ref_mul(chart, a, b)),
+                 (f * s, ref_scale(chart, a, s)),
+                 (s * f, ref_scale(chart, a, s)),
+                 (f / s, ref_scale(chart, a, 1 / Fraction(s))),
+                 (chart.sum([f, g, h]), ref_add(chart, a, b, ref(h)))]
+        cases += [(partial_left(f, name), ref_partial(chart, a, k))
+                  for k, name in enumerate(chart.names)]
+        m = data.draw(st.sampled_from(enumerate_monomials(chart, 2)))
+        cases.append((mul_monomial(f, m, coeff=s),
+                       ref_mul(chart, a, {m: Fraction(s)})))
+        for got, want in cases:
+            assert got.terms == want
+            assert_canonical(got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_substitute_matches_fraction_reference(self, data):
+        target = data.draw(st.sampled_from(TARGETS))
+        f = data.draw(mixed_poly(SOURCE))
+        images = {v.name: data.draw(mixed_poly(target, degree=v.degree))
+                  for v in SOURCE.vars}
+        got = substitute(f, images, target)
+        assert got.terms == ref_substitute(
+            f, {n: ref(p) for n, p in images.items()}, target)
+        assert_canonical(got)
+
+    def test_halves_pair_up_to_int(self):
+        half = poly("1/2 * x + 1/2 * xi1 * xi2")
+        for total in (MIXED.sum([half, half]), half + half, half - (-half),
+                      half * 2, half * poly("2"), half / Fraction(1, 2),
+                      partial_left(poly("1/2 * x^2"), "x")):
+            assert_canonical(total)
+            assert all(type(c) is int for c in total.terms.values())
+
+    def test_constructors_store_ints(self):
+        for p in (GPoly(MIXED, {(1, 0, 0): Fraction(4, 2)}),
+                  MIXED.const(Fraction(6, 3)), MIXED.var_poly("x"),
+                  Monomial(MIXED, (1, 0, 0)).as_poly(), poly("4/2 * x")):
+            assert [type(c) for c in p.terms.values()] == [int]
+
+
 class TestTruncation:
     def test_truncated_product_is_ideal(self):
         capped = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),

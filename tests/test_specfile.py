@@ -132,3 +132,20 @@ def test_expression_columns_count_from_line_start():
     text = TWO_DIM.replace("= 1", "= 1 + y")
     with pytest.raises(UndeclaredVariable, match="at 7:29"):
         parse_spec(text)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("chart pt\n\nconstruct linfty-bialgebra LB\n  fiber xi1 0\n"
+     "  hbar-cap\n", "'hbar-cap' row is missing argument 1 at line 5"),
+    ("chart pt\n\nconstruct action A\n  base\n",
+     "'base' row is missing argument 1 at line 4"),
+    ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1\n",
+     "'fiber' row is missing argument 2 at line 5"),
+    ("chart pt\n\nconstruct poisson P\n  base pt\n  bivector x = 1\n",
+     "'bivector' row is missing argument 2 at line 5"),
+    ("chart M\n  var x 0\n\nlift L\n  chart M\n  component = x\n",
+     "'component' row is missing argument 1 at line 6"),
+])
+def test_missing_row_arguments(text, where):
+    with pytest.raises(ParseError, match=where):
+        parse_spec(text)
