@@ -7,7 +7,7 @@ of them may run in parallel.
 
 from .errors import (
     AlgebroidsError, ChartMismatch, DegreeError, DegreeMismatch,
-    MissingSection, NotLieAlgebra, NotPoisson, NotSplit,
+    ExponentOverflow, MissingSection, NotLieAlgebra, NotPoisson, NotSplit,
     NotTriangular, OddSquare, ParseError, TruncationIncomplete,
     UndeclaredVariable,
 )
@@ -44,7 +44,7 @@ from .specfile import SpecFile, parse_spec, serialize
 __all__ = [
     "AlgebroidSpec", "AlgebroidsError", "BialgebroidSpec", "BracketContext",
     "Chart", "ChartMismatch", "CheckRecord", "Connection", "DegreeError",
-    "DegreeMismatch", "FullMorphism", "GPoly", "GVar", "Hamiltonian",
+    "DegreeMismatch", "ExponentOverflow", "FullMorphism", "GPoly", "GVar", "Hamiltonian",
     "LinftyHamiltonian", "MissingSection", "Monomial", "NijenhuisData",
     "NotLieAlgebra", "NotPoisson", "NotSplit", "NotTriangular",
     "OddSquare", "ParseError", "PolyMap", "Report", "SpecFile",

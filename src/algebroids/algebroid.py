@@ -499,9 +499,8 @@ def lie_poisson(spec: AlgebroidSpec, label="dual-bundle") -> BracketContext:
 
 
 def multivector_arity(spec: AlgebroidSpec, p: GPoly) -> frozenset:
-    chart = spec.multivector_chart()
     nbase = len(spec.base.vars)
-    return frozenset(sum(m[nbase:]) for m in p.terms)
+    return frozenset(sum(p.chart.unpack(m)[nbase:]) for m in p.terms)
 
 
 # -- constructions on the base: the cotangent algebroid of a bivector ----------
@@ -668,13 +667,13 @@ def torsion(spec: AlgebroidSpec, conn: Connection, x: Section,
 
 def _top_coefficient(spec: AlgebroidSpec, p: GPoly) -> GPoly:
     """The base coefficient of the top multivector monomial e_1...e_n."""
-    chart = spec.multivector_chart()
     nbase = len(spec.base.vars)
     out = {}
     for m, c in p.terms.items():
-        fiber_part = m[nbase:]
+        exps = p.chart.unpack(m)
+        fiber_part = exps[nbase:]
         if all(e == 1 for e in fiber_part):
-            out[m[:nbase]] = c
+            out[spec.base.pack(exps[:nbase])] = c
         elif any(fiber_part):
             raise DegreeMismatch("not a top-power section")
     return GPoly(spec.base, out)

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Tuple
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
 from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
-                     TruncationIncomplete)
+                     ExponentOverflow, TruncationIncomplete)
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
                     FIBER_DIRECTION_KINDS, MOMENTUM_KINDS, inject,
                     mul_monomial, partial_left, substitute)
@@ -45,16 +45,29 @@ def with_formal_parameter(chart: Chart) -> Chart:
 
 def _times_hbar(p: GPoly, out_chart: Chart, power: int) -> GPoly:
     """p * hbar^power on `out_chart`, which is p's chart with the formal
-    parameter inserted: `power` is written into the hbar slot, under the
-    weight cap of `out_chart`.  hbar is even, so no Koszul sign arises."""
+    parameter inserted: `power` is written into the hbar field, under the
+    weight cap of `out_chart`.  hbar is even, so no Koszul sign arises.
+
+    The fields below hbar keep their place; those above it, and the weight,
+    move up by the width of the hbar field."""
+    chart = p.chart
     hb = out_chart.index_of(HBAR)
+    if power > out_chart.exp_masks[hb]:
+        raise ExponentOverflow(f"exponent of {HBAR!r} is above "
+                               f"{out_chart.exp_masks[hb]}")
+    hbar = power * out_chart.units[hb]
+    at = out_chart.shifts[hb]
+    width = out_chart.exp_masks[hb].bit_length() + 1
+    low = (1 << at) - 1
+    high = chart.var_bits ^ low
     cap = out_chart.trunc
     if cap is not None:
         cap -= power * out_chart.weights[hb]
-    weight = p.chart.monomial_weight
+    wshift, out_wshift = chart.wshift, out_chart.wshift
     return GPoly._raw(out_chart, {
-        m[:hb] + (power,) + m[hb:]: c for m, c in p.terms.items()
-        if cap is None or weight(m) <= cap})
+        ((m & low) | (m & high) << width) + ((m >> wshift) << out_wshift)
+        + hbar: c
+        for m, c in p.terms.items() if cap is None or m >> wshift <= cap})
 
 
 class BialgebroidSpec:
@@ -251,28 +264,35 @@ def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     out_chart = with_formal_parameter(ce)
+    chart = sc.chart
     npairs = sc.npairs
-    terms = []
+    # the coordinates are the first fields of the symplectic chart and keep
+    # their place on the V[1] chart; only the weight field moves down, less
+    # the weight k of the momenta
+    coords = ce.var_bits
+    wshift, ce_wshift = chart.wshift, ce.wshift
+    by_power = {}   # k - 1 -> the terms of that power of hbar
     for mono, coeff in body.terms.items():
-        momentum_part = [(j, e) for j, e in enumerate(mono[npairs:]) if e]
+        momentum_part = chart.fields(mono & ~coords)
         k = sum(e for _, e in momentum_part)
         if k == 0 or (cap is not None and k - 1 > cap):
             continue
+        u = (mono & coords) + (((mono >> wshift) - k) << ce_wshift)
         deriv = g
         # strip the momentum tail right to left: zero extra Koszul signs
-        for j, e in reversed(momentum_part):
+        for i, e in reversed(momentum_part):
             for _ in range(e):
-                deriv = partial_left(deriv, ce.names[j])
+                deriv = partial_left(deriv, ce.names[i - npairs])
                 if deriv.is_zero():
                     break
             if deriv.is_zero():
                 break
         if deriv.is_zero():
             continue
-        terms.append(_times_hbar(
-            mul_monomial(deriv, mono[:npairs], left=True, coeff=coeff),
-            out_chart, k - 1))
-    return out_chart.sum(terms)
+        by_power.setdefault(k - 1, []).append(
+            mul_monomial(deriv, u, left=True, coeff=coeff))
+    return out_chart.sum(_times_hbar(ce.sum(parts), out_chart, power)
+                         for power, parts in by_power.items())
 
 
 def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
@@ -289,10 +309,11 @@ def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
         raise ChartMismatch("base coordinates must precede fiber coordinates")
     table = {}
     for m, c in g.terms.items():
-        word = (0,) * nbase + m[nbase:]
-        if sum(m[nbase:]) > cap:
+        exps = chart.unpack(m)
+        word = (0,) * nbase + exps[nbase:]
+        if sum(exps[nbase:]) > cap:
             continue
-        base_part = m[:nbase] + (0,) * (len(m) - nbase)
+        base_part = chart.pack(exps[:nbase] + (0,) * (len(exps) - nbase))
         entry = table.setdefault(word, {})
         entry[base_part] = entry.get(base_part, 0) + c
     return {w: GPoly(chart, terms) for w, terms in sorted(table.items())}
@@ -395,13 +416,13 @@ class FullMorphism:
                 raise ChartMismatch("words range over fiber coordinates only")
             if img.chart != self.source:
                 raise ChartMismatch("entries live on the source chart")
-            want = self.target.monomial_degree(word)
+            want = self.target.monomial_degree(self.target.pack(word))
             if not img.is_homogeneous(want):
                 raise DegreeMismatch(
                     f"word entry {word} must be homogeneous of degree {want}")
             for m in img.terms:
-                if not any(e and src_kinds[i] != KIND_BASE
-                           for i, e in enumerate(m)):
+                if not any(src_kinds[i] != KIND_BASE
+                           for i, _ in self.source.fields(m)):
                     raise DegreeMismatch(
                         "word entries must vanish on the zero section")
             words[word] = img
@@ -475,7 +496,7 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
                  if any(m)]
     for mono in arguments:
         name = render_monomial(ce_w, mono)
-        g = GPoly(ce_w, {mono: 1})
+        g = GPoly(ce_w, {ce_w.pack(mono): 1})
         # left side: act downstairs after pulling back
         lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), hbar_cap=cap)
         # right side: act upstairs, expand in the formal parameter, pull back;
@@ -485,9 +506,12 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
         terms = []
         for power, piece in acted.split_by(lambda m: m[hb_idx]).items():
             # strip the formal parameter before the Taylor pullback
-            stripped = GPoly(ce_w, {m[:hb_idx] + m[hb_idx + 1:]: c
-                                    for m, c in piece.terms.items()})
-            terms.append(_times_hbar(fm.pull_taylor(stripped), out_chart, power))
+            stripped = {}
+            for m, c in piece.terms.items():
+                exps = acted.chart.unpack(m)
+                stripped[ce_w.pack(exps[:hb_idx] + exps[hb_idx + 1:])] = c
+            terms.append(_times_hbar(fm.pull_taylor(GPoly(ce_w, stripped)),
+                                     out_chart, power))
         rhs = out_chart.sum(terms)
         report.add(f"generator({name})",
                    "operator identity on the generator", lhs - rhs)

@@ -41,7 +41,7 @@ def action_algebroid(base: Chart, fiber: Sequence[Tuple[str, int]],
     constants = {}
     for key, v in brackets.items():
         if isinstance(v, GPoly):
-            if any(any(m) for m in v.terms):
+            if any(v.terms):   # a key other than 0 is not a constant
                 raise DegreeError("structure coefficients must be constants")
             constants[key] = v.constant_term()
         else:

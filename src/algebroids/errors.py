@@ -9,6 +9,10 @@ class OddSquare(AlgebroidsError):
     """An odd variable appears with exponent greater than one."""
 
 
+class ExponentOverflow(AlgebroidsError):
+    """A monomial exponent does not fit the bit field its packed key gives it."""
+
+
 class ChartMismatch(AlgebroidsError):
     """Operands live on different charts."""
 

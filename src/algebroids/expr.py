@@ -15,13 +15,15 @@ whitespace (`x* * y`).  Juxtaposition is not multiplication.  `^` takes a
 non-negative integer exponent.  Odd identifiers multiply in the order
 written; the normal form (and its Koszul sign) is produced on parse.
 Parentheses nest at most MAX_DEPTH deep; an exponent, and the total degree
-of every monomial of a product or power, is at most MAX_DEGREE.
+of every monomial of a product or power, is at most MAX_DEGREE; a product or
+power whose term count can exceed MAX_TERMS is refused before it is expanded.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError, UndeclaredVariable
 from .gpoly import Chart, GPoly
@@ -36,10 +38,19 @@ _TOKEN = re.compile(r"""
 MAX_DEPTH = 100   # parenthesis nesting; each level costs four parser frames
 MAX_DEGREE = 200  # total degree of a monomial; each factor of a bracket
 #                   operand costs a frame of the Leibniz recursion
+MAX_TERMS = 10_000  # terms a product or power may expand to
+
+
+def _within_terms(bound: int, line: int, col: int):
+    """Refuse a product before it is expanded when its term-count bound is
+    above the budget."""
+    if bound > MAX_TERMS:
+        raise ParseError(f"a product of up to {bound} terms is above "
+                         f"{MAX_TERMS} terms", line, col)
 
 
 def _within_degree(poly: GPoly, line: int, col: int) -> GPoly:
-    if any(sum(m) > MAX_DEGREE for m in poly.terms):
+    if any(sum(poly.chart.unpack(m)) > MAX_DEGREE for m in poly.terms):
         raise ParseError(f"a monomial of degree above {MAX_DEGREE}", line, col)
     return poly
 
@@ -110,7 +121,9 @@ class _Parser:
             if kind == "op" and value == "*":
                 self.next()
                 _, _, line, col = self.peek()
-                out = _within_degree(out * self.factor(), line, col)
+                rhs = self.factor()
+                _within_terms(len(out.terms) * len(rhs.terms), line, col)
+                out = _within_degree(out * rhs, line, col)
             else:
                 return out
 
@@ -136,7 +149,12 @@ class _Parser:
                 raise ParseError(f"exponent {value} is above {MAX_DEGREE}",
                                  line, col)
             self.next()
-            out = _within_degree(out ** int(value), start_line, start_col)
+            n, t = int(value), len(out.terms)
+            # the n-th power of t terms has at most as many terms as there
+            # are monomials of degree n in t letters
+            if t:
+                _within_terms(comb(t + n - 1, n), start_line, start_col)
+            out = _within_degree(out ** n, start_line, start_col)
         return out if sign > 0 else -out
 
     def atom(self) -> GPoly:

@@ -3,21 +3,34 @@
 A chart fixes an ordered list of graded variables; monomials are stored in
 chart order, and every reordering performed during arithmetic contributes the
 Koszul sign (-1)^{|x||y|} per transposition of odd variables.  Odd variables
-square to zero.  Coefficients are exact rationals, stored as an `int` when
-integral and as a `Fraction` only when they have a denominator; every
-constructor and every accumulation returns that form.  All derivatives are LEFT
-derivatives: d_v(f*g) = d_v(f)*g + (-1)^{|v||f|} f*d_v(g).
+square to zero.
+
+A monomial is stored as one `int` key (`Chart.pack`).  Variable i owns a bit
+field at `Chart.shifts[i]`: one exponent bit for an odd variable, fifteen for
+an even one, each topped by a guard bit that catches a carry.  One more field
+above all of them holds the weight.  So a product of monomials is the sum of
+their keys, the weight cap is a shift, an odd square is
+`k1 & k2 & chart.odd_bits`, and the Koszul sign is the parity of the
+crossings of the odd bits.  Exponent tuples appear only at the edges, through
+`Chart.pack` and `Chart.unpack`.
+
+Coefficients are exact rationals, stored as an `int` when integral and as a
+`Fraction` only when they have a denominator; every constructor and every
+accumulation returns that form.  All derivatives are LEFT derivatives:
+d_v(f*g) = d_v(f)*g + (-1)^{|v||f|} f*d_v(g).
 
 Values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
-from .errors import ChartMismatch, DegreeMismatch, OddSquare, UndeclaredVariable
+from .errors import (ChartMismatch, DegreeMismatch, ExponentOverflow, OddSquare,
+                     UndeclaredVariable)
 
 KIND_BASE = "base"
 KIND_FIBER = "fiber"
@@ -31,6 +44,10 @@ MOMENTUM_KINDS = (KIND_MOMENTUM_BASE, KIND_MOMENTUM_FIBER)
 FIBER_DIRECTION_KINDS = (KIND_FIBER, KIND_MOMENTUM_FIBER)
 
 Scalar = Union[int, Fraction]
+
+_WIDTH = (16, 2)   # bits of the field of an even and of an odd variable,
+#                    its guard bit included
+MAX_EXPONENT = (1 << (_WIDTH[0] - 1)) - 1   # of an even variable
 
 
 def _reduce(c: Scalar) -> Scalar:
@@ -94,10 +111,12 @@ class Chart:
     The declaration order is the canonical monomial order.  An optional
     weight cap `trunc` makes the chart a formal-series ring truncated by the
     ideal of monomials of weight > trunc (base directions carry weight 0).
+    The chart also fixes the packed layout of its monomial keys.
     """
 
     __slots__ = ("vars", "trunc", "names", "degrees", "parities", "weights",
-                 "kinds", "_index")
+                 "kinds", "_index", "shifts", "exp_masks", "units", "odd_bits",
+                 "guard_bits", "wshift", "var_bits", "field_at")
 
     def __init__(self, variables: Iterable[VarSpec], trunc: Optional[int] = None):
         self.vars = _make_vars(variables)
@@ -112,6 +131,24 @@ class Chart:
         self.weights = tuple(v.weight for v in self.vars)
         self.kinds = tuple(v.kind for v in self.vars)
         self._index = {v.name: v.index for v in self.vars}
+        self.exp_masks = tuple((1 << (_WIDTH[p] - 1)) - 1 for p in self.parities)
+        self.wshift = wshift = sum(_WIDTH[p] for p in self.parities)
+        self.var_bits = (1 << wshift) - 1
+        shifts, units = [], []
+        field_at = [None]   # bit length of a key's lowest set bit -> variable
+        odd_bits = guard_bits = pos = 0
+        for i, (p, w) in enumerate(zip(self.parities, self.weights)):
+            width = _WIDTH[p]
+            shifts.append(pos)
+            units.append((1 << pos) + (w << wshift))
+            field_at += (i,) * width
+            if p:
+                odd_bits |= 1 << pos
+            pos += width
+            guard_bits |= 1 << (pos - 1)
+        self.shifts, self.units = tuple(shifts), tuple(units)
+        self.field_at = tuple(field_at)
+        self.odd_bits, self.guard_bits = odd_bits, guard_bits
 
     def __eq__(self, other):
         return (isinstance(other, Chart) and self.vars == other.vars
@@ -146,22 +183,74 @@ class Chart:
         """This chart followed by `variables`, under the same weight cap."""
         return Chart(self.vars + tuple(variables), trunc=self.trunc)
 
-    def sum(self, polys: Iterable["GPoly"]) -> "GPoly":
+    def sum(self, polys: Iterable) -> "GPoly":
         """The sum of polynomials on this chart, built in one fresh dict.
 
-        The summands are never mutated: memoised bracket values share them.
+        A summand is a polynomial or a pair (scalar, polynomial); a pair adds
+        the scaled polynomial without building it.  The summands are never
+        mutated: memoised bracket values share them.
         """
         res = {}
         for p in polys:
-            if p.chart != self:
+            if p.__class__ is tuple:
+                k, p = p
+            else:
+                k = 1
+            if p.chart is not self and p.chart != self:
                 raise ChartMismatch(f"{self!r} vs {p.chart!r}")
             for m, c in p.terms.items():
-                s = res.get(m, 0) + c
+                s = res.get(m, 0) + (c if k == 1 else c * k)
                 if s:
                     res[m] = _reduce(s)
                 else:
                     del res[m]
         return GPoly._raw(self, res)
+
+    # -- packed monomial keys ---------------------------------------------
+
+    def pack(self, exps: Iterable[int]) -> int:
+        """The key of the monomial with exponents `exps` in chart order."""
+        exps = tuple(exps)
+        if len(exps) != len(self.vars):
+            raise ValueError("exponent tuple length does not match chart")
+        key = 0
+        for e, v, mask, unit in zip(exps, self.vars, self.exp_masks,
+                                    self.units):
+            e = operator.index(e)
+            if e < 0:
+                raise ValueError("negative exponent")
+            if e > mask:
+                if v.parity:
+                    raise OddSquare(v.name)
+                raise ExponentOverflow(
+                    f"exponent of {v.name!r} is above {MAX_EXPONENT}")
+            key += e * unit
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple, in chart order, of the monomial `key`."""
+        return tuple((key >> s) & mask
+                     for s, mask in zip(self.shifts, self.exp_masks))
+
+    def fields(self, key: int) -> list:
+        """(index, exponent) of each variable of the monomial `key`, in
+        chart order, peeling the lowest set field."""
+        key &= self.var_bits
+        field_at, shifts, masks = self.field_at, self.shifts, self.exp_masks
+        out = []
+        while key:
+            i = field_at[(key & -key).bit_length()]
+            e = (key >> shifts[i]) & masks[i]
+            out.append((i, e))
+            key ^= e << shifts[i]
+        return out
+
+    def carry_error(self, key: int) -> ExponentOverflow:
+        """The error for a sum of keys that carried into a guard bit."""
+        guard = key & self.guard_bits
+        i = self.field_at[(guard & -guard).bit_length()]
+        return ExponentOverflow(f"exponent of {self.names[i]!r} is above "
+                                f"{self.exp_masks[i]}")
 
     # -- polynomial constructors ------------------------------------------
 
@@ -175,22 +264,23 @@ class Chart:
         c = _scalar(c)
         if c == 0:
             return self.zero()
-        return GPoly(self, {(0,) * len(self.vars): c})
+        return GPoly._raw(self, {0: c})
 
     def var_poly(self, name: str) -> "GPoly":
-        k = self.index_of(name)
-        exps = [0] * len(self.vars)
-        exps[k] = 1
-        return GPoly(self, {tuple(exps): 1})
+        return GPoly(self, {self.units[self.index_of(name)]: 1})
 
-    def monomial_weight(self, exps: Sequence[int]) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights))
+    def monomial_weight(self, key: int) -> int:
+        return key >> self.wshift
 
-    def monomial_degree(self, exps: Sequence[int]) -> int:
-        return sum(e * d for e, d in zip(exps, self.degrees))
+    def monomial_degree(self, key: int) -> int:
+        if not key:
+            return 0
+        degrees = self.degrees
+        return sum(e * degrees[i] for i, e in self.fields(key))
 
-    def kind_weight(self, exps: Sequence[int], kinds) -> int:
-        return sum(e for e, k in zip(exps, self.kinds) if k in kinds)
+    def kind_weight(self, key: int, kinds) -> int:
+        own = self.kinds
+        return sum(e for i, e in self.fields(key) if own[i] in kinds)
 
 
 @dataclass(frozen=True)
@@ -201,22 +291,22 @@ class Monomial:
     exps: tuple
 
     def __post_init__(self):
-        if len(self.exps) != len(self.chart.vars):
-            raise ValueError("exponent tuple length does not match chart")
-        for e, p in zip(self.exps, self.chart.parities):
-            if e < 0 or (p and e > 1):
-                raise OddSquare("odd variable with exponent > 1")
+        self.chart.pack(self.exps)   # validates the exponents
+
+    @property
+    def key(self) -> int:
+        return self.chart.pack(self.exps)
 
     @property
     def degree(self) -> int:
-        return self.chart.monomial_degree(self.exps)
+        return self.chart.monomial_degree(self.key)
 
     @property
     def weight(self) -> int:
-        return self.chart.monomial_weight(self.exps)
+        return self.chart.monomial_weight(self.key)
 
     def as_poly(self) -> "GPoly":
-        return GPoly(self.chart, {self.exps: 1})
+        return GPoly(self.chart, {self.key: 1})
 
     def __repr__(self):
         return render_monomial(self.chart, self.exps) or "1"
@@ -258,43 +348,45 @@ def mono_normalize(chart: Chart, word: Iterable) -> tuple:
     return sign, Monomial(chart, tuple(exps))
 
 
-def _merge_exps(e1, e2, parities):
-    """Multiply two normal-ordered exponent tuples.
+def _sign_mask(odd: int, left: bool) -> int:
+    """The bits that flip the Koszul sign of a product with the odd bits
+    `odd` of one factor: the product of that factor by `a` (`left`), or of
+    `a` by it, carries (-1)^popcount(mask & odd bits of a).
 
-    Returns (sign, merged) or None when an odd square appears.
+    A bit of `a` is set in the mask when it crosses an odd number of bits of
+    `odd`: those above it when `odd` is on the left, those below it when
+    `odd` is on the right.  The parity is that of the crossings summed over
+    the set bits `low` of the left factor's odd bits,
+    `(right odd bits & (low - 1)).bit_count()`.
     """
-    sgn = 0
-    prefix = 0  # odd exponents of e2 strictly below the current position
-    out = []
-    for i, p in enumerate(parities):
-        a, b = e1[i], e2[i]
-        if p:
-            if a and b:
-                return None
-            if a:
-                sgn += prefix
-            if b:
-                prefix += 1
-        out.append(a + b)
-    return (-1 if sgn % 2 else 1), tuple(out)
+    mask = 0
+    while odd:
+        low = odd & -odd
+        mask ^= low - 1 if left else -(low << 1)
+        odd ^= low
+    return mask
 
 
 class GPoly:
-    """A graded-commutative polynomial: finite map monomial -> coefficient."""
+    """A graded-commutative polynomial: finite map monomial key ->
+    coefficient, the keys packed by `Chart.pack`."""
 
     __slots__ = ("chart", "terms")
 
     def __init__(self, chart: Chart, terms: dict):
         self.chart = chart
         cap = chart.trunc
+        wshift = chart.wshift
         clean = {}
-        for exps, c in terms.items():
+        for m, c in terms.items():
+            if m.__class__ is not int:
+                raise TypeError("monomial keys are packed ints (Chart.pack)")
             c = _scalar(c)
             if c == 0:
                 continue
-            if cap is not None and chart.monomial_weight(exps) > cap:
+            if cap is not None and m >> wshift > cap:
                 continue
-            clean[exps] = c
+            clean[m] = c
         self.terms = clean
 
     @classmethod
@@ -307,7 +399,7 @@ class GPoly:
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatch(f"{self.chart!r} vs {other.chart!r}")
 
     def __add__(self, other):
@@ -349,25 +441,31 @@ class GPoly:
         if not isinstance(other, GPoly):
             return NotImplemented
         self._check(other)
-        parities = self.chart.parities
-        cap = self.chart.trunc
-        weight = self.chart.monomial_weight
+        chart = self.chart
+        odd, guard = chart.odd_bits, chart.guard_bits
+        cap, wshift = chart.trunc, chart.wshift
+        right = [(m2, c2, m2 & odd, _sign_mask(m2 & odd, False))
+                 for m2, c2 in other.terms.items()]
         res = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _merge_exps(m1, m2, parities)
-                if merged is None:
+            o1 = m1 & odd
+            for m2, c2, o2, flips in right:
+                if o1 & o2:
                     continue
-                sign, m = merged
-                if cap is not None and weight(m) > cap:
+                m = m1 + m2
+                if m & guard:
+                    raise chart.carry_error(m)
+                if cap is not None and m >> wshift > cap:
                     continue
                 c = c1 * c2
-                s = res.get(m, 0) + (c if sign > 0 else -c)
+                if (o1 & flips).bit_count() & 1:
+                    c = -c
+                s = res.get(m, 0) + c
                 if s:
                     res[m] = _reduce(s)
                 else:
                     del res[m]
-        return GPoly._raw(self.chart, res)
+        return GPoly._raw(chart, res)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -417,20 +515,25 @@ class GPoly:
         return degree is None or d == degree
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.chart.vars), 0)
+        return self.terms.get(0, 0)
 
     def monomials(self):
-        return [Monomial(self.chart, m) for m in sorted(self.terms)]
+        """The monomials in the order of their exponent tuples."""
+        return [Monomial(self.chart, e)
+                for e in sorted(map(self.chart.unpack, self.terms))]
 
     def component(self, keep) -> "GPoly":
         """Sub-sum of the terms whose exponent tuple satisfies `keep`."""
-        return GPoly._raw(self.chart,
-                          {m: c for m, c in self.terms.items() if keep(m)})
+        unpack = self.chart.unpack
+        return GPoly._raw(self.chart, {m: c for m, c in self.terms.items()
+                                       if keep(unpack(m))})
 
     def split_by(self, key) -> dict:
+        """The terms grouped by `key` of their exponent tuples."""
+        unpack = self.chart.unpack
         out = {}
         for m, c in self.terms.items():
-            out.setdefault(key(m), {})[m] = c
+            out.setdefault(key(unpack(m)), {})[m] = c
         return {k: GPoly._raw(self.chart, v) for k, v in sorted(out.items())}
 
     def kind_weights(self, kinds) -> frozenset:
@@ -440,31 +543,33 @@ class GPoly:
         return render_poly(self)
 
 
-def mul_monomial(p: GPoly, m: tuple, left: bool = False,
+def mul_monomial(p: GPoly, m: int, left: bool = False,
                  coeff: Scalar = 1) -> GPoly:
-    """p times the term `coeff` * (monomial with exponents `m`), or that term
+    """p times the term `coeff` * (the monomial with key `m`), or that term
     times p when `left`.
 
-    The product is an exponent shift with the Koszul sign of `_merge_exps`,
-    under the chart cap.  Shifting by one monomial maps distinct monomials to
-    distinct monomials, so no two terms collide.
+    The product is a shift of every key by `m`, with the Koszul sign of the
+    crossings, under the chart cap.  Shifting by one monomial maps distinct
+    monomials to distinct monomials, so no two terms collide.
     """
     chart = p.chart
-    parities = chart.parities
-    cap = chart.trunc
-    weight = chart.monomial_weight
+    odd, guard = chart.odd_bits, chart.guard_bits
+    cap, wshift = chart.trunc, chart.wshift
+    om = m & odd
+    flips = _sign_mask(om, left)
     res = {}
     for e, c in p.terms.items():
-        merged = _merge_exps(m, e, parities) if left else \
-            _merge_exps(e, m, parities)
-        if merged is None:
+        oe = e & odd
+        if oe & om:
             continue
-        sign, out = merged
-        if cap is not None and weight(out) > cap:
+        out = e + m
+        if out & guard:
+            raise chart.carry_error(out)
+        if cap is not None and out >> wshift > cap:
             continue
         if coeff != 1:
             c = _reduce(c * coeff)
-        res[out] = c if sign > 0 else -c
+        res[out] = -c if (oe & flips).bit_count() & 1 else c
     return GPoly._raw(chart, res)
 
 
@@ -472,24 +577,16 @@ def partial_left(f: GPoly, v) -> GPoly:
     """Left derivative of f by the variable v (a GVar or name)."""
     chart = f.chart
     k = chart.index_of(v if isinstance(v, str) else v.name)
-    parities = chart.parities
-    pk = parities[k]
+    unit, shift, mask = chart.units[k], chart.shifts[k], chart.exp_masks[k]
+    # moving an odd v_k to the front crosses the odd variables before it
+    below = chart.odd_bits & ((1 << shift) - 1) if chart.parities[k] else 0
     res = {}
     for m, c in f.terms.items():
-        e = m[k]
+        e = (m >> shift) & mask
         if not e:
             continue
-        coeff = c * e
-        if pk:
-            before = sum(m[j] for j in range(k) if parities[j])
-            if before % 2:
-                coeff = -coeff
-        nm = m[:k] + (e - 1,) + m[k + 1:]
-        s = res.get(nm, 0) + coeff
-        if s:
-            res[nm] = _reduce(s)
-        else:
-            del res[nm]
+        c = _reduce(c * e)
+        res[m - unit] = -c if (m & below).bit_count() & 1 else c
     return GPoly._raw(chart, res)
 
 
@@ -527,16 +624,14 @@ def substitute(f: GPoly, assignment: Mapping, target: Optional[Chart] = None) ->
                     f"image of {v.name!r} is not homogeneous of degree {v.degree}")
             legs.append(img)
 
+    units = target.units
+
     def image(m, c):
         part = target.const(c)
-        for idx, e in enumerate(m):
-            if not e:
-                continue
+        for idx, e in src.fields(m):
             leg = legs[idx]
             if isinstance(leg, int):
-                exps = [0] * len(target.vars)
-                exps[leg] = e
-                part = mul_monomial(part, tuple(exps))
+                part = mul_monomial(part, e * units[leg])
             else:
                 for _ in range(e):
                     part = part * leg
@@ -560,18 +655,12 @@ def restrict_to(f: GPoly, target: Chart) -> GPoly:
     res = {}
     for m, c in f.terms.items():
         out = [0] * len(target.vars)
-        ok = True
-        for i, e in enumerate(m):
-            if not e:
-                continue
+        for i, e in f.chart.fields(m):
             if idx[i] is None:
-                ok = False
-                break
+                raise ChartMismatch(
+                    "polynomial uses variables outside the target chart")
             out[idx[i]] = e
-        if not ok:
-            raise ChartMismatch(
-                "polynomial uses variables outside the target chart")
-        res[tuple(out)] = c
+        res[target.pack(out)] = c
     return GPoly(target, res)
 
 
@@ -642,8 +731,9 @@ def random_poly(chart: Chart, rng, max_weight: int = 4, max_base_degree: int = 2
                 max_terms: int = 3, degree: Optional[int] = None,
                 homogeneous: bool = False) -> GPoly:
     """A small random polynomial, optionally homogeneous (of a given degree)."""
-    pool = enumerate_monomials(chart, max_weight, max_base_degree)
-    pool = [m for m in pool if any(m)]
+    pool = [chart.pack(m)
+            for m in enumerate_monomials(chart, max_weight, max_base_degree)
+            if any(m)]
     if homogeneous or degree is not None:
         by_degree = {}
         for m in pool:
@@ -680,11 +770,13 @@ def render_poly(p: GPoly) -> str:
     """Deterministic, re-parseable rendering in canonical monomial order."""
     if not p.terms:
         return "0"
-    keys = sorted(p.terms, key=lambda m: (p.chart.monomial_degree(m), m))
+    chart = p.chart
+    # int order is not tuple order: sort by degree, then exponent tuple
+    rows = sorted((chart.monomial_degree(m), chart.unpack(m), c)
+                  for m, c in p.terms.items())
     chunks = []
-    for m in keys:
-        c = p.terms[m]
-        mono = render_monomial(p.chart, m)
+    for _, exps, c in rows:
+        mono = render_monomial(chart, exps)
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -391,7 +391,7 @@ def _resolve_construct(doc, section):
         brackets = {}
         for row in section.rows("bracket"):
             p = _expr(row[2], base, row[3])
-            if any(any(m) for m in p.terms):
+            if any(p.terms):   # a key other than 0 is not a constant
                 raise DegreeError(
                     "action structure coefficients must be constants")
             brackets[(_arg(row), _arg(row, 1), _arg(row, 2))] = p

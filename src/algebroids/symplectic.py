@@ -141,19 +141,9 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     if g.chart != chart:
         raise ChartMismatch("bracket operands live on different charts")
     degs = chart.degrees
-    nvars = len(degs)
-
-    def mono_degree(m):
-        return sum(e * d for e, d in zip(m, degs))
-
-    units = {}
-
-    def unit(k):
-        if k not in units:
-            exps = [0] * nvars
-            exps[k] = 1
-            units[k] = tuple(exps)
-        return units[k]
+    units = chart.units
+    odd = chart.odd_bits
+    field_at = chart.field_at
 
     table = {}
 
@@ -171,19 +161,19 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         key = (k, m2)
         if key in vb_memo:
             return vb_memo[key]
-        first = next((i for i, e in enumerate(m2) if e), None)
+        first = field_at[(m2 & -m2).bit_length()]
         parts = []
         if first is not None:
-            rest = m2[:first] + (m2[first] - 1,) + m2[first + 1:]
+            rest = m2 - units[first]
             head = value(k, first)
             if head is not None:
                 parts.append(mul_monomial(head, rest))
             s = (degs[k] - shift) * degs[first]
             tail = vbracket(k, rest)
             if tail:
-                tail = mul_monomial(tail, unit(first), left=True)
-                parts.append(-tail if s % 2 else tail)
-        out = vb_memo[key] = chart.sum(parts)
+                parts.append(mul_monomial(tail, units[first], left=True,
+                                          coeff=-1 if s % 2 else 1))
+        out = vb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
         return out
 
     mb_memo = {}
@@ -193,34 +183,37 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         key = (m1, m2)
         if key in mb_memo:
             return mb_memo[key]
-        first = next((i for i, e in enumerate(m1) if e), None)
+        first = field_at[(m1 & -m1).bit_length()]
         parts = []
         if first is not None:
-            rest = m1[:first] + (m1[first] - 1,) + m1[first + 1:]
+            rest = m1 - units[first]
             t1 = mbracket(rest, m2)
             if t1:
-                parts.append(mul_monomial(t1, unit(first), left=True))
+                parts.append(mul_monomial(t1, units[first], left=True))
             t2 = vbracket(first, m2)
             if t2:
-                s = mono_degree(rest) * (mono_degree(m2) - shift)
-                t2 = mul_monomial(t2, rest)
-                parts.append(-t2 if s % 2 else t2)
-        out = mb_memo[key] = chart.sum(parts)
+                # the degree parity of a monomial is that of its odd bits
+                s = (rest & odd).bit_count() * ((m2 & odd).bit_count() - shift)
+                parts.append(mul_monomial(t2, rest, coeff=-1 if s % 2 else 1))
+        out = mb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
         return out
 
     # By the two Leibniz rules every term of {m1, m2} carries a factor
     # {v_k, v_l} with v_k in m1 and v_l in m2, so a pair of monomials with no
     # non-zero such value brackets to zero and is skipped.
-    supp_g = {m: frozenset(k for k, e in enumerate(m) if e) for m in g.terms}
+    def support(m):
+        return frozenset(k for k, _ in chart.fields(m))
+
+    supp_g = {m: support(m) for m in g.terms}
     g_vars = frozenset().union(*supp_g.values())
     # for each monomial of f, the variables of g it has a non-zero value with
-    reach_f = {m1: {l for k, e in enumerate(m1) if e for l in g_vars
+    reach_f = {m1: {l for k in support(m1) for l in g_vars
                     if value(k, l) is not None}
                for m1 in f.terms}
-    products = ((c1 * c2, mbracket(m1, m2))
-                for m1, c1 in f.terms.items() for m2, c2 in g.terms.items()
-                if not reach_f[m1].isdisjoint(supp_g[m2]))
-    return chart.sum(c * t for c, t in products if t)
+    return chart.sum((c1 * c2, mbracket(m1, m2))
+                     for m1, c1 in f.terms.items()
+                     for m2, c2 in g.terms.items()
+                     if not reach_f[m1].isdisjoint(supp_g[m2]))
 
 
 @dataclass(frozen=True)
@@ -330,8 +323,8 @@ class PolyMap:
             if tv.kind != KIND_BASE:
                 src_kinds = source.kinds
                 for m in img.terms:
-                    if not any(e and src_kinds[i] != KIND_BASE
-                               for i, e in enumerate(m)):
+                    if not any(src_kinds[i] != KIND_BASE
+                               for i, _ in source.fields(m)):
                         raise DegreeMismatch(
                             f"image of {name!r} must vanish on the zero section")
             self.assignment[name] = img

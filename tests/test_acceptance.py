@@ -49,7 +49,8 @@ def _act_twice(lham, g, ce):
     hb = first.chart.index_of(HBAR)
     total = first.chart.zero()
     for power, piece in first.split_by(lambda m: m[hb]).items():
-        stripped = GPoly(ce, {m[:len(ce.vars)]: c
+        unpack = first.chart.unpack
+        stripped = GPoly(ce, {ce.pack(unpack(m)[:len(ce.vars)]): c
                               for m, c in piece.terms.items()})
         total = total + inject(hamiltonian_action(lham, stripped),
                                first.chart) * first.chart.var_poly(HBAR) ** power
@@ -302,7 +303,7 @@ def _bidegree_support(chi_sq, chart):
     for m in chi_sq.terms:
         fw = chart.kind_weight(m, ("fiber",))
         mw = chart.kind_weight(m, ("momentum-base", "momentum-fiber"))
-        out.setdefault((fw, mw), set()).add(m)
+        out.setdefault((fw, mw), set()).add(chart.unpack(m))
     return out
 
 

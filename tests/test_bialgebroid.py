@@ -18,7 +18,7 @@ from algebroids.bialgebroid import (BialgebroidSpec, FullMorphism, HBAR,
                                     legendre_quadratic_check,
                                     linfty_morphism_check,
                                     semistrict_morphism_check, taylor,
-                                    with_formal_parameter)
+                                    with_formal_parameter, _times_hbar)
 from algebroids.errors import (ChartMismatch, DegreeError,
                                TruncationIncomplete)
 from algebroids.expr import parse_expression as pe
@@ -34,7 +34,9 @@ def act_twice(lham, g, ce):
     hb = first.chart.index_of(HBAR)
     total = first.chart.zero()
     for power, piece in first.split_by(lambda m: m[hb]).items():
-        stripped = GPoly(ce, {m[:len(ce.vars)]: c for m, c in piece.terms.items()})
+        unpack = first.chart.unpack
+        stripped = GPoly(ce, {ce.pack(unpack(m)[:len(ce.vars)]): c
+                              for m, c in piece.terms.items()})
         acted = hamiltonian_action(lham, stripped)
         total = total + inject(acted, first.chart) * \
             first.chart.var_poly(HBAR) ** power
@@ -216,7 +218,8 @@ class TestHamiltonianAction:
             acted = hamiltonian_action(chi, g)
             hb = acted.chart.index_of(HBAR)
             k1 = acted.component(lambda m: m[hb] == 0)
-            k1 = GPoly(ce, {m[:len(ce.vars)]: c for m, c in k1.terms.items()})
+            k1 = GPoly(ce, {ce.pack(acted.chart.unpack(m)[:len(ce.vars)]): c
+                            for m, c in k1.terms.items()})
             br = canonical_bracket(chi.body, inject(g, sc.chart), sc)
             br0 = sc.zero_momenta(br)
             from algebroids.gpoly import restrict_to
@@ -231,7 +234,8 @@ def action_by_injection(sc, body, g, hbar_cap):
     out_chart = with_formal_parameter(ce)
     hb = out_chart.var_poly(HBAR)
     terms = []
-    for mono, coeff in body.terms.items():
+    for key, coeff in body.terms.items():
+        mono = sc.chart.unpack(key)
         k = sum(mono[sc.npairs:])
         if k == 0:
             continue
@@ -239,7 +243,7 @@ def action_by_injection(sc, body, g, hbar_cap):
         for j in reversed(range(sc.npairs)):
             for _ in range(mono[sc.npairs + j]):
                 deriv = partial_left(deriv, ce.names[j])
-        u = GPoly(ce, {mono[:sc.npairs]: coeff})
+        u = GPoly(ce, {ce.pack(mono[:sc.npairs]): coeff})
         terms.append(inject(u * deriv, out_chart) * hb ** (k - 1))
     out = out_chart.sum(terms)
     if hbar_cap is None:
@@ -286,6 +290,24 @@ class TestActionKernel:
             ham = Hamiltonian(sc, pe("x*^2", sc.chart))
             out = hamiltonian_action(ham, pe("x^2 * xi1 * xi2", ce))
             assert out == pe(want, out.chart)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), at=st.integers(0, 3),
+           power=st.integers(0, 3), trunc=st.sampled_from([None, 2, 3]))
+    def test_hbar_field_anywhere(self, seed, at, power, trunc):
+        # the power goes into the field of hbar wherever it sits, and the
+        # fields above it move up
+        rng = random.Random(seed)
+        names = [("x", 0), ("xi1", 1, "fiber"), ("y", 0), ("xi2", 1, "fiber")]
+        ce = Chart(names, trunc=trunc)
+        out_chart = Chart(names[:at] + [(HBAR, 2, "formal-parameter")]
+                          + names[at:], trunc=trunc)
+        p = random_poly(ce, rng, max_weight=3, max_base_degree=2, max_terms=5)
+        want = {}
+        for m, c in p.terms.items():
+            exps = ce.unpack(m)
+            want[out_chart.pack(exps[:at] + (power,) + exps[at:])] = c
+        assert _times_hbar(p, out_chart, power) == GPoly(out_chart, want)
 
     def test_hbar_name_is_reserved(self):
         with pytest.raises(ChartMismatch):

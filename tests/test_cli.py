@@ -175,6 +175,12 @@ BAD_INPUTS = {
                             b"  fiber dx 0\n\nbracket B\n  algebroid V\n"
                             b"  left = x^1500\n  right = x*\n",
                             "exponent 1500 is above 200 at 10:12"),
+    "term-budget": (b"chart M\n" + b"".join(b"  var x%d 0\n" % i
+                                             for i in range(1, 7))
+                    + b"\nalgebroid V\n  base M\n  fiber xi1 0\n"
+                    b"  anchor xi1 x1 = (x1 + x2 + x3 + x4 + x5 + x6)^30\n",
+                    "a product of up to 324632 terms is above 10000 terms "
+                    "at 12:19"),
 }
 
 
@@ -211,6 +217,22 @@ def test_timings_per_section(monkeypatch):
     assert code == 0
     assert "-- morphism: OK (4.0 ms)" in out.splitlines()
     assert "-- homotopy-morphism: OK (2.5 ms)" in out.splitlines()
+
+
+def test_exponent_overflow_exits_2(tmp_path, capsys):
+    # pulling y^200 back through y = x^200 needs x^40000, above the field
+    # a packed monomial key gives an even variable
+    path = tmp_path / "overflow.alg"
+    path.write_text("chart M\n  var x 0\n\nchart N\n  var y 0\n\n"
+                    "algebroid V\n  base M\n  fiber dx 0\n  anchor dx x = 1\n\n"
+                    "algebroid W\n  base N\n  fiber dy 0\n"
+                    "  anchor dy y = y^200\n\nmorphism f\n  type semistrict\n"
+                    "  source V\n  target W\n  map y = x^200\n"
+                    "  map dy = 200 * x^199 * dx\n")
+    code, _ = run_cli(["check-morphism", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: exponent of 'x' is above 32767" in err.splitlines()
 
 
 def test_bracket_at_the_degree_budget(tmp_path):

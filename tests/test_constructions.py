@@ -100,7 +100,7 @@ def _bivector_from_hamiltonian(b):
             word[chart.index_of(base.names[i] + "*")] = 1
             entries = {}
             for m, c in chi.body.terms.items():
-                key = tuple(x - y for x, y in zip(m, word))
+                key = tuple(x - y for x, y in zip(chart.unpack(m), word))
                 if all(e >= 0 for e in key) and \
                         all(e == 0 for j, e in enumerate(key)
                             if chart.kinds[j] != "base"):
@@ -108,7 +108,8 @@ def _bivector_from_hamiltonian(b):
                                   if chart.kinds[j] == "base")] = c
             if entries:
                 from algebroids.gpoly import GPoly
-                poly = GPoly(base, {k + () : v for k, v in entries.items()})
+                poly = GPoly(base, {base.pack(k): v
+                                    for k, v in entries.items()})
                 out[(i, a)] = poly
     return out
 

@@ -89,3 +89,19 @@ def test_degree_budget():
     # odd squares vanish, so only monomials that survive count
     assert pe(f"(xi1 + x)^{MAX_DEGREE}") == pe(f"x^{MAX_DEGREE}") \
         + MAX_DEGREE * pe(f"x^{MAX_DEGREE - 1} * xi1")
+
+
+def test_term_budget():
+    from algebroids.expr import MAX_TERMS
+    # 100 * 100 products and a power of C(t + n - 1, n) terms stay within it
+    hundred = " + ".join(f"{i} * x^{i}" for i in range(1, 101))
+    assert len(pe(f"({hundred}) * ({hundred})").terms) == 199
+    assert len(pe("(x + x* + xi1)^20").terms) == 41
+    # refused before anything is expanded, at the factor that breaks it
+    left = f"({hundred} + x^101) * "
+    with pytest.raises(ParseError, match=f"up to 10100 terms is above "
+                                         f"{MAX_TERMS} terms at 1:{len(left) + 1}$"):
+        pe(f"{left}({hundred})")
+    with pytest.raises(ParseError, match=f"up to 53130 terms is above "
+                                         f"{MAX_TERMS} terms at 1:5$"):
+        pe("1 + (1 + x + x^2 + x*^3 + xi1 + x * xi2)^20")

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids.errors import ChartMismatch, DegreeMismatch, OddSquare
+from algebroids.errors import (ChartMismatch, DegreeMismatch,
+                               ExponentOverflow, OddSquare)
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (Chart, GPoly, Monomial, enumerate_monomials,
-                              inject, mono_normalize, mul_monomial,
-                              partial_left, random_poly, render_poly,
-                              substitute, vector_field_commutator,
+from algebroids.gpoly import (MAX_EXPONENT, Chart, GPoly, Monomial,
+                              enumerate_monomials, inject, mono_normalize,
+                              mul_monomial, partial_left, random_poly,
+                              render_poly, substitute, vector_field_commutator,
                               apply_vector_field)
 
 ODD2 = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
@@ -124,7 +125,8 @@ class TestChart:
 
 @st.composite
 def small_poly(draw, chart=MIXED, max_weight=3):
-    pool = enumerate_monomials(chart, max_weight, max_base_degree=2)
+    pool = [chart.pack(m)
+            for m in enumerate_monomials(chart, max_weight, max_base_degree=2)]
     n = draw(st.integers(min_value=0, max_value=3))
     terms = {}
     for _ in range(n):
@@ -141,7 +143,7 @@ def homogeneous_poly(draw, chart=MIXED, max_weight=3):
         return f
     degs = sorted({chart.monomial_degree(m) for m in f.terms})
     d = draw(st.sampled_from(degs))
-    return f.component(lambda m: chart.monomial_degree(m) == d)
+    return f.component(lambda m: chart.monomial_degree(chart.pack(m)) == d)
 
 
 class TestRingInvariants:
@@ -203,18 +205,18 @@ class TestKernelEquivalence:
     def test_mul_monomial_is_product_by_one_term(self, data):
         chart = data.draw(st.sampled_from([MIXED, CAPPED]))
         p = data.draw(small_poly(chart))
-        m = data.draw(st.sampled_from(enumerate_monomials(chart, 3)))
+        m = chart.pack(data.draw(st.sampled_from(enumerate_monomials(chart, 3))))
         mono = GPoly(chart, {m: 1})
         assert mul_monomial(p, m) == p * mono
         assert mul_monomial(p, m, left=True) == mono * p
 
     def test_mul_monomial_odd_square_and_cap_drop(self):
         f = pe("xi1 + x * xi2 + xi2 * t", CAPPED)
-        xi1 = (0, 1, 0, 0)
+        xi1 = CAPPED.pack((0, 1, 0, 0))
         assert mul_monomial(f, xi1) == pe("x * xi2 * xi1", CAPPED)
         assert mul_monomial(f, xi1, left=True) == pe("x * xi1 * xi2", CAPPED)
         # xi2 * t * x^2 * t has weight 3 > 2 and drops
-        assert mul_monomial(f, (2, 0, 0, 1)) == \
+        assert mul_monomial(f, CAPPED.pack((2, 0, 0, 1))) == \
             pe("x^2 * t * xi1 + x^3 * xi2 * t", CAPPED)
 
     @settings(max_examples=80, deadline=None)
@@ -230,8 +232,8 @@ class TestKernelEquivalence:
             substitute(f, {**explicit, **x_image}, target)
 
 
-# integer coefficients against a reference that computes with Fractions only;
-# the reference multiplies through mono_normalize, not _merge_exps
+# integer coefficients against a reference that computes with Fractions only
+# on exponent tuples; it multiplies through mono_normalize
 
 
 def coefficient():
@@ -241,8 +243,8 @@ def coefficient():
 
 @st.composite
 def mixed_poly(draw, chart=MIXED, degree=None):
-    pool = [m for m in enumerate_monomials(chart, 2, max_base_degree=2)
-            if degree is None or chart.monomial_degree(m) == degree]
+    pool = [chart.pack(m) for m in enumerate_monomials(chart, 2, max_base_degree=2)
+            if degree is None or chart.monomial_degree(chart.pack(m)) == degree]
     terms = {}
     for m in draw(st.lists(st.sampled_from(pool), max_size=4)):
         terms[m] = terms.get(m, 0) + draw(coefficient())
@@ -255,13 +257,18 @@ def assert_canonical(p):
 
 
 def ref(p):
-    return {m: Fraction(c) for m, c in p.terms.items()}
+    return {p.chart.unpack(m): Fraction(c) for m, c in p.terms.items()}
+
+
+def tuples(p):
+    """The terms of p keyed by exponent tuples."""
+    return {p.chart.unpack(m): c for m, c in p.terms.items()}
 
 
 def ref_clean(chart, terms):
     cap = chart.trunc
     return {m: c for m, c in terms.items() if c != 0
-            and (cap is None or chart.monomial_weight(m) <= cap)}
+            and (cap is None or chart.monomial_weight(chart.pack(m)) <= cap)}
 
 
 def ref_add(chart, *summands):
@@ -303,8 +310,8 @@ def ref_partial(chart, a, k):
 
 def ref_substitute(f, images, target):
     parts = []
-    for m, c in f.terms.items():
-        part = {(0,) * len(target.vars): Fraction(c)}
+    for m, c in ref(f).items():
+        part = {(0,) * len(target.vars): c}
         for name, e in zip(f.chart.names, m):
             for _ in range(e):
                 part = ref_mul(target, part, images[name])
@@ -330,10 +337,10 @@ class TestIntegerCoefficients:
         cases += [(partial_left(f, name), ref_partial(chart, a, k))
                   for k, name in enumerate(chart.names)]
         m = data.draw(st.sampled_from(enumerate_monomials(chart, 2)))
-        cases.append((mul_monomial(f, m, coeff=s),
+        cases.append((mul_monomial(f, chart.pack(m), coeff=s),
                        ref_mul(chart, a, {m: Fraction(s)})))
         for got, want in cases:
-            assert got.terms == want
+            assert tuples(got) == want
             assert_canonical(got)
 
     @settings(max_examples=60, deadline=None)
@@ -344,7 +351,7 @@ class TestIntegerCoefficients:
         images = {v.name: data.draw(mixed_poly(target, degree=v.degree))
                   for v in SOURCE.vars}
         got = substitute(f, images, target)
-        assert got.terms == ref_substitute(
+        assert tuples(got) == ref_substitute(
             f, {n: ref(p) for n, p in images.items()}, target)
         assert_canonical(got)
 
@@ -357,10 +364,142 @@ class TestIntegerCoefficients:
             assert all(type(c) is int for c in total.terms.values())
 
     def test_constructors_store_ints(self):
-        for p in (GPoly(MIXED, {(1, 0, 0): Fraction(4, 2)}),
+        for p in (GPoly(MIXED, {MIXED.pack((1, 0, 0)): Fraction(4, 2)}),
                   MIXED.const(Fraction(6, 3)), MIXED.var_poly("x"),
                   Monomial(MIXED, (1, 0, 0)).as_poly(), poly("4/2 * x")):
             assert [type(c) for c in p.terms.values()] == [int]
+
+
+# packed keys against the tuple kernel they replaced, kept here as the
+# reference: a product of keys is their sum, an odd square is a shared odd
+# bit, the sign is the parity of the odd crossings, and the cap is a shift
+
+
+def _merge_exps(e1, e2, parities):
+    """Multiply two normal-ordered exponent tuples.
+
+    Returns (sign, merged) or None when an odd square appears.
+    """
+    sgn = 0
+    prefix = 0  # odd exponents of e2 strictly below the current position
+    out = []
+    for i, p in enumerate(parities):
+        a, b = e1[i], e2[i]
+        if p:
+            if a and b:
+                return None
+            if a:
+                sgn += prefix
+            if b:
+                prefix += 1
+        out.append(a + b)
+    return (-1 if sgn % 2 else 1), tuple(out)
+
+
+def _weight(chart, exps):
+    return sum(e * w for e, w in zip(exps, chart.weights))
+
+
+# a capped chart, one with a formal-parameter field between the others, and
+# one of 50 variables (the size of the gl(5) chart) with parities interleaved
+PACKED_CHARTS = [
+    Chart([("x", 0), ("xi1", 1, "fiber"), ("y", 0), ("xi2", 1, "fiber"),
+           ("x*", 2, "momentum-base"), ("xi1*", 1, "momentum-fiber")],
+          trunc=3),
+    Chart([("x", 0), ("xi1", 1, "fiber"), ("hbar", 2, "formal-parameter"),
+           ("xi2", 1, "fiber"), ("xi1*", 1, "momentum-fiber")]),
+    Chart([(f"v{i}", (0, 1, 2, 1, 1)[i % 5],
+            ("base", "fiber", "momentum-base", "momentum-fiber",
+             "fiber")[i % 5]) for i in range(50)]),
+]
+
+
+@st.composite
+def exponent_tuple(draw, chart):
+    return tuple(draw(st.sampled_from((0, 0, 1) if p else (0, 0, 1, 2, 7)))
+                 for p in chart.parities)
+
+
+class TestPackedKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_product_sign_odd_square_and_cap(self, data):
+        chart = data.draw(st.sampled_from(PACKED_CHARTS))
+        e1 = data.draw(exponent_tuple(chart))
+        e2 = data.draw(exponent_tuple(chart))
+        k1, k2 = chart.pack(e1), chart.pack(e2)
+        assert (chart.unpack(k1), chart.unpack(k2)) == (e1, e2)
+        assert k1 >> chart.wshift == _weight(chart, e1)
+        cap = chart.trunc
+        merged = _merge_exps(e1, e2, chart.parities)
+        assert (merged is None) == bool(k1 & k2 & chart.odd_bits)
+        want = {}
+        if merged is not None:
+            sign, exps = merged
+            assert k1 + k2 == chart.pack(exps)
+            if cap is None or _weight(chart, exps) <= cap:
+                want = {exps: sign}
+        if cap is not None and max(_weight(chart, e1), _weight(chart, e2)) > cap:
+            want = {}
+        p1, p2 = GPoly(chart, {k1: 1}), GPoly(chart, {k2: 1})
+        for got in (p1 * p2, mul_monomial(p1, k2),
+                    mul_monomial(p2, k1, left=True)):
+            assert tuples(got) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_partial_left(self, data):
+        chart = data.draw(st.sampled_from(PACKED_CHARTS))
+        e = data.draw(exponent_tuple(chart))
+        if chart.trunc is not None and _weight(chart, e) > chart.trunc:
+            return
+        f = GPoly(chart, {chart.pack(e): 3})
+        for k, name in enumerate(chart.names):
+            want = {}
+            if e[k]:
+                odd_before = sum(e[j] for j in range(k) if chart.parities[j])
+                sign = -1 if chart.parities[k] and odd_before % 2 else 1
+                want = {e[:k] + (e[k] - 1,) + e[k + 1:]: sign * 3 * e[k]}
+            assert tuples(partial_left(f, name)) == want
+
+    def test_pack_validates_exponents(self):
+        with pytest.raises(ValueError, match="length"):
+            ODD2.pack((1,))
+        with pytest.raises(ValueError, match="length"):
+            ODD2.pack((1, 0, 0))
+        with pytest.raises(ValueError, match="negative"):
+            MIXED.pack((-1, 0, 0))
+        with pytest.raises(OddSquare):
+            ODD2.pack((0, 2))
+        with pytest.raises(ExponentOverflow):
+            MIXED.pack((MAX_EXPONENT + 1, 0, 0))
+        top = (MAX_EXPONENT, 1, 1)
+        assert MIXED.unpack(MIXED.pack(top)) == top
+        with pytest.raises(OddSquare):
+            Monomial(ODD2, (0, 2))
+        with pytest.raises(ValueError):
+            Monomial(ODD2, (1,))
+
+    def test_polynomials_take_packed_keys_only(self):
+        with pytest.raises(TypeError):
+            GPoly(ODD2, {(0, 2): 1})
+        with pytest.raises(TypeError):
+            GPoly(ODD2, {(1,): 1})
+
+    def test_carry_into_a_guard_bit_raises(self):
+        # the guard bit above x catches the carry: xi1 above it is untouched
+        # by a wrap, and the product raises instead
+        top = GPoly(MIXED, {MIXED.pack((MAX_EXPONENT, 1, 0)): 1})
+        x = MIXED.var_poly("x")
+        with pytest.raises(ExponentOverflow, match="'x'"):
+            top * x
+        with pytest.raises(ExponentOverflow, match="'x'"):
+            mul_monomial(top, MIXED.pack((1, 0, 1)), left=True)
+        half = GPoly(MIXED, {MIXED.pack((MAX_EXPONENT // 2 + 1, 0, 0)): 1})
+        with pytest.raises(ExponentOverflow):
+            half * half
+        assert (top * MIXED.var_poly("xi2")).terms == \
+            {MIXED.pack((MAX_EXPONENT, 1, 1)): 1}
 
 
 class TestTruncation:
