@@ -181,18 +181,24 @@ def basis_section(spec: AlgebroidSpec, a: int) -> Section:
     return {spec.fiber_names[a]: spec.base.one()}
 
 
-def section_degree(spec: AlgebroidSpec, x: Section) -> Optional[int]:
+def _graded_entries(spec: AlgebroidSpec, x: Section):
+    """The non-zero entries of a section as (name, index, coefficient,
+    coefficient degree), and the section's degree: None unless it is
+    homogeneous, 0 for the zero section."""
+    entries = []
     degs = set()
     for name, coeff in x.items():
         if coeff.is_zero():
             continue
+        a = spec.fiber_index(name)
         d = coeff.degree()
         if d is None:
-            return None
-        degs.add(d + spec.fiber_degrees[spec.fiber_index(name)])
+            return entries, None
+        entries.append((name, a, coeff, d))
+        degs.add(d + spec.fiber_degrees[a])
     if len(degs) > 1:
-        return None
-    return degs.pop() if degs else 0
+        return entries, None
+    return entries, (degs.pop() if degs else 0)
 
 
 def anchor_of(spec: AlgebroidSpec, x: Section) -> dict:
@@ -209,9 +215,11 @@ def anchor_of(spec: AlgebroidSpec, x: Section) -> dict:
 
 
 def basis_anchor(spec: AlgebroidSpec, b: int) -> dict:
-    """rho(e_b), read straight from anchor row b."""
-    return {xv.name: entry for xv, entry in zip(spec.base.vars, spec.anchor[b])
-            if entry}
+    """rho(e_b), read straight from anchor row b; one shared dict per
+    spec, which callers only read."""
+    return spec._cached(("anchor", b), lambda: {
+        xv.name: entry for xv, entry in zip(spec.base.vars, spec.anchor[b])
+        if entry})
 
 
 def apply_anchor(spec: AlgebroidSpec, x: Section, f: GPoly) -> GPoly:
@@ -219,45 +227,45 @@ def apply_anchor(spec: AlgebroidSpec, x: Section, f: GPoly) -> GPoly:
     return apply_vector_field(anchor_of(spec, x), f)
 
 
+def _close(spec: AlgebroidSpec, parts: Mapping[str, list]) -> dict:
+    """The section whose coefficient of each fiber name is the sum of its
+    summands (polynomials or (scale, polynomial) pairs), in fiber order and
+    without zero coefficients."""
+    out = ((n, spec.base.sum(parts[n])) for n in spec.fiber_names if n in parts)
+    return {n: p for n, p in out if p}
+
+
 def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
     """[X, Y] from the structure functions, anchor derivatives included.
 
     Graded inputs must be homogeneous; the classical case has no signs.
     """
-    dx = section_degree(spec, x)
-    dy = section_degree(spec, y)
+    xs, dx = _graded_entries(spec, x)
+    ys, dy = _graded_entries(spec, y)
     if dx is None or dy is None:
         raise DegreeMismatch("section_bracket requires homogeneous sections")
+    names = spec.fiber_names
     parts = {}   # only the fiber names a term lands on
     rho_x = anchor_of(spec, x)
-    for bn, g in y.items():
-        if g.is_zero():
-            continue
-        b = spec.fiber_index(bn)
+    for bn, b, g, gdeg in ys:
         db = spec.fiber_degrees[b]
         rho_b = basis_anchor(spec, b)
         # rho(X)(g^b) e_b
         if rho_x:
             parts.setdefault(bn, []).append(apply_vector_field(rho_x, g))
-        for an, f in x.items():
-            if f.is_zero():
-                continue
-            a = spec.fiber_index(an)
-            da = spec.fiber_degrees[a]
-            gdeg = g.degree() or 0
-            fdeg = f.degree() or 0
-            # (-1)^{|X||g|} g * (f [e_a, e_b] - (-1)^{(|f|+d_a) d_b} rho_b(f) e_a)
-            s1 = -1 if (dx * gdeg) % 2 else 1
-            row = spec.structure.get((a, b), {})
-            for c, centry in row.items():
-                parts.setdefault(spec.fiber_names[c], []).append(
-                    s1 * (g * (f * centry)))
+        # (-1)^{|X||g|} g * (f [e_a, e_b] - (-1)^{(|f|+d_a) d_b} rho_b(f) e_a)
+        s1 = -1 if (dx * gdeg) % 2 else 1
+        for an, a, f, fdeg in xs:
+            row = spec.structure.get((a, b))
+            if row:
+                gf = g * f
+                for c, centry in row.items():
+                    parts.setdefault(names[c], []).append((s1, gf * centry))
             rb = apply_vector_field(rho_b, f) if rho_b else None
             if rb:
-                s2 = -1 if ((fdeg + da) * db) % 2 else 1
-                parts.setdefault(an, []).append((-s1 * s2) * (g * rb))
-    out = ((n, spec.base.sum(parts[n])) for n in spec.fiber_names if n in parts)
-    return {n: p for n, p in out if p}
+                s2 = -1 if ((fdeg + spec.fiber_degrees[a]) * db) % 2 else 1
+                parts.setdefault(an, []).append((-s1 * s2, g * rb))
+    return _close(spec, parts)
 
 
 def section_add(spec, x, y, scale=1):
@@ -319,63 +327,54 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
     report.add("mu-squared", "{mu, mu} = 0", residual)
 
     names = spec.fiber_names
+    degs = spec.fiber_degrees
     axioms_ok = True
-    basis = {}
+    basis = [basis_section(spec, k) for k in range(spec.rank)]
+    # [e_a, e_b] is structure row (a, b): with unit coefficients both anchor
+    # terms of section_bracket vanish
+    table = {ab: {names[c]: row[c] for c in sorted(row)}
+             for ab, row in spec.structure.items()}
 
-    def basis_bracket(a, b):
-        # [e_a, e_b], computed once per check
-        if (a, b) not in basis:
-            basis[(a, b)] = section_bracket(spec, basis_section(spec, a),
-                                            basis_section(spec, b))
-        return basis[(a, b)]
-
-    # graded Jacobi on basis triples
-    for a in range(spec.rank):
-        for b in range(spec.rank):
-            for c in range(spec.rank):
-                if not (a <= b <= c):
-                    continue
-                ea, eb, ec = (basis_section(spec, k) for k in (a, b, c))
-                da, db, dc = (spec.fiber_degrees[k] for k in (a, b, c))
-                j = section_add(
-                    spec,
-                    section_add(
-                        spec,
-                        {n: ((-1) ** (da * dc)) * p for n, p in
-                         section_bracket(spec, basis_bracket(a, b), ec).items()},
-                        {n: ((-1) ** (db * da)) * p for n, p in
-                         section_bracket(spec, basis_bracket(b, c), ea).items()}),
-                    {n: ((-1) ** (dc * db)) * p for n, p in
-                     section_bracket(spec, basis_bracket(c, a), eb).items()})
-                ok = section_is_zero(j)
-                axioms_ok = axioms_ok and ok
-                report.add(f"jacobi({names[a]},{names[b]},{names[c]})",
-                           "[[X,Y],Z] + graded cyclic = 0",
-                           section_to_multivector(spec, j))
+    # graded Jacobi on basis triples; [0, e_r] = 0 skips a cyclic term
+    for a, b, c in itertools.combinations_with_replacement(range(spec.rank), 3):
+        parts = {}
+        for p, q, r, dd in ((a, b, c, degs[a] * degs[c]),
+                            (b, c, a, degs[b] * degs[a]),
+                            (c, a, b, degs[c] * degs[b])):
+            inner = table.get((p, q))
+            if inner:
+                sign = -1 if dd % 2 else 1
+                for n, t in section_bracket(spec, inner, basis[r]).items():
+                    parts.setdefault(n, []).append((sign, t))
+        j = _close(spec, parts)
+        axioms_ok = axioms_ok and not j
+        report.add(f"jacobi({names[a]},{names[b]},{names[c]})",
+                   "[[X,Y],Z] + graded cyclic = 0",
+                   section_to_multivector(spec, j) if j else None)
     # Leibniz rule on (e_a, x^i, e_b)
     for a in range(spec.rank):
-        da = spec.fiber_degrees[a]
-        ea = basis_section(spec, a)
+        rho_a = basis_anchor(spec, a)
         for xv in spec.base.vars:
             f = spec.base.var_poly(xv.name)
+            sign = -1 if (degs[a] * xv.degree) % 2 else 1
+            rho_f = apply_vector_field(rho_a, f)
             for b in range(spec.rank):
-                lhs = section_bracket(spec, ea, {names[b]: f})
-                sign = (-1) ** (da * xv.degree)
-                rhs = section_add(
-                    spec,
-                    {n: sign * (f * p) for n, p in
-                     basis_bracket(a, b).items()},
-                    {names[b]: apply_vector_field(basis_anchor(spec, a), f)})
-                res = section_add(spec, lhs, rhs, scale=-1)
-                ok = section_is_zero(res)
-                axioms_ok = axioms_ok and ok
+                # [X, fY] - (rho(X)f) Y - (-1)^{|X||f|} f [X,Y]
+                parts = {n: [p] for n, p in
+                         section_bracket(spec, basis[a], {names[b]: f}).items()}
+                for n, p in table.get((a, b), {}).items():
+                    parts.setdefault(n, []).append((-sign, f * p))
+                if rho_f:
+                    parts.setdefault(names[b], []).append((-1, rho_f))
+                res = _close(spec, parts)
+                axioms_ok = axioms_ok and not res
                 report.add(f"leibniz({names[a]},{xv.name},{names[b]})",
                            "[X, fY] = (rho(X)f) Y + (-1)^{|X||f|} f [X,Y]",
-                           section_to_multivector(spec, res))
+                           section_to_multivector(spec, res) if res else None)
     # anchor is a bracket morphism
     for a in range(spec.rank):
         for b in range(a, spec.rank):
-            lhs = anchor_of(spec, basis_bracket(a, b))
+            lhs = anchor_of(spec, table.get((a, b), {}))
             rhs = vector_field_commutator(spec.base, basis_anchor(spec, a),
                                           basis_anchor(spec, b))
             res = spec.base.sum(

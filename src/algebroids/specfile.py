@@ -43,10 +43,19 @@ class Section:
     resolved: object = None
 
     def rows(self, key):
-        return [e for e in self.entries if e[0] == key]
+        """The `key` rows in file order; a row repeating the key and the
+        arguments of an earlier one is refused at its line."""
+        rows = [e for e in self.entries if e[0] == key]
+        seen = set()
+        for _, args, _, lineno in rows:
+            if args in seen:
+                raise ParseError(f"duplicate row {' '.join((key,) + args)!r} "
+                                 f"in section {self.name!r}", lineno)
+            seen.add(args)
+        return rows
 
     def single(self, key, required=True):
-        rows = self.rows(key)
+        rows = [e for e in self.entries if e[0] == key]
         if len(rows) > 1:
             raise ParseError(f"duplicate key {key!r} in section {self.name!r}",
                              rows[1][3])
@@ -240,7 +249,7 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
         for n in (a, b, c):
             if n not in index:
                 raise UndeclaredVariable(n, lineno, 0)
-        if index[a] >= index[b]:
+        if index[a] > index[b]:
             raise ParseError(
                 f"bracket pair ({a},{b}) must be in canonical order "
                 "(earlier fiber first)", lineno)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (FAILING, LINE, PASSING, PLANE, POINT, abelian,
                     action_on_line, heisenberg, koszul_constant,
@@ -102,6 +104,91 @@ class TestCheckAlgebroid:
         rec = next(r for r in report.records
                    if r.name == "jacobi(xi1,xi2,xi3)")
         assert rec.residual == "xi2*"
+
+
+def _graded_spec(rng):
+    """A random graded spec: fiber degrees in -1..2 with odd self-brackets,
+    a point base or one of 1-2 degree-0 variables with polynomial anchors,
+    and structure entries drawn without regard to the Jacobi identity."""
+    nbase = rng.choice((0, 1, 2))
+    base = Chart([(f"x{i + 1}", 0) for i in range(nbase)])
+    fiber = [(f"e{a + 1}", rng.randint(-1, 2))
+             for a in range(rng.randint(2, 4))]
+
+    def poly():
+        # a degree-0 base makes every polynomial a valid degree-0 entry
+        p = base.const(rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(0, 2) if nbase else 0):
+            p = p + rng.choice((-1, 1, 3)) * random_poly(base, rng, 2, 2, 2)
+        return p
+
+    anchor = {}
+    bracket = {}
+    for a, (fa, da) in enumerate(fiber):
+        for v in base.vars:
+            # an entry has degree d_a, so only degree-0 sections anchor
+            if da == 0 and rng.random() < 0.5:
+                anchor[(fa, v.name)] = poly()
+        for fb, db in fiber[a:]:
+            if (da + db) % 2 or (fa == fb and da % 2 == 0):
+                continue
+            for fc, dc in fiber:
+                if dc == da + db and rng.random() < 0.4:
+                    bracket[(fa, fb, fc)] = poly()
+    return AlgebroidSpec(base, fiber, anchor, bracket)
+
+
+def _reference_jacobi(spec):
+    """Every Jacobi record, from nested section_bracket calls alone."""
+    names, degs = spec.fiber_names, spec.fiber_degrees
+    basis = [basis_section(spec, k) for k in range(spec.rank)]
+    out = {}
+    for a, b, c in itertools.combinations_with_replacement(range(spec.rank), 3):
+        jac = {}
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            sign = (-1) ** ((degs[p] * degs[r]) % 2)
+            inner = section_bracket(spec, basis[p], basis[q])
+            for n, t in section_bracket(spec, inner, basis[r]).items():
+                jac[n] = jac.get(n, spec.base.zero()) + sign * t
+        jac = {n: t for n, t in jac.items() if t}
+        residual = repr(section_to_multivector(spec, jac)) if jac else None
+        out[f"jacobi({names[a]},{names[b]},{names[c]})"] = (not jac, residual)
+    return out
+
+
+class TestAxiomRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_nested_section_brackets(self, seed):
+        spec = _graded_spec(random.Random(seed))
+        report = check_algebroid(spec)
+        got = {r.name: (r.passed, r.residual) for r in report.records
+               if r.name.startswith("jacobi(")}
+        assert got == _reference_jacobi(spec)
+        routes = next(r for r in report.records if r.name == "routes-agree")
+        assert routes.passed, routes.detail
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_basis_bracket_is_the_structure_row(self, seed):
+        # check_algebroid reads [e_a, e_b] off the structure table
+        spec = _graded_spec(random.Random(seed))
+        for a in range(spec.rank):
+            for b in range(spec.rank):
+                row = spec.structure.get((a, b), {})
+                table = [(spec.fiber_names[c], row[c]) for c in sorted(row)]
+                got = section_bracket(spec, basis_section(spec, a),
+                                      basis_section(spec, b))
+                assert list(got.items()) == table
+
+    def test_negative_odd_degree_product(self):
+        # d_a |x| = -1 in the Leibniz sign; an integer power of -1 with a
+        # negative exponent is a float that no polynomial multiplies
+        base = Chart([("x", 1)])
+        spec = AlgebroidSpec(base, [("e", -1), ("h", 1), ("k", 0)], {},
+                             {("e", "h", "k"): 1})
+        report = check_algebroid(spec)
+        assert report.passed
 
 
 class TestCEDifferential:

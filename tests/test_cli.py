@@ -175,6 +175,21 @@ BAD_INPUTS = {
                             b"  fiber dx 0\n\nbracket B\n  algebroid V\n"
                             b"  left = x^1500\n  right = x*\n",
                             "exponent 1500 is above 200 at 10:12"),
+    "duplicate-bracket-row": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                              b"  fiber xi1 0\n  fiber xi2 0\n"
+                              b"  bracket xi1 xi2 xi1 = 1\n"
+                              b"  bracket xi1 xi2 xi1 = 2\n",
+                              "duplicate row 'bracket xi1 xi2 xi1' in "
+                              "section 'V' at line 8"),
+    "duplicate-anchor-row": (b"chart M\n  var x 0\n\nalgebroid V\n"
+                             b"  base M\n  fiber xi1 0\n"
+                             b"  anchor xi1 x = 1\n  anchor xi1 x = x\n",
+                             "duplicate row 'anchor xi1 x' in section 'V' "
+                             "at line 8"),
+    "even-diagonal-pair": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                           b"  fiber xi1 0\n  fiber xi2 0\n"
+                           b"  bracket xi1 xi1 xi2 = 1\n",
+                           "[xi1,xi1] vanishes for an even section"),
     "term-budget": (b"chart M\n" + b"".join(b"  var x%d 0\n" % i
                                              for i in range(1, 7))
                     + b"\nalgebroid V\n  base M\n  fiber xi1 0\n"

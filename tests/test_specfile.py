@@ -43,6 +43,13 @@ def test_canonical_pair_order_enforced():
     assert "canonical order" in str(err.value)
 
 
+def test_odd_diagonal_pair_accepted():
+    text = ("chart pt\n\nalgebroid V\n  base pt\n  fiber e 1\n"
+            "  fiber f 2\n  bracket e e f = 1\n")
+    spec = parse_spec(text).lookup("V").resolved
+    assert spec.structure_entry(0, 0, 1) == spec.base.const(1)
+
+
 def test_momentum_degree_mismatch_is_degree_error():
     text = TWO_DIM + """
 algebroid Vd
