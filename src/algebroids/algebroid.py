@@ -84,7 +84,8 @@ class AlgebroidSpec:
             want = self.fiber_degrees[a] + base.degrees[i]
             if p and not p.is_homogeneous(want):
                 raise DegreeError(
-                    f"anchor entry ({fname},{xname}) must be homogeneous of degree {want}")
+                    f"anchor entry ({fname},{xname}) must be homogeneous of degree {want}",
+                    (fname, xname))
             grid[a][i] = p
         self.anchor = tuple(tuple(row) for row in grid)
 
@@ -93,21 +94,23 @@ class AlgebroidSpec:
             a, b, c = self._fidx[fa], self._fidx[fb], self._fidx[fc]
             if a > b:
                 raise DegreeError(
-                    f"bracket key ({fa},{fb}) must be in canonical order")
+                    f"bracket key ({fa},{fb}) must be in canonical order",
+                    (fa, fb, fc))
             da, db, dc = (self.fiber_degrees[a], self.fiber_degrees[b],
                           self.fiber_degrees[c])
             if a == b and da % 2 == 0:
                 raise DegreeError(
-                    f"[{fa},{fa}] vanishes for an even section")
+                    f"[{fa},{fa}] vanishes for an even section", (fa, fb, fc))
             p = _coerce(base, val)
             if p and (da + db) % 2:
                 raise DegreeError(
                     "mixed-parity structure components are outside the "
-                    "Hamiltonian encoding implemented here")
+                    "Hamiltonian encoding implemented here", (fa, fb, fc))
             want = da + db - dc
             if p and not p.is_homogeneous(want):
                 raise DegreeError(
-                    f"bracket entry ({fa},{fb},{fc}) must be homogeneous of degree {want}")
+                    f"bracket entry ({fa},{fb},{fc}) must be homogeneous of degree {want}",
+                    (fa, fb, fc))
             if p:
                 row = table.setdefault((a, b), {})
                 row[c] = row.get(c, zero) + p

@@ -16,7 +16,7 @@ operator degree one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
@@ -26,7 +26,7 @@ from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
                      ExponentOverflow, TruncationIncomplete)
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
                     FIBER_DIRECTION_KINDS, MOMENTUM_KINDS, inject,
-                    mul_monomial, partial_left, substitute)
+                    partial_left, substitute)
 from .report import Report
 from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
                          canonical_bracket, is_integrable, legendre,
@@ -116,6 +116,9 @@ class LinftyHamiltonian:
     chart: SymplecticChart
     body: GPoly
     hbar_cap: int = 4
+    # hamiltonian_action's split of the body, per hbar cap (`_word_split`)
+    _word_splits: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         if self.body.chart != self.chart.chart:
@@ -249,48 +252,78 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
 # -- the operator action --------------------------------------------------------
 
 
-def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
-    """Act on a function of V[1] by normal-ordered operator substitution.
+def _word_split(lham, cap: Optional[int]):
+    """The body of `lham` split by momentum word for the action under the
+    hbar cap `cap`: the out chart, and for each word p_{j1}...p_{jk} of at
+    most cap + 1 momenta, (k - 1, the coordinate names of d_{jk}, ...,
+    d_{j1} in the order they are taken, U_w on the V[1] chart).
 
-    Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
-    c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
-    Hamiltonians this is exactly {H, g}.  The result lives on the V[1]
-    chart extended by the formal parameter.
-    """
-    sc, body, cap = lham.chart, lham.body, hbar_cap
-    if cap is None and isinstance(lham, LinftyHamiltonian):
-        cap = lham.hbar_cap
+    The split is kept on `lham` per cap, together with the chart and body it
+    was made from, and made again when either has been replaced."""
+    sc, body = lham.chart, lham.body
+    made = lham._word_splits.get(cap)
+    if made is not None and made[0] is sc and made[1] is body:
+        return made[2]
     ce = sc.base_chart
-    if g.chart != ce:
-        raise ChartMismatch("the action takes momentum-free arguments")
-    out_chart = with_formal_parameter(ce)
     chart = sc.chart
     npairs = sc.npairs
     # the coordinates are the first fields of the symplectic chart and keep
     # their place on the V[1] chart; only the weight field moves down, less
     # the weight k of the momenta
     coords = ce.var_bits
+    momenta = chart.var_bits ^ coords
     wshift, ce_wshift = chart.wshift, ce.wshift
-    by_power = {}   # k - 1 -> the terms of that power of hbar
+    words = {}   # momentum key -> (k - 1, path, terms of U_w), or None
     for mono, coeff in body.terms.items():
-        momentum_part = chart.fields(mono & ~coords)
-        k = sum(e for _, e in momentum_part)
-        if k == 0 or (cap is not None and k - 1 > cap):
-            continue
-        u = (mono & coords) + (((mono >> wshift) - k) << ce_wshift)
+        word = mono & momenta
+        if word not in words:
+            momentum_part = chart.fields(word)
+            k = sum(e for _, e in momentum_part)
+            if k == 0 or (cap is not None and k - 1 > cap):
+                words[word] = None
+                continue
+            # strip the momentum tail right to left: zero extra Koszul signs
+            path = tuple(ce.names[i - npairs]
+                         for i, e in reversed(momentum_part) for _ in range(e))
+            words[word] = (k - 1, path, {})
+        entry = words[word]
+        if entry is not None:
+            u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
+                                   << ce_wshift)
+            entry[2][u] = coeff
+    parts = ((power, path, GPoly(ce, terms))
+             for power, path, terms in filter(None, words.values()))
+    split = (with_formal_parameter(ce), [w for w in parts if w[2]])
+    lham._word_splits[cap] = (sc, body, split)
+    return split
+
+
+def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
+    """Act on a function of V[1] by normal-ordered operator substitution.
+
+    Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
+    c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
+    Hamiltonians this is exactly {H, g}.  The terms that share a momentum
+    word w share its derivative: the action is the sum over words of
+    hbar^{k-1} * U_w * d_w g.  The result lives on the V[1] chart extended
+    by the formal parameter.
+    """
+    cap = hbar_cap
+    if cap is None and isinstance(lham, LinftyHamiltonian):
+        cap = lham.hbar_cap
+    ce = lham.chart.base_chart
+    if g.chart != ce:
+        raise ChartMismatch("the action takes momentum-free arguments")
+    out_chart, split = _word_split(lham, cap)
+    by_power = {}   # k - 1 -> the terms of that power of hbar
+    for power, path, u in split:
         deriv = g
-        # strip the momentum tail right to left: zero extra Koszul signs
-        for i, e in reversed(momentum_part):
-            for _ in range(e):
-                deriv = partial_left(deriv, ce.names[i - npairs])
-                if deriv.is_zero():
-                    break
-            if deriv.is_zero():
+        for name in path:
+            deriv = partial_left(deriv, name)
+            if not deriv:
                 break
-        if deriv.is_zero():
-            continue
-        by_power.setdefault(k - 1, []).append(
-            mul_monomial(deriv, u, left=True, coeff=coeff))
+        else:
+            by_power.setdefault(power, []).append(u * deriv)
     return out_chart.sum(_times_hbar(ce.sum(parts), out_chart, power)
                          for power, parts in by_power.items())
 

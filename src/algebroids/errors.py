@@ -42,7 +42,17 @@ class TruncationIncomplete(AlgebroidsError):
 
 
 class DegreeError(AlgebroidsError):
-    """Degree bookkeeping of a declaration is inconsistent."""
+    """Degree bookkeeping of a declaration is inconsistent.
+
+    `entry` is the key of the anchor or bracket entry at fault, if any, and
+    `line` the spec-file line it was declared on."""
+
+    def __init__(self, message, entry=None, line=None):
+        self.message = message
+        self.entry = entry
+        self.line = line
+        where = f" at line {line}" if line is not None else ""
+        super().__init__(f"{message}{where}")
 
 
 class UndeclaredVariable(AlgebroidsError):

@@ -231,6 +231,7 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
     if not fiber:
         raise ParseError(f"section {section.name!r} declares no fiber", section.line)
     index = {n: i for i, (n, _) in enumerate(fiber)}
+    lines = {}   # anchor or bracket key -> the line it was declared on
     anchor = {}
     for key, args, expr, lineno in section.rows("anchor"):
         if len(args) != 2:
@@ -240,6 +241,7 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
         if fn not in index:
             raise UndeclaredVariable(fn, lineno, 0)
         anchor[(fn, xn)] = _expr(expr, base, lineno)
+        lines[(fn, xn)] = lineno
     bracket = {}
     for key, args, expr, lineno in section.rows("bracket"):
         if len(args) != 3:
@@ -254,7 +256,14 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
                 f"bracket pair ({a},{b}) must be in canonical order "
                 "(earlier fiber first)", lineno)
         bracket[(a, b, c)] = _expr(expr, base, lineno)
-    return AlgebroidSpec(base, fiber, anchor, bracket)
+        lines[(a, b, c)] = lineno
+    try:
+        return AlgebroidSpec(base, fiber, anchor, bracket)
+    except DegreeError as exc:
+        if exc.entry not in lines:
+            raise
+        raise DegreeError(exc.message, exc.entry,
+                          lines[exc.entry]) from None
 
 
 def _resolve_algebroid(doc, section):

@@ -134,8 +134,15 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     """Extend a generator table to a bracket of degree -shift.
 
     `pair(k, l)` returns {v_k, v_l} for chart indices k, l (None for zero);
-    it is called at most once per (k, l).  The extension applies the two
-    Leibniz rules recursively; it never uses a closed sign formula.
+    it is called once per variable v_k of f and v_l of g.  The extension
+    applies the two Leibniz rules recursively; it never uses a closed sign
+    formula.
+
+    By those rules every term of {m1, m2} carries a factor {v_k, v_l} with
+    v_k in m1 and v_l in m2.  So a bracket at any level of the recursion is
+    zero, and is not computed, when no such value is non-zero: `hits[k]` is
+    the fields of the variables of g that v_k has a non-zero value with, and
+    `back[m2]` the fields of the variables of f that reach the monomial m2.
     """
     chart = f.chart
     if g.chart != chart:
@@ -144,76 +151,78 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     units = chart.units
     odd = chart.odd_bits
     field_at = chart.field_at
+    fields = [mask << at for mask, at in zip(chart.exp_masks, chart.shifts)]
+    zero = chart.zero()
 
-    table = {}
+    def variables(p):
+        # the variables of p: or-ing keys never carries into another field
+        bits = 0
+        for m in p.terms:
+            bits |= m
+        return [k for k, _ in chart.fields(bits)]
 
-    def value(k, l):
-        # {v_k, v_l}, or None when it is zero
-        key = (k, l)
-        if key not in table:
-            table[key] = pair(k, l) or None
-        return table[key]
+    g_vars = variables(g)
+    table = {}   # (k, l) -> {v_k, v_l}, or None when it is zero
+    hits = {}
+    for k in variables(f):
+        hits[k] = 0
+        for l in g_vars:
+            value = table[k, l] = pair(k, l) or None
+            if value is not None:
+                hits[k] |= fields[l]
+    back = {m2: sum(fields[k] for k, h in hits.items() if m2 & h)
+            for m2 in g.terms}
 
     vb_memo = {}
 
     def vbracket(k, m2):
         # {v_k, m2} by peeling the first variable of m2
+        if not m2 & hits[k]:
+            return zero
         key = (k, m2)
         if key in vb_memo:
             return vb_memo[key]
         first = field_at[(m2 & -m2).bit_length()]
+        rest = m2 - units[first]
         parts = []
-        if first is not None:
-            rest = m2 - units[first]
-            head = value(k, first)
-            if head is not None:
-                parts.append(mul_monomial(head, rest))
+        head = table[k, first]
+        if head is not None:
+            parts.append(mul_monomial(head, rest))
+        tail = vbracket(k, rest)
+        if tail:
             s = (degs[k] - shift) * degs[first]
-            tail = vbracket(k, rest)
-            if tail:
-                parts.append(mul_monomial(tail, units[first], left=True,
-                                          coeff=-1 if s % 2 else 1))
+            parts.append(mul_monomial(tail, units[first], left=True,
+                                      coeff=-1 if s % 2 else 1))
         out = vb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
         return out
 
     mb_memo = {}
 
-    def mbracket(m1, m2):
-        # {m1, m2} by peeling the first variable of m1
+    def mbracket(m1, m2, reach):
+        # {m1, m2} by peeling the first variable of m1; `reach` is back[m2]
+        # and meets m1
         key = (m1, m2)
         if key in mb_memo:
             return mb_memo[key]
         first = field_at[(m1 & -m1).bit_length()]
+        rest = m1 - units[first]
         parts = []
-        if first is not None:
-            rest = m1 - units[first]
-            t1 = mbracket(rest, m2)
+        if rest & reach:
+            t1 = mbracket(rest, m2, reach)
             if t1:
                 parts.append(mul_monomial(t1, units[first], left=True))
-            t2 = vbracket(first, m2)
-            if t2:
-                # the degree parity of a monomial is that of its odd bits
-                s = (rest & odd).bit_count() * ((m2 & odd).bit_count() - shift)
-                parts.append(mul_monomial(t2, rest, coeff=-1 if s % 2 else 1))
+        t2 = vbracket(first, m2)
+        if t2:
+            # the degree parity of a monomial is that of its odd bits
+            s = (rest & odd).bit_count() * ((m2 & odd).bit_count() - shift)
+            parts.append(mul_monomial(t2, rest, coeff=-1 if s % 2 else 1))
         out = mb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
         return out
 
-    # By the two Leibniz rules every term of {m1, m2} carries a factor
-    # {v_k, v_l} with v_k in m1 and v_l in m2, so a pair of monomials with no
-    # non-zero such value brackets to zero and is skipped.
-    def support(m):
-        return frozenset(k for k, _ in chart.fields(m))
-
-    supp_g = {m: support(m) for m in g.terms}
-    g_vars = frozenset().union(*supp_g.values())
-    # for each monomial of f, the variables of g it has a non-zero value with
-    reach_f = {m1: {l for k in support(m1) for l in g_vars
-                    if value(k, l) is not None}
-               for m1 in f.terms}
-    return chart.sum((c1 * c2, mbracket(m1, m2))
+    return chart.sum((c1 * c2, mbracket(m1, m2, back[m2]))
                      for m1, c1 in f.terms.items()
                      for m2, c2 in g.terms.items()
-                     if not reach_f[m1].isdisjoint(supp_g[m2]))
+                     if m1 & back[m2])
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,9 @@ class Hamiltonian:
             raise ChartMismatch("body must live on the symplectic chart")
         self.chart = chart
         self.body = body
+        # the operator action's split of the body, per hbar cap
+        # (`bialgebroid._word_split`)
+        self._word_splits = {}
 
     def classification(self):
         """(total degree or None, momentum weights, fiber weights): always

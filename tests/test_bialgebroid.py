@@ -270,6 +270,60 @@ class TestActionKernel:
         assert hamiltonian_action(ham, g) == \
             action_by_injection(sc, body, g, hbar_cap)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           trunc=st.sampled_from([None, 2, 3]),
+           caps=st.lists(st.sampled_from([None, 0, 1, 2]), min_size=2,
+                         max_size=2, unique=True),
+           linfty=st.booleans())
+    def test_one_hamiltonian_many_arguments(self, seed, trunc, caps, linfty):
+        # one Hamiltonian object acts on several arguments in a row, under
+        # two hbar caps in turn, and several terms share each momentum word
+        rng = random.Random(seed)
+        ce = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")],
+                   trunc=trunc)
+        sc = shifted_cotangent(ce, 2)
+        words = ["x*", "xi1*", "x* * xi2*", "xi1* * xi2*", "x*^2 * xi1*"]
+        body = sc.chart.sum(
+            [inject(random_poly(ce, rng, max_weight=2, max_base_degree=2,
+                                max_terms=4), sc.chart) * pe(w, sc.chart)
+             for w in rng.sample(words, 3)]
+            + [random_poly(sc.chart, rng, max_weight=4, max_terms=3)])
+        if linfty:
+            ham = LinftyHamiltonian(sc, body, 1)
+            default = 1
+        else:
+            ham = Hamiltonian(sc, body)
+            default = None
+        for _ in range(4):
+            g = random_poly(ce, rng, max_weight=3, max_base_degree=2,
+                            max_terms=4)
+            for cap in caps:
+                want = action_by_injection(
+                    sc, body, g, default if cap is None else cap)
+                assert hamiltonian_action(ham, g, hbar_cap=cap) == want
+
+    def test_split_follows_body_and_cap(self):
+        # the split kept on a Hamiltonian is made again when its body or its
+        # hbar cap is replaced
+        ce = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
+        sc = shifted_cotangent(ce, 2)
+        first = pe("x * xi1* + xi2 * xi1* + 2 * x^2 * xi1* + xi1* * xi2*",
+                   sc.chart)
+        second = pe("xi1 * xi1* * xi2* - 3 * x * xi1* * xi2* + x*", sc.chart)
+        g = pe("x^2 * xi1 * xi2 + x * xi1", ce)
+        lham = LinftyHamiltonian(sc, first, hbar_cap=1)
+        assert hamiltonian_action(lham, g) == \
+            action_by_injection(sc, first, g, 1)
+        lham.body = second
+        assert hamiltonian_action(lham, g) == \
+            action_by_injection(sc, second, g, 1)
+        lham.hbar_cap = 0
+        assert hamiltonian_action(lham, g) == \
+            action_by_injection(sc, second, g, 0)
+        assert hamiltonian_action(lham, g) != \
+            action_by_injection(sc, second, g, 1)
+
     def test_hbar_cap_drops_whole_terms(self):
         pt = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
         sc = shifted_cotangent(pt, 2)

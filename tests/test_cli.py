@@ -189,7 +189,25 @@ BAD_INPUTS = {
     "even-diagonal-pair": (b"chart pt\n\nalgebroid V\n  base pt\n"
                            b"  fiber xi1 0\n  fiber xi2 0\n"
                            b"  bracket xi1 xi1 xi2 = 1\n",
-                           "[xi1,xi1] vanishes for an even section"),
+                           "[xi1,xi1] vanishes for an even section "
+                           "at line 7"),
+    "mixed-parity-entry": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                           b"  fiber xi1 0\n  fiber xi2 1\n"
+                           b"  bracket xi1 xi2 xi2 = 1\n",
+                           "mixed-parity structure components are outside "
+                           "the Hamiltonian encoding implemented here "
+                           "at line 7"),
+    "inhomogeneous-bracket-entry": (b"chart M\n  var x 0\n  var y 1\n\n"
+                                    b"algebroid V\n  base M\n"
+                                    b"  fiber xi1 0\n  fiber xi2 0\n"
+                                    b"  bracket xi1 xi2 xi1 = x + y\n",
+                                    "bracket entry (xi1,xi2,xi1) must be "
+                                    "homogeneous of degree 0 at line 9"),
+    "inhomogeneous-anchor-entry": (b"chart M\n  var x 0\n  var y 1\n\n"
+                                   b"algebroid V\n  base M\n"
+                                   b"  fiber xi1 0\n  anchor xi1 x = x + y\n",
+                                   "anchor entry (xi1,x) must be homogeneous "
+                                   "of degree 0 at line 8"),
     "term-budget": (b"chart M\n" + b"".join(b"  var x%d 0\n" % i
                                              for i in range(1, 7))
                     + b"\nalgebroid V\n  base M\n  fiber xi1 0\n"

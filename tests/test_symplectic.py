@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroids.algebroid import koszul_algebroid, schouten_bracket
 from algebroids.errors import ChartMismatch, DegreeMismatch, NotSplit
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import Chart, inject, random_poly, vector_field_commutator
-from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
-                                   canonical_context, check_poisson_map,
-                                   hamiltonian_lift, is_integrable, legendre,
-                                   shifted_cotangent, twin_chart)
+from algebroids.gpoly import (Chart, GPoly, inject, random_poly,
+                              vector_field_commutator)
+from algebroids.symplectic import (Hamiltonian, PolyMap, biderivation_bracket,
+                                   canonical_bracket, canonical_context,
+                                   check_poisson_map, hamiltonian_lift,
+                                   is_integrable, legendre, shifted_cotangent,
+                                   twin_chart)
 
 LINE = Chart([("x", 0)])
 SUPERLINE = Chart([("x", 0), ("xi", 1, "fiber")])
@@ -126,6 +130,164 @@ class TestBracketInvariants:
                                 f, g, h, 1)
             checked += 1
         assert checked >= 15
+
+
+# The reference for the bracket engine: the two Leibniz rules of the module
+# docstring as a plain recursion over exponent tuples, with no memo and no
+# zero test, peeling the first variable of each monomial as the engine does.
+
+
+def _leibniz_bracket(f, g, n, pair):
+    chart = f.chart
+    degs = chart.degrees
+    zero = chart.zero()
+
+    def sign(s):
+        return -1 if s % 2 else 1
+
+    def mono(e):
+        return GPoly(chart, {chart.pack(e): 1})
+
+    def var(i):
+        return chart.var_poly(chart.names[i])
+
+    def degree(e):
+        return sum(x * d for x, d in zip(e, degs))
+
+    def split(e):
+        # a normal-ordered monomial as its first variable times the rest
+        i = next(i for i, x in enumerate(e) if x)
+        return i, e[:i] + (e[i] - 1,) + e[i + 1:]
+
+    def vbracket(k, e2):
+        # {v_k, v_l r} = {v_k, v_l} r + (-1)^{(|v_k|-n)|v_l|} v_l {v_k, r}
+        if not any(e2):
+            return zero
+        l, rest = split(e2)
+        head = (pair(k, l) or zero) * mono(rest)
+        return head + sign((degs[k] - n) * degs[l]) * (var(l)
+                                                       * vbracket(k, rest))
+
+    def mbracket(e1, e2):
+        # {v_k r, m2} = v_k {r, m2} + (-1)^{|r|(|m2|-n)} {v_k, m2} r
+        if not any(e1):
+            return zero
+        k, rest = split(e1)
+        return var(k) * mbracket(rest, e2) + sign(
+            degree(rest) * (degree(e2) - n)) * (vbracket(k, e2) * mono(rest))
+
+    return chart.sum(c1 * c2 * mbracket(chart.unpack(m1), chart.unpack(m2))
+                     for m1, c1 in f.terms.items()
+                     for m2, c2 in g.terms.items())
+
+
+def _canonical_pair(sc):
+    """{p_i, q^i} = 1 and its graded antisymmetric partner, by index."""
+    one, n, npairs = sc.chart.one(), sc.shift, sc.npairs
+    degs = sc.chart.degrees
+
+    def pair(k, l):
+        if k >= npairs and l == k - npairs:
+            return one
+        if k < npairs and l == k + npairs:
+            s = (degs[k] - n) * (degs[l] - n)
+            return one if s % 2 else -one
+        return None
+    return pair
+
+
+def _schouten_pair(spec):
+    chart = spec.multivector_chart()
+    gens = [chart.var_poly(name) for name in chart.names]
+    return lambda k, l: schouten_bracket(spec, gens[k], gens[l]) or None
+
+
+def _variables(p):
+    return {i for m in p.terms for i, e in enumerate(p.chart.unpack(m)) if e}
+
+
+def _engine_matches_reference(f, g, n, pair):
+    calls = []
+
+    def recorded(k, l):
+        calls.append((k, l))
+        return pair(k, l)
+
+    got = biderivation_bracket(f, g, n, recorded)
+    assert got == _leibniz_bracket(f, g, n, pair)
+    # the generator table is read once per variable of f and of g
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(k, l) for k in _variables(f)
+                          for l in _variables(g)}
+    return got
+
+
+class TestBracketReference:
+    # the charts of TestBracketInvariants, one under each weight cap 1..3,
+    # and the multivectors of a rank-four cotangent algebroid
+    CAPPED = [shifted_cotangent(Chart([("x", 0), ("y", 0), ("xi1", 1, "fiber"),
+                                       ("xi2", 1, "fiber")], trunc=t), 2)
+              for t in (1, 2, 3)]
+    SYMPLECTIC = TestBracketInvariants.CHARTS + CAPPED
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           at=st.integers(0, len(SYMPLECTIC) - 1))
+    def test_canonical(self, seed, at):
+        rng = random.Random(seed)
+        sc = self.SYMPLECTIC[at]
+        f, g = (random_poly(sc.chart, rng, max_weight=4, max_base_degree=2,
+                            max_terms=5) for _ in range(2))
+        got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
+        assert got == canonical_bracket(f, g, sc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_schouten_rank_four(self, seed):
+        rng = random.Random(seed)
+        spec = koszul_algebroid(
+            Chart([(f"x{i}", 0) for i in range(1, 5)]),
+            {(f"x{i}", f"x{j}"): f"{i + j} * x{i} * x{j}"
+             for i in range(1, 5) for j in range(i + 1, 5)})
+        f, g = (random_poly(spec.multivector_chart(), rng, max_weight=2,
+                            max_base_degree=2, max_terms=4) for _ in range(2))
+        got = _engine_matches_reference(f, g, 1, _schouten_pair(spec))
+        assert got == schouten_bracket(spec, f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_variable_reaches(self, data):
+        # a monomial of three or more variables of which only v_k has a
+        # non-zero value with g, against a monomial of g of which only the
+        # partner of v_k reaches back: every other level of the recursion on
+        # either side brackets to zero
+        sc = data.draw(st.sampled_from(
+            [sc for sc in self.SYMPLECTIC if len(sc.chart.vars) >= 4]))
+        chart = sc.chart
+        parities = chart.parities
+
+        def exponent(i):
+            return data.draw(st.integers(1, 1 if parities[i] else 2))
+
+        size = len(chart.vars)
+        picked = data.draw(st.lists(st.integers(0, size - 1), min_size=3,
+                                    max_size=4, unique=True))
+        k = data.draw(st.sampled_from(picked))
+        partners = {sc.partner_index(i) for i in picked}
+        others = [i for i in range(size) if i not in partners]
+        extra = data.draw(st.lists(st.sampled_from(others), max_size=3,
+                                   unique=True)) if others else []
+        e1, e2 = [0] * size, [0] * size
+        for i in picked:
+            e1[i] = exponent(i)
+        e2[sc.partner_index(k)] = 1
+        for i in extra:
+            e2[i] = exponent(i)
+        c1, c2 = (data.draw(st.integers(-3, 3).filter(bool)) for _ in range(2))
+        f = GPoly(chart, {chart.pack(e1): c1})
+        g = GPoly(chart, {chart.pack(e2): c2})
+        got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
+        assert got == canonical_bracket(f, g, sc)
 
 
 class TestHamiltonianLift:
