@@ -7,7 +7,6 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from time import perf_counter
@@ -24,7 +23,7 @@ from .constructions import (action_algebroid, linfty_bialgebra,
                             tangent_algebroid, triangular)
 from .errors import AlgebroidsError, MissingSection
 from .gpoly import MOMENTUM_KINDS, random_poly, render_poly
-from .report import Report
+from .report import Report, verdict_json
 from .specfile import Section, SpecFile, parse_spec, serialize
 from .symplectic import (canonical_bracket, hamiltonian_lift, is_integrable,
                          legendre, shifted_cotangent, twin_chart)
@@ -209,6 +208,10 @@ def run(subcommand: str, doc: SpecFile, name: Optional[str] = None,
             out.append((s.name, rep))
     if not out:
         # the first kind is the one the subcommand needs
+        if not sections and name is not None and any(
+                doc.of_kind(kind) for kind in kinds):
+            raise MissingSection(
+                f"no {' or '.join(kinds)} section matches --name {name!r}")
         raise MissingSection(f"no {kinds[0]} sections in the file")
     return out
 
@@ -258,15 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     passed = all(rep.passed for _, rep in results)
     if args.as_json:
-        payload = {
-            "command": args.subcommand,
-            "sections": [
-                {"name": name, **rep.to_dict(residuals=args.residuals)}
-                for name, rep in results
-            ],
-            "passed": passed,
-        }
-        print(json.dumps(payload, indent=2))
+        print(verdict_json(args.subcommand, results, args.residuals))
     else:
         for name, rep in results:
             print(f"[{name}]")

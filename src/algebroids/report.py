@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 
@@ -80,3 +81,53 @@ class Report:
             tail += f" ({self.elapsed_ms:.1f} ms)"
         lines.append(tail)
         return "\n".join(lines)
+
+
+# -- the --json verdict ---------------------------------------------------------
+#
+# `json.dumps` falls back to its pure-Python encoder whenever `indent` is
+# set, and a verdict can hold thousands of records.  So the writer below
+# emits the same bytes directly: each string through the encoder `json.dumps`
+# uses, each record in one join, and the whole text in one more join, so a
+# large verdict is copied once.
+
+_BOOL = {True: "true", False: "false"}
+
+
+def _record_json(r: CheckRecord, residuals: bool) -> str:
+    fields = ['"name": ' + encode_basestring_ascii(r.name),
+              '"identity": ' + encode_basestring_ascii(r.identity),
+              '"passed": ' + _BOOL[r.passed]]
+    if r.detail is not None:
+        fields.append('"detail": ' + encode_basestring_ascii(r.detail))
+    if residuals and r.residual is not None:
+        fields.append('"residual": ' + encode_basestring_ascii(r.residual))
+    return "{\n          " + ",\n          ".join(fields) + "\n        }"
+
+
+def verdict_json(command: str, results, residuals: bool = False) -> str:
+    """The `--json` output for [(section name, Report), ...]: the bytes of
+    `json.dumps(payload, indent=2)` for
+
+        payload = {"command": command,
+                   "sections": [{"name": name, **report.to_dict(residuals)}
+                                for name, report in results],
+                   "passed": every report passed}
+    """
+    out = ['{\n  "command": ', encode_basestring_ascii(command),
+           ',\n  "sections": [']
+    passed = True
+    for i, (name, rep) in enumerate(results):
+        ok = rep.passed
+        passed = passed and ok
+        out += (",\n    {" if i else "\n    {",
+                '\n      "name": ', encode_basestring_ascii(name),
+                ',\n      "title": ', encode_basestring_ascii(rep.title),
+                ',\n      "passed": ', _BOOL[ok], ',\n      "checks": [')
+        for j, r in enumerate(rep.records):
+            out += (",\n        " if j else "\n        ",
+                    _record_json(r, residuals))
+        out.append("\n      ]\n    }" if rep.records else "]\n    }")
+    out += ("\n  ]" if results else "]", ',\n  "passed": ', _BOOL[passed],
+            "\n}")
+    return "".join(out)

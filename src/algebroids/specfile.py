@@ -182,6 +182,8 @@ _KEYS = {
 def parse_spec(text: str, trunc_override: Optional[int] = None) -> SpecFile:
     sections, trunc = _scan(text)
     if trunc_override is not None:
+        if trunc_override < 0:
+            raise ParseError("--trunc takes one non-negative integer")
         trunc = trunc_override
     doc = SpecFile(trunc, sections)
     for section in sections:

@@ -22,7 +22,8 @@ from algebroids.algebroid import (AlgebroidSpec, adjoint_line_connection,
                                   torsion)
 from algebroids.errors import DegreeError, NotPoisson
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import Chart, partial_left, random_poly
+from algebroids.gpoly import (Chart, apply_vector_field, inject, partial_left,
+                             random_poly)
 from algebroids.symplectic import (canonical_bracket, check_poisson_map,
                                    shifted_cotangent)
 
@@ -108,34 +109,112 @@ class TestCheckAlgebroid:
 
 def _graded_spec(rng):
     """A random graded spec: fiber degrees in -1..2 with odd self-brackets,
-    a point base or one of 1-2 degree-0 variables with polynomial anchors,
-    and structure entries drawn without regard to the Jacobi identity."""
+    a base of 0-2 degree-0 variables x_i and perhaps one degree-1 variable
+    y, polynomial anchor and structure entries of every degree the base
+    has, drawn without regard to the Jacobi identity.  With y, sections of
+    odd degree carry anchors too."""
     nbase = rng.choice((0, 1, 2))
-    base = Chart([(f"x{i + 1}", 0) for i in range(nbase)])
+    odd = rng.random() < 0.5
+    base = Chart([(f"x{i + 1}", 0) for i in range(nbase)]
+                 + ([("y", 1)] if odd else []))
     fiber = [(f"e{a + 1}", rng.randint(-1, 2))
              for a in range(rng.randint(2, 4))]
-
-    def poly():
-        # a degree-0 base makes every polynomial a valid degree-0 entry
-        p = base.const(rng.choice((-2, -1, 1, 2)))
-        for _ in range(rng.randint(0, 2) if nbase else 0):
-            p = p + rng.choice((-1, 1, 3)) * random_poly(base, rng, 2, 2, 2)
-        return p
-
+    entries = (0, 1) if odd else (0,)
     anchor = {}
     bracket = {}
     for a, (fa, da) in enumerate(fiber):
         for v in base.vars:
-            # an entry has degree d_a, so only degree-0 sections anchor
-            if da == 0 and rng.random() < 0.5:
-                anchor[(fa, v.name)] = poly()
+            want = da + v.degree
+            if want in entries and rng.random() < 0.5:
+                anchor[(fa, v.name)] = _base_poly(base, rng, want)
         for fb, db in fiber[a:]:
             if (da + db) % 2 or (fa == fb and da % 2 == 0):
                 continue
             for fc, dc in fiber:
-                if dc == da + db and rng.random() < 0.4:
-                    bracket[(fa, fb, fc)] = poly()
+                if da + db - dc in entries and rng.random() < 0.4:
+                    bracket[(fa, fb, fc)] = _base_poly(base, rng, da + db - dc)
     return AlgebroidSpec(base, fiber, anchor, bracket)
+
+
+def _base_poly(base, rng, degree, constant=False):
+    """A non-zero polynomial of degree 0 or 1 on a `_graded_spec` base: a
+    polynomial in the x_i, times y for degree 1; a constant one when
+    `constant`."""
+    p = base.const(rng.choice((-2, -1, 1, 2)))
+    for _ in range(0 if constant else rng.randint(0, 2)):
+        p = p + rng.choice((-1, 1, 3)) * random_poly(base, rng, 2, 2, 2,
+                                                     degree=0)
+    return p * base.var_poly("y") if degree else p
+
+
+def _graded_section(spec, rng):
+    """A random homogeneous section: each coefficient zero, constant or a
+    polynomial of the degree the section's degree asks of it."""
+    entries = (0, 1) if spec.base.has("y") else (0,)
+    degree = rng.choice(spec.fiber_degrees) + rng.choice(entries)
+    out = {}
+    for name, d in zip(spec.fiber_names, spec.fiber_degrees):
+        kind = rng.choice(("zero", "constant", "polynomial"))
+        if degree - d in entries and kind != "zero":
+            out[name] = _base_poly(spec.base, rng, degree - d,
+                                   constant=kind == "constant")
+    return out
+
+
+def _reference_section_bracket(spec, x, y):
+    """[X, Y] as section_bracket computed it before constant coefficients
+    became scales: every product is taken, and so are rho(X) and every
+    rho_b(f)."""
+    def graded(section):
+        entries = [(n, spec.fiber_index(n), p, p.degree())
+                   for n, p in section.items() if p]
+        degs = {d + spec.fiber_degrees[a] for _, a, _, d in entries}
+        assert len(degs) <= 1
+        return entries, (degs.pop() if degs else 0)
+
+    xs, dx = graded(x)
+    ys, _ = graded(y)
+    names = spec.fiber_names
+    parts = {}
+    rho_x = anchor_of(spec, x)
+    for bn, b, g, gdeg in ys:
+        db = spec.fiber_degrees[b]
+        rho_b = anchor_of(spec, basis_section(spec, b))
+        if rho_x:
+            parts.setdefault(bn, []).append(apply_vector_field(rho_x, g))
+        s1 = -1 if (dx * gdeg) % 2 else 1
+        for an, a, f, fdeg in xs:
+            row = spec.structure.get((a, b))
+            if row:
+                gf = g * f
+                for c, centry in row.items():
+                    parts.setdefault(names[c], []).append((s1, gf * centry))
+            rb = apply_vector_field(rho_b, f) if rho_b else None
+            if rb:
+                s2 = -1 if ((fdeg + spec.fiber_degrees[a]) * db) % 2 else 1
+                parts.setdefault(an, []).append((-s1 * s2, g * rb))
+    out = ((n, spec.base.sum(parts[n])) for n in names if n in parts)
+    return {n: p for n, p in out if p}
+
+
+def _reference_mu(spec):
+    """mu with the structure part as the sum over ordered pairs,
+    -1/2 C^c_ab xi^a xi^b xi*_c for every (a, b)."""
+    sc = spec.symplectic_chart()
+    C = sc.chart
+    names = spec.fiber_names
+    terms = []
+    for a, an in enumerate(names):
+        for i, xv in enumerate(spec.base.vars):
+            if spec.anchor[a][i]:
+                terms.append(C.var_poly(an) * inject(spec.anchor[a][i], C)
+                             * C.var_poly(sc.momentum_of(xv.name).name))
+    for (a, b), row in spec.structure.items():
+        for c, centry in row.items():
+            terms.append(Fraction(-1, 2) * inject(centry, C)
+                         * C.var_poly(names[a]) * C.var_poly(names[b])
+                         * C.var_poly(sc.momentum_of(names[c]).name))
+    return C.sum(terms)
 
 
 def _reference_jacobi(spec):
@@ -180,6 +259,43 @@ class TestAxiomRoute:
                 got = section_bracket(spec, basis_section(spec, a),
                                       basis_section(spec, b))
                 assert list(got.items()) == table
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_section_bracket_matches_reference(self, seed):
+        rng = random.Random(seed)
+        spec = _graded_spec(rng)
+        for _ in range(6):
+            x, y = _graded_section(spec, rng), _graded_section(spec, rng)
+            want = _reference_section_bracket(spec, x, y)
+            assert list(section_bracket(spec, x, y).items()) == \
+                list(want.items())
+
+    def test_odd_anchor_sign(self):
+        # [y e_a, e_b] = -(-1)^{(|y| + d_a) d_b} rho_b(y) e_a = e_a: the
+        # sign of the rho_b(f) term is -1 here
+        base = Chart([("x", 0), ("y", 1)])
+        spec = AlgebroidSpec(base, [("a", 0), ("b", -1)], {("b", "y"): 1})
+        x, y = {"a": base.var_poly("y")}, {"b": base.one()}
+        assert section_bracket(spec, x, y) == {"a": base.one()}
+        assert _reference_section_bracket(spec, x, y) == {"a": base.one()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_mu_is_the_ordered_pair_sum(self, seed):
+        spec = _graded_spec(random.Random(seed))
+        assert hamiltonian_of_algebroid(spec).body == _reference_mu(spec)
+
+    def test_anchor_morphism_on_an_odd_coordinate(self):
+        # rho([e1, e2]) = -2 y d_y but [rho(e1), rho(e2)] = 0; the rendered
+        # residual -2 y * y vanishes, and the record must fail all the same
+        base = Chart([("y", 1)])
+        spec = AlgebroidSpec(base, [("e1", 0), ("e2", 0)], {("e1", "y"): "y"},
+                             {("e1", "e2", "e1"): -2})
+        records = {r.name: r for r in check_algebroid(spec).records}
+        assert not records["anchor-morphism(e1,e2)"].passed
+        assert not records["mu-squared"].passed
+        assert records["routes-agree"].passed
 
     def test_negative_odd_degree_product(self):
         # d_a |x| = -1 in the Leibniz sign; an integer power of -1 with a

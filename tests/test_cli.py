@@ -91,9 +91,19 @@ def test_missing_file_exit_code():
     assert code == 2
 
 
-def test_missing_section_exit_code():
+def test_missing_section_exit_code(capsys):
     code, _ = run_cli(["check-bialgebroid", "tests/data/two_dim_algebra.alg"])
     assert code == 2
+    assert capsys.readouterr().err == ("error: no bialgebroid sections in "
+                                       "the file\n")
+
+
+def test_name_without_match_names_the_filter(capsys):
+    code, _ = run_cli(["check-algebroid", "tests/data/two_dim_algebra.alg",
+                       "--name", "nosuch"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: no algebroid section matches "
+                                       "--name 'nosuch'\n")
 
 
 def test_failure_exit_code(tmp_path):
@@ -214,15 +224,20 @@ BAD_INPUTS = {
                     b"  anchor xi1 x1 = (x1 + x2 + x3 + x4 + x5 + x6)^30\n",
                     "a product of up to 324632 terms is above 10000 terms "
                     "at 12:19"),
+    # trailing items are extra command-line arguments
+    "negative-trunc-flag": (b"chart pt\n\nalgebroid V\n  base pt\n"
+                            b"  fiber xi1 0\n",
+                            "--trunc takes one non-negative integer",
+                            "--trunc", "-1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, capsys):
-    data, where = BAD_INPUTS[case]
+    data, where, *flags = BAD_INPUTS[case]
     path = tmp_path / "bad.alg"
     path.write_bytes(data)
-    code, _ = run_cli(["check-algebroid", str(path)])
+    code, _ = run_cli(["check-algebroid", str(path), *flags])
     err = capsys.readouterr().err
     assert code == 2
     errors = [line for line in err.splitlines() if line.startswith("error:")]
