@@ -30,7 +30,7 @@ from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, apply_vector_field,
 from .report import Report
 from .symplectic import (BracketContext, Hamiltonian, SymplecticChart,
                          biderivation_bracket, canonical_bracket,
-                         is_integrable, shifted_cotangent)
+                         hamiltonian_lift, is_integrable, shifted_cotangent)
 
 Section = Mapping[str, GPoly]   # fiber name -> coefficient polynomial on base
 
@@ -344,7 +344,11 @@ def hamiltonian_of_algebroid(spec: AlgebroidSpec,
 
 
 def check_algebroid(spec: AlgebroidSpec) -> Report:
-    """Cross-validate {mu, mu} = 0 against the direct bracket axioms."""
+    """Cross-validate {mu, mu} = 0 against the direct bracket axioms.
+
+    There is no Leibniz record: the Leibniz rule is how `section_bracket`
+    extends the structure table to all sections, so it holds by definition.
+    """
     report = Report("algebroid")
     residual, mu_ok = is_integrable(hamiltonian_of_algebroid(spec))
     report.add("mu-squared", "{mu, mu} = 0", residual)
@@ -382,26 +386,6 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
         report.add(f"jacobi({names[a]},{names[b]},{names[c]})",
                    "[[X,Y],Z] + graded cyclic = 0",
                    section_to_multivector(spec, j) if j else None)
-    # Leibniz rule on (e_a, x^i, e_b)
-    for a in range(spec.rank):
-        rho_a = basis_anchor(spec, a)
-        for xv in spec.base.vars:
-            f = spec.base.var_poly(xv.name)
-            sign = -1 if (degs[a] * xv.degree) % 2 else 1
-            rho_f = apply_vector_field(rho_a, f)
-            for b in range(spec.rank):
-                # [X, fY] - (rho(X)f) Y - (-1)^{|X||f|} f [X,Y]
-                parts = {n: [p] for n, p in
-                         section_bracket(spec, basis[a], {names[b]: f}).items()}
-                for n, p in table.get((a, b), {}).items():
-                    parts.setdefault(n, []).append((-sign, f * p))
-                if rho_f:
-                    parts.setdefault(names[b], []).append((-1, rho_f))
-                res = _close(spec, parts)
-                axioms_ok = axioms_ok and not res
-                report.add(f"leibniz({names[a]},{xv.name},{names[b]})",
-                           "[X, fY] = (rho(X)f) Y + (-1)^{|X||f|} f [X,Y]",
-                           section_to_multivector(spec, res) if res else None)
     # anchor is a bracket morphism
     for a in range(spec.rank):
         for b in range(a, spec.rank):
@@ -409,17 +393,16 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
             rhs = vector_field_commutator(spec.base, basis_anchor(spec, a),
                                           basis_anchor(spec, b))
             diff = section_add(spec, lhs, rhs, scale=-1)
-            # the residual renders Q^i d_i as Q^i x^i, which loses the terms
-            # of Q^i that hold an odd x^i: decide on the components
-            res = spec.base.sum(p * spec.base.var_poly(n)
-                                for n, p in diff.items())
+            # the residual shows Q^i d_i as its lift Q^i x_i*, which a cap
+            # may truncate: decide on the components
+            res = hamiltonian_lift(spec.symplectic_chart(), diff)
             ok = not diff
             axioms_ok = axioms_ok and ok
             report.add(f"anchor-morphism({names[a]},{names[b]})",
                        "rho([X,Y]) = [rho(X), rho(Y)]", res, passed=ok)
 
     report.add("routes-agree",
-               "({mu,mu} = 0) iff (Jacobi, Leibniz, anchor-morphism)",
+               "({mu,mu} = 0) iff (Jacobi, anchor-morphism)",
                passed=(mu_ok == axioms_ok),
                detail=f"hamiltonian={'pass' if mu_ok else 'fail'}, "
                       f"axioms={'pass' if axioms_ok else 'fail'}")

@@ -66,9 +66,6 @@ class SymplecticChart:
             raise ChartMismatch(f"{name!r} is already a momentum")
         return self.chart.vars[k + self.npairs]
 
-    def momentum_weight(self, poly: GPoly) -> frozenset:
-        return poly.kind_weights(MOMENTUM_KINDS)
-
     def zero_momenta(self, poly: GPoly) -> GPoly:
         """Restrict to the zero section: drop every monomial with a momentum."""
         n = self.npairs

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -24,8 +25,11 @@ from algebroids.errors import DegreeError, NotPoisson
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, apply_vector_field, inject, partial_left,
                              random_poly)
+from algebroids.specfile import parse_spec
 from algebroids.symplectic import (canonical_bracket, check_poisson_map,
                                    shifted_cotangent)
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestSpecValidation:
@@ -134,6 +138,14 @@ def _graded_spec(rng):
                 if da + db - dc in entries and rng.random() < 0.4:
                     bracket[(fa, fb, fc)] = _base_poly(base, rng, da + db - dc)
     return AlgebroidSpec(base, fiber, anchor, bracket)
+
+
+def _odd_anchor_spec():
+    """A degree-1 base coordinate y with rho(e1) = y d_y and [e1, e2] = -2 e1:
+    the anchor is not a bracket morphism."""
+    base = Chart([("y", 1)])
+    return AlgebroidSpec(base, [("e1", 0), ("e2", 0)], {("e1", "y"): "y"},
+                         {("e1", "e2", "e1"): -2})
 
 
 def _base_poly(base, rng, degree, constant=False):
@@ -287,15 +299,35 @@ class TestAxiomRoute:
         assert hamiltonian_of_algebroid(spec).body == _reference_mu(spec)
 
     def test_anchor_morphism_on_an_odd_coordinate(self):
-        # rho([e1, e2]) = -2 y d_y but [rho(e1), rho(e2)] = 0; the rendered
-        # residual -2 y * y vanishes, and the record must fail all the same
-        base = Chart([("y", 1)])
-        spec = AlgebroidSpec(base, [("e1", 0), ("e2", 0)], {("e1", "y"): "y"},
-                             {("e1", "e2", "e1"): -2})
-        records = {r.name: r for r in check_algebroid(spec).records}
+        # rho([e1, e2]) = -2 y d_y but [rho(e1), rho(e2)] = 0; as a base
+        # polynomial -2 y * y would vanish, its lift -2 y y* does not
+        records = {r.name: r for r in check_algebroid(_odd_anchor_spec()).records}
         assert not records["anchor-morphism(e1,e2)"].passed
+        assert records["anchor-morphism(e1,e2)"].residual == "-2 * y * y*"
         assert not records["mu-squared"].passed
         assert records["routes-agree"].passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_record_names(self, seed):
+        # no record family holds by the definition of section_bracket: the
+        # Leibniz rule is that definition, so it has no record
+        spec = _graded_spec(random.Random(seed))
+        names = spec.fiber_names
+        want = (["mu-squared"]
+                + [f"jacobi({a},{b},{c})" for a, b, c in
+                   itertools.combinations_with_replacement(names, 3)]
+                + [f"anchor-morphism({a},{b})" for a, b in
+                   itertools.combinations_with_replacement(names, 2)]
+                + ["routes-agree"])
+        assert [r.name for r in check_algebroid(spec).records] == want
+
+    def test_every_record_family_can_fail(self):
+        with open(os.path.join(DATA, "kernel", "gl3_broken.alg")) as fh:
+            gl3 = parse_spec(fh.read()).lookup("G").resolved
+        failed = {r.name.split("(")[0] for spec in (gl3, _odd_anchor_spec())
+                  for r in check_algebroid(spec).records if not r.passed}
+        assert failed == {"mu-squared", "jacobi", "anchor-morphism"}
 
     def test_negative_odd_degree_product(self):
         # d_a |x| = -1 in the Leibniz sign; an integer power of -1 with a

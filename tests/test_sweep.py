@@ -7,9 +7,11 @@ with
 
     PYTHONPATH=src python tests/test_sweep.py
 
-and shows the altered lines in its diff.
+which prints the argv of every call whose line changed; the diff shows the
+same lines.
 """
 
+import collections
 import contextlib
 import glob
 import hashlib
@@ -57,15 +59,32 @@ def sweep_lines():
     return lines
 
 
-def test_sweep_matches_manifest():
+def changed_calls(got, expected):
+    """The argv of every call whose line is not in the manifest."""
+    old = set(expected)
+    return [g.split("  ", 1)[1] for g in got if g not in old]
+
+
+def read_manifest():
     with open(MANIFEST) as fh:
-        expected = fh.read().splitlines()
+        return fh.read().splitlines()
+
+
+def test_sweep_matches_manifest():
+    expected = read_manifest()
     got = sweep_lines()
     assert len(got) == len(expected)
-    changed = [g.split("  ", 1)[1] for g, e in zip(got, expected) if g != e]
-    assert not changed, f"{len(changed)} calls changed, first: {changed[:5]}"
+    changed = changed_calls(got, expected)
+    per_sub = collections.Counter(argv.split(" ", 1)[0] for argv in changed)
+    assert not changed, (f"{len(changed)} calls changed: "
+                         + ", ".join(f"{n} {sub}"
+                                     for sub, n in sorted(per_sub.items())))
 
 
 if __name__ == "__main__":
+    expected = read_manifest()
+    got = sweep_lines()
+    for argv in changed_calls(got, expected):
+        print(argv)
     with open(MANIFEST, "w") as fh:
-        fh.write("\n".join(sweep_lines()) + "\n")
+        fh.write("\n".join(got) + "\n")
