@@ -133,9 +133,6 @@ class AlgebroidSpec:
     def structure_entry(self, a: int, b: int, c: int) -> GPoly:
         return self.structure.get((a, b), {}).get(c, self.base.zero())
 
-    def anchor_entry(self, a: int, i: int) -> GPoly:
-        return self.anchor[a][i]
-
     def is_classical(self) -> bool:
         return (all(d == 0 for d in self.fiber_degrees)
                 and all(d == 0 for d in self.base.degrees))
@@ -223,11 +220,6 @@ def basis_anchor(spec: AlgebroidSpec, b: int) -> dict:
     return spec._cached(("anchor", b), lambda: {
         xv.name: entry for xv, entry in zip(spec.base.vars, spec.anchor[b])
         if entry})
-
-
-def apply_anchor(spec: AlgebroidSpec, x: Section, f: GPoly) -> GPoly:
-    """rho(X)(f) for f on the base chart."""
-    return apply_vector_field(anchor_of(spec, x), f)
 
 
 def _close(spec: AlgebroidSpec, parts: Mapping[str, list]) -> dict:
@@ -511,11 +503,6 @@ def lie_poisson(spec: AlgebroidSpec, label="dual-bundle") -> BracketContext:
     return BracketContext(label, chart, 0,
                           lambda f, g: biderivation_bracket(
                               f, g, 0, _table_bracket(spec, chart, 0, 1)))
-
-
-def multivector_arity(spec: AlgebroidSpec, p: GPoly) -> frozenset:
-    nbase = len(spec.base.vars)
-    return frozenset(sum(p.chart.unpack(m)[nbase:]) for m in p.terms)
 
 
 # -- constructions on the base: the cotangent algebroid of a bivector ----------

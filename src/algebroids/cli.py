@@ -119,14 +119,14 @@ _CONSTRUCTS = {
 
 def _construct_report(section, seed) -> Report:
     build, _, report = _CONSTRUCTS[section.subtype]
-    return report(build(section.resolved[1]))
+    return report(build(section.resolved))
 
 
 def _check_linfty(section, seed) -> Optional[Report]:
     if section.kind == "hamiltonian":
         return check_linfty(section.resolved)
     build, linfty, _ = _CONSTRUCTS[section.subtype]
-    built = build(section.resolved[1])
+    built = build(section.resolved)
     return None if linfty is None else check_linfty(linfty(built))
 
 
@@ -255,8 +255,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AlgebroidsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:   # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # an exception with no text (MemoryError) is named by its type
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
 
     passed = all(rep.passed for _, rep in results)

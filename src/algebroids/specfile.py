@@ -4,8 +4,15 @@ A document is a sequence of sections.  A section header sits at column zero
 (`chart M`, `algebroid V`, `construct poisson P`); body lines are indented
 `key value ...` entries, with expressions after an `=`.  Comments run from
 `#` to end of line.  A single top-level `trunc <k>` line caps formal-series
-weights for every chart in the file.  Unknown section kinds and unknown keys
-are rejected with positions.
+weights for every chart in the file.
+
+One table, `_SECTIONS`, gives each section kind its keys and its resolver;
+`_CONSTRUCTS` does the same for each construction kind, so the keys of a
+`construct` section are checked against its own kind.  Unknown section
+kinds, construction kinds and keys are rejected with positions.  A section
+names earlier sections in reference rows (`base M`, `algebroid V`); `_ref`
+reads every one of them, and a name that no earlier section has, or one
+whose section is of the wrong kind, is a ParseError at the row's line.
 
 Expressions follow the core grammar; momentum names end in `*`, so products
 must be written with spaced `*` operators (`xi1* * xi2*`).
@@ -24,13 +31,6 @@ from .expr import parse_expression
 from .gpoly import Chart, KIND_BASE
 from .symplectic import PolyMap, shifted_cotangent
 
-_SECTION_KINDS = ("chart", "algebroid", "bialgebroid", "hamiltonian",
-                  "morphism", "connection", "bracket", "cediff", "schouten",
-                  "bv", "lift", "legendre", "construct")
-
-_CONSTRUCT_KINDS = ("tangent", "action", "poisson", "triangular", "nijenhuis",
-                    "linfty-bialgebra")
-
 
 @dataclass
 class Section:
@@ -41,6 +41,11 @@ class Section:
     # expr_text keeps its columns in the line: what precedes it is blanked
     subtype: Optional[str] = None
     resolved: object = None
+
+    @property
+    def label(self):
+        """The kind as a header spells it: `chart`, `construct poisson`."""
+        return f"{self.kind} {self.subtype}" if self.subtype else self.kind
 
     def rows(self, key):
         """The `key` rows in file order; a row repeating the key and the
@@ -114,17 +119,17 @@ def _scan(text: str) -> List[Section]:
                 trunc = int(tokens[1])
                 continue
             kind = tokens[0]
-            if kind not in _SECTION_KINDS:
+            if kind not in _SECTIONS:
                 raise ParseError(f"unknown section kind {kind!r}", lineno,
-                                 expected=_SECTION_KINDS)
+                                 expected=_SECTIONS)
             if kind == "construct":
                 if len(tokens) != 3:
                     raise ParseError("construct sections read "
                                      "'construct <kind> <name>'", lineno)
                 subtype, name = tokens[1], tokens[2]
-                if subtype not in _CONSTRUCT_KINDS:
+                if subtype not in _CONSTRUCTS:
                     raise ParseError(f"unknown construction {subtype!r}",
-                                     lineno, expected=_CONSTRUCT_KINDS)
+                                     lineno, expected=_CONSTRUCTS)
             else:
                 if len(tokens) != 2:
                     raise ParseError(f"{kind} sections read '{kind} <name>'",
@@ -155,28 +160,53 @@ def _arg(row, i=0):
     return args[i]
 
 
-def _expr(text, chart, lineno):
+def _int_row(section, key, default):
+    """The integer of the single `key` row, or `default` without one; a
+    `None` default makes the row required."""
+    row = section.single(key, required=default is None)
+    return default if row is None else _int(_arg(row), row[3], key)
+
+
+def _expr_row(row, chart):
+    """The `= expr` of a row, parsed on `chart` at the row's line."""
+    _, _, text, lineno = row
     if text is None:
         raise ParseError("missing '=' expression", lineno)
     return parse_expression(text, chart, line=lineno)
 
 
-_KEYS = {
-    "chart": {"var"},
-    "algebroid": {"base", "fiber", "anchor", "bracket"},
-    "bialgebroid": {"primal", "dual"},
-    "hamiltonian": {"algebroid", "value", "hbar-cap"},
-    "morphism": {"type", "source", "target", "map", "base", "word", "cap"},
-    "connection": {"algebroid", "gamma"},
-    "bracket": {"algebroid", "left", "right"},
-    "cediff": {"algebroid", "value"},
-    "schouten": {"algebroid", "left", "right"},
-    "bv": {"algebroid", "connection", "value"},
-    "lift": {"chart", "shift", "component"},
-    "legendre": {"algebroid"},
-    "construct": {"base", "fiber", "anchor", "bracket", "act", "bivector",
-                  "endo", "algebroid", "r", "component", "hbar-cap"},
-}
+def _table(section, key, chart, n):
+    """The `key <a1> .. <an> = expr` rows as a table from the argument (for
+    n = 1) or the argument tuple to the polynomial on `chart`."""
+    table = {}
+    for row in section.rows(key):
+        value = _expr_row(row, chart)
+        args = tuple(_arg(row, i) for i in range(n))
+        table[args if n > 1 else args[0]] = value
+    return table
+
+
+def _fibers(section):
+    """The (name, degree) pairs of the `fiber` rows, in file order."""
+    fiber = []
+    for _, args, _, lineno in section.rows("fiber"):
+        if len(args) != 2:
+            raise ParseError("fiber rows read 'fiber <name> <degree>'", lineno)
+        fiber.append((args[0], _int(args[1], lineno, "degree")))
+    return fiber
+
+
+def _ref(doc, section, key, *kinds):
+    """The value of the section that the single `key` row names.  A name no
+    earlier section has, or one whose section is of none of `kinds`, is a
+    ParseError at the row's line."""
+    row = section.single(key)
+    target = doc.lookup(_arg(row), row[3])
+    if target.label not in kinds:
+        raise ParseError(f"{key!r} must name a section of kind "
+                         f"{' or '.join(kinds)}, not {target.label} "
+                         f"{target.name!r}", row[3])
+    return target.resolved
 
 
 def parse_spec(text: str, trunc_override: Optional[int] = None) -> SpecFile:
@@ -190,17 +220,19 @@ def parse_spec(text: str, trunc_override: Optional[int] = None) -> SpecFile:
         if section.name in doc.registry:
             raise ParseError(f"duplicate section name {section.name!r}",
                              section.line)
-        for key, args, expr, lineno in section.entries:
-            if key not in _KEYS[section.kind]:
+        keys, resolve = (_CONSTRUCTS[section.subtype] if section.subtype
+                         else _SECTIONS[section.kind])
+        for key, _, _, lineno in section.entries:
+            if key not in keys:
                 raise ParseError(
-                    f"unknown key {key!r} in {section.kind} section",
-                    lineno, expected=sorted(_KEYS[section.kind]))
-        _RESOLVERS[section.kind](doc, section)
+                    f"unknown key {key!r} in {section.label} section",
+                    lineno, expected=sorted(keys))
+        section.resolved = resolve(doc, section)
         doc.registry[section.name] = section
     return doc
 
 
-# -- per-section resolution ---------------------------------------------------
+# -- per-section resolution: each resolver returns the section's value -------
 
 
 def _resolve_chart(doc, section):
@@ -215,50 +247,42 @@ def _resolve_chart(doc, section):
                              f"{section.name!r}", lineno)
         seen.add(name)
         variables.append((name, _int(degree, lineno, "degree"), KIND_BASE))
-    section.resolved = Chart(variables, trunc=doc.trunc)
+    return Chart(variables, trunc=doc.trunc)
 
 
-def _algebroid_section(doc, section) -> AlgebroidSpec:
-    base_row = section.single("base")
-    base = doc.lookup(_arg(base_row), base_row[3]).resolved
-    if not isinstance(base, Chart):
-        raise ParseError("the base must reference a chart section", base_row[3])
-    fiber = []
-    seen = set()
-    for key, args, expr, lineno in section.rows("fiber"):
-        if len(args) != 2:
-            raise ParseError("fiber rows read 'fiber <name> <degree>'", lineno)
-        fiber.append((args[0], _int(args[1], lineno, "degree")))
-        seen.add(args[0])
+def _resolve_algebroid(doc, section):
+    base = _ref(doc, section, "base", "chart")
+    fiber = _fibers(section)
     if not fiber:
         raise ParseError(f"section {section.name!r} declares no fiber", section.line)
     index = {n: i for i, (n, _) in enumerate(fiber)}
     lines = {}   # anchor or bracket key -> the line it was declared on
     anchor = {}
-    for key, args, expr, lineno in section.rows("anchor"):
+    for row in section.rows("anchor"):
+        _, args, _, lineno = row
         if len(args) != 2:
             raise ParseError("anchor rows read 'anchor <fiber> <base> = expr>'",
                              lineno)
-        fn, xn = args
-        if fn not in index:
-            raise UndeclaredVariable(fn, lineno, 0)
-        anchor[(fn, xn)] = _expr(expr, base, lineno)
-        lines[(fn, xn)] = lineno
+        if args[0] not in index:
+            raise UndeclaredVariable(args[0], lineno, 0)
+        anchor[args] = _expr_row(row, base)
+        lines[args] = lineno
     bracket = {}
-    for key, args, expr, lineno in section.rows("bracket"):
+    for row in section.rows("bracket"):
+        _, args, _, lineno = row
         if len(args) != 3:
             raise ParseError(
                 "bracket rows read 'bracket <a> <b> <c> = expr'", lineno)
-        a, b, c = args
-        for n in (a, b, c):
+        for n in args:
             if n not in index:
                 raise UndeclaredVariable(n, lineno, 0)
+        a, b, _ = args
         if index[a] > index[b]:
             raise ParseError(
                 f"bracket pair ({a},{b}) must be in canonical order "
                 "(earlier fiber first)", lineno)
-        bracket[(a, b, c)] = _expr(expr, base, lineno)
-        lines[(a, b, c)] = lineno
+        bracket[args] = _expr_row(row, base)
+        lines[args] = lineno
     try:
         return AlgebroidSpec(base, fiber, anchor, bracket)
     except DegreeError as exc:
@@ -268,33 +292,17 @@ def _algebroid_section(doc, section) -> AlgebroidSpec:
                           lines[exc.entry]) from None
 
 
-def _resolve_algebroid(doc, section):
-    section.resolved = _algebroid_section(doc, section)
-
-
 def _resolve_bialgebroid(doc, section):
-    primal_row = section.single("primal")
-    dual_row = section.single("dual")
-    primal = doc.lookup(_arg(primal_row), primal_row[3]).resolved
-    dual = doc.lookup(_arg(dual_row), dual_row[3]).resolved
-    if not isinstance(primal, AlgebroidSpec) or not isinstance(dual, AlgebroidSpec):
-        raise ParseError("bialgebroid sections reference algebroid sections",
-                         section.line)
-    section.resolved = BialgebroidSpec(primal, dual)
+    return BialgebroidSpec(_ref(doc, section, "primal", "algebroid"),
+                           _ref(doc, section, "dual", "algebroid"))
 
 
 def _resolve_hamiltonian(doc, section):
-    alg_row = section.single("algebroid")
-    spec = doc.lookup(_arg(alg_row), alg_row[3]).resolved
-    if not isinstance(spec, AlgebroidSpec):
-        raise ParseError("hamiltonian sections reference an algebroid",
-                         alg_row[3])
-    cap_row = section.single("hbar-cap", required=False)
-    cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
-    value_row = section.single("value")
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    cap = _int_row(section, "hbar-cap", 4)
     sc = spec.symplectic_chart()
-    body = _expr(value_row[2], sc.chart, value_row[3])
-    section.resolved = LinftyHamiltonian(sc, body, cap)
+    return LinftyHamiltonian(sc, _expr_row(section.single("value"), sc.chart),
+                             cap)
 
 
 def _resolve_morphism(doc, section):
@@ -302,12 +310,8 @@ def _resolve_morphism(doc, section):
     mtype = _arg(type_row)
     if mtype not in ("semistrict", "full"):
         raise ParseError("morphism type is 'semistrict' or 'full'", type_row[3])
-    source = doc.lookup(_arg(section.single("source")), section.line).resolved
-    target = doc.lookup(_arg(section.single("target")), section.line).resolved
-    for endpoint in (source, target):
-        if not isinstance(endpoint, (AlgebroidSpec, LinftyHamiltonian)):
-            raise ParseError("morphism endpoints reference algebroid or "
-                             "hamiltonian sections", section.line)
+    source = _ref(doc, section, "source", "algebroid", "hamiltonian")
+    target = _ref(doc, section, "target", "algebroid", "hamiltonian")
 
     def ce_chart_of(obj):
         if isinstance(obj, AlgebroidSpec):
@@ -317,160 +321,148 @@ def _resolve_morphism(doc, section):
     src_ce, tgt_ce = ce_chart_of(source), ce_chart_of(target)
     if mtype == "semistrict":
         assignment = {}
-        for key, args, expr, lineno in section.rows("map"):
-            if len(args) != 1:
+        for row in section.rows("map"):
+            if len(row[1]) != 1:
                 raise ParseError("map rows read 'map <targetvar> = expr'",
-                                 lineno)
-            assignment[args[0]] = _expr(expr, src_ce, lineno)
+                                 row[3])
+            assignment[row[1][0]] = _expr_row(row, src_ce)
         resolved = PolyMap(src_ce, tgt_ce, assignment)
     else:
-        cap_row = section.single("cap")
-        cap = _int(_arg(cap_row), cap_row[3], "cap")
-        base_map = {}
-        for row in section.rows("base"):
-            base_map[_arg(row)] = _expr(row[2], src_ce, row[3])
+        cap = _int_row(section, "cap", None)
+        base_map = _table(section, "base", src_ce, 1)
         words = {}
-        for key, args, expr, lineno in section.rows("word"):
+        for row in section.rows("word"):
             exps = [0] * len(tgt_ce.vars)
-            for n in args:
+            for n in row[1]:
                 exps[tgt_ce.index_of(n)] += 1
-            words[tuple(exps)] = _expr(expr, src_ce, lineno)
+            words[tuple(exps)] = _expr_row(row, src_ce)
         resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
-    section.resolved = (mtype, source, target, resolved)
+    return (mtype, source, target, resolved)
 
 
 def _resolve_connection(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
-    gammas = {}
-    for row in section.rows("gamma"):
-        gammas[_arg(row)] = _expr(row[2], spec.base, row[3])
-    section.resolved = (spec, line_connection(spec, gammas))
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    return line_connection(spec, _table(section, "gamma", spec.base, 1))
 
 
 def _resolve_bracket(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
-    sc = spec.symplectic_chart()
-    left = _expr(section.single("left")[2], sc.chart, section.single("left")[3])
-    right = _expr(section.single("right")[2], sc.chart,
-                  section.single("right")[3])
-    section.resolved = (spec, left, right)
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    chart = spec.symplectic_chart().chart
+    return (spec, _expr_row(section.single("left"), chart),
+            _expr_row(section.single("right"), chart))
 
 
 def _resolve_cediff(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
-    row = section.single("value")
-    section.resolved = (spec, _expr(row[2], spec.ce_chart(), row[3]))
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    return (spec, _expr_row(section.single("value"), spec.ce_chart()))
 
 
 def _resolve_schouten(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
+    spec = _ref(doc, section, "algebroid", "algebroid")
     mv = spec.multivector_chart()
-    left = _expr(section.single("left")[2], mv, section.single("left")[3])
-    right = _expr(section.single("right")[2], mv, section.single("right")[3])
-    section.resolved = (spec, left, right)
+    return (spec, _expr_row(section.single("left"), mv),
+            _expr_row(section.single("right"), mv))
 
 
 def _resolve_bv(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
-    conn_spec, conn = doc.lookup(_arg(section.single("connection")),
-                                 section.line).resolved
-    if conn_spec is not spec:
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    conn = _ref(doc, section, "connection", "connection")
+    if conn.spec is not spec:
         raise ParseError("the connection must belong to the same algebroid",
-                         section.line)
-    row = section.single("value")
-    section.resolved = (spec, conn,
-                        _expr(row[2], spec.multivector_chart(), row[3]))
+                         section.single("connection")[3])
+    return (spec, conn,
+            _expr_row(section.single("value"), spec.multivector_chart()))
 
 
 def _resolve_lift(doc, section):
-    chart = doc.lookup(_arg(section.single("chart")), section.line).resolved
-    if not isinstance(chart, Chart):
-        raise ParseError("lift sections reference a chart", section.line)
-    shift_row = section.single("shift", required=False)
-    shift = _int(_arg(shift_row), shift_row[3], "shift") if shift_row else 2
-    comps = {}
-    for row in section.rows("component"):
-        comps[_arg(row)] = _expr(row[2], chart, row[3])
-    section.resolved = (chart, shift, comps)
+    chart = _ref(doc, section, "chart", "chart")
+    shift = _int_row(section, "shift", 2)
+    return (chart, shift, _table(section, "component", chart, 1))
 
 
 def _resolve_legendre(doc, section):
-    spec = doc.lookup(_arg(section.single("algebroid")), section.line).resolved
-    section.resolved = spec
+    return _ref(doc, section, "algebroid", "algebroid")
 
 
-def _resolve_construct(doc, section):
-    kind = section.subtype
-    if kind == "tangent":
-        base = doc.lookup(_arg(section.single("base")), section.line).resolved
-        section.resolved = ("tangent", (base,))
-    elif kind == "action":
-        base = doc.lookup(_arg(section.single("base")), section.line).resolved
-        fiber = [(_arg(row), _int(_arg(row, 1), row[3], "degree"))
-                 for row in section.rows("fiber")]
-        brackets = {}
-        for row in section.rows("bracket"):
-            p = _expr(row[2], base, row[3])
-            if any(p.terms):   # a key other than 0 is not a constant
-                raise DegreeError(
-                    "action structure coefficients must be constants")
-            brackets[(_arg(row), _arg(row, 1), _arg(row, 2))] = p
-        action = {}
-        for row in section.rows("act"):
-            action[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
-        section.resolved = ("action", (base, fiber, brackets, action))
-    elif kind == "poisson":
-        base = doc.lookup(_arg(section.single("base")), section.line).resolved
-        pi = {}
-        for row in section.rows("bivector"):
-            pi[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
-        cap_row = section.single("hbar-cap", required=False)
-        cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
-        section.resolved = ("poisson", (base, pi, cap))
-    elif kind == "triangular":
-        spec = doc.lookup(_arg(section.single("algebroid")),
-                          section.line).resolved
-        row = section.single("r")
-        r = _expr(row[2], spec.multivector_chart(), row[3])
-        section.resolved = ("triangular", (spec, r))
-    elif kind == "nijenhuis":
-        base = doc.lookup(_arg(section.single("base")), section.line).resolved
-        endo = {}
-        for row in section.rows("endo"):
-            endo[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
-        pi = {}
-        for row in section.rows("bivector"):
-            pi[(_arg(row), _arg(row, 1))] = _expr(row[2], base, row[3])
-        section.resolved = ("nijenhuis", (NijenhuisData(base, endo, pi),))
-    elif kind == "linfty-bialgebra":
-        fiber = [(_arg(row), _int(_arg(row, 1), row[3], "degree"))
-                 for row in section.rows("fiber")]
-        coords = Chart([(n, 1 - d, "fiber") for n, d in fiber],
-                       trunc=doc.trunc)
-        sc = shifted_cotangent(coords, 2)
-        components = {}
-        for row in section.rows("component"):
-            m, n = (_int(_arg(row, i), row[3], "arity") for i in (0, 1))
-            components[(m, n)] = _expr(row[2], sc.chart, row[3])
-        cap_row = section.single("hbar-cap", required=False)
-        cap = _int(_arg(cap_row), cap_row[3], "hbar-cap") if cap_row else 4
-        section.resolved = ("linfty-bialgebra", (sc, components, cap))
+# -- construct sections: each resolves to the arguments of its catalog entry -
 
 
-_RESOLVERS = {
-    "chart": _resolve_chart,
-    "algebroid": _resolve_algebroid,
-    "bialgebroid": _resolve_bialgebroid,
-    "hamiltonian": _resolve_hamiltonian,
-    "morphism": _resolve_morphism,
-    "connection": _resolve_connection,
-    "bracket": _resolve_bracket,
-    "cediff": _resolve_cediff,
-    "schouten": _resolve_schouten,
-    "bv": _resolve_bv,
-    "lift": _resolve_lift,
-    "legendre": _resolve_legendre,
-    "construct": _resolve_construct,
+def _construct_tangent(doc, section):
+    return (_ref(doc, section, "base", "chart"),)
+
+
+def _construct_action(doc, section):
+    base = _ref(doc, section, "base", "chart")
+    fiber = _fibers(section)
+    brackets = {}
+    for row in section.rows("bracket"):
+        p = _expr_row(row, base)
+        if any(p.terms):   # a key other than 0 is not a constant
+            raise DegreeError(
+                "action structure coefficients must be constants",
+                line=row[3])
+        brackets[(_arg(row), _arg(row, 1), _arg(row, 2))] = p
+    return (base, fiber, brackets, _table(section, "act", base, 2))
+
+
+def _construct_poisson(doc, section):
+    base = _ref(doc, section, "base", "chart")
+    pi = _table(section, "bivector", base, 2)
+    return (base, pi, _int_row(section, "hbar-cap", 4))
+
+
+def _construct_triangular(doc, section):
+    spec = _ref(doc, section, "algebroid", "algebroid")
+    return (spec, _expr_row(section.single("r"), spec.multivector_chart()))
+
+
+def _construct_nijenhuis(doc, section):
+    base = _ref(doc, section, "base", "chart")
+    return (NijenhuisData(base, _table(section, "endo", base, 2),
+                          _table(section, "bivector", base, 2)),)
+
+
+def _construct_linfty_bialgebra(doc, section):
+    coords = Chart([(n, 1 - d, "fiber") for n, d in _fibers(section)],
+                   trunc=doc.trunc)
+    sc = shifted_cotangent(coords, 2)
+    components = {}
+    for row in section.rows("component"):
+        m, n = (_int(_arg(row, i), row[3], "arity") for i in (0, 1))
+        components[(m, n)] = _expr_row(row, sc.chart)
+    return (sc, components, _int_row(section, "hbar-cap", 4))
+
+
+# section kind -> (the keys its rows may use, resolver from the document and
+# the section to the section's value).  A construct section takes both from
+# the `_CONSTRUCTS` entry of its construction kind instead.
+_SECTIONS = {
+    "chart": ({"var"}, _resolve_chart),
+    "algebroid": ({"base", "fiber", "anchor", "bracket"}, _resolve_algebroid),
+    "bialgebroid": ({"primal", "dual"}, _resolve_bialgebroid),
+    "hamiltonian": ({"algebroid", "value", "hbar-cap"}, _resolve_hamiltonian),
+    "morphism": ({"type", "source", "target", "map", "base", "word", "cap"},
+                 _resolve_morphism),
+    "connection": ({"algebroid", "gamma"}, _resolve_connection),
+    "bracket": ({"algebroid", "left", "right"}, _resolve_bracket),
+    "cediff": ({"algebroid", "value"}, _resolve_cediff),
+    "schouten": ({"algebroid", "left", "right"}, _resolve_schouten),
+    "bv": ({"algebroid", "connection", "value"}, _resolve_bv),
+    "lift": ({"chart", "shift", "component"}, _resolve_lift),
+    "legendre": ({"algebroid"}, _resolve_legendre),
+    "construct": (None, None),   # keys and resolver per construction kind
+}
+
+# construction kind -> (the keys its rows may use, resolver to the argument
+# tuple of the catalog entry `cli._CONSTRUCTS` builds it with)
+_CONSTRUCTS = {
+    "tangent": ({"base"}, _construct_tangent),
+    "action": ({"base", "fiber", "bracket", "act"}, _construct_action),
+    "poisson": ({"base", "bivector", "hbar-cap"}, _construct_poisson),
+    "triangular": ({"algebroid", "r"}, _construct_triangular),
+    "nijenhuis": ({"base", "endo", "bivector"}, _construct_nijenhuis),
+    "linfty-bialgebra": ({"fiber", "component", "hbar-cap"},
+                         _construct_linfty_bialgebra),
 }
 
 
@@ -483,10 +475,7 @@ def serialize(doc: SpecFile) -> str:
         lines.append(f"trunc {doc.trunc}")
         lines.append("")
     for section in doc.sections:
-        header = (f"construct {section.subtype} {section.name}"
-                  if section.kind == "construct"
-                  else f"{section.kind} {section.name}")
-        lines.append(header)
+        lines.append(f"{section.label} {section.name}")
         for key, args, expr, _ in section.entries:
             row = "  " + " ".join((key,) + tuple(args))
             if expr is not None:

@@ -57,19 +57,11 @@ class SymplecticChart:
     def momenta(self):
         return self.chart.vars[self.npairs:]
 
-    def partner_index(self, k: int) -> int:
-        return k + self.npairs if k < self.npairs else k - self.npairs
-
     def momentum_of(self, name: str) -> GVar:
         k = self.chart.index_of(name)
         if k >= self.npairs:
             raise ChartMismatch(f"{name!r} is already a momentum")
         return self.chart.vars[k + self.npairs]
-
-    def zero_momenta(self, poly: GPoly) -> GPoly:
-        """Restrict to the zero section: drop every monomial with a momentum."""
-        n = self.npairs
-        return poly.component(lambda m: not any(m[n:]))
 
 
 def shifted_cotangent(base: Chart, n: int,

@@ -224,6 +224,14 @@ BAD_INPUTS = {
                     b"  anchor xi1 x1 = (x1 + x2 + x3 + x4 + x5 + x6)^30\n",
                     "a product of up to 324632 terms is above 10000 terms "
                     "at 12:19"),
+    "foreign-construct-key": (b"chart M\n  var x 0\n\nconstruct tangent T\n"
+                              b"  base M\n  bivector x x = 1\n  r = 7\n",
+                              "unknown key 'bivector' in construct tangent "
+                              "section at line 6 (expected base)"),
+    "wrong-kind-reference": (b"chart M\n  var x 0\n\nbracket B\n"
+                             b"  algebroid M\n  left = x\n  right = x\n",
+                             "'algebroid' must name a section of kind "
+                             "algebroid, not chart 'M' at line 5"),
     # trailing items are extra command-line arguments
     "negative-trunc-flag": (b"chart pt\n\nalgebroid V\n  base pt\n"
                             b"  fiber xi1 0\n",
@@ -265,6 +273,16 @@ def test_timings_per_section(monkeypatch):
     assert code == 0
     assert "-- morphism: OK (4.0 ms)" in out.splitlines()
     assert "-- homotopy-morphism: OK (2.5 ms)" in out.splitlines()
+
+
+def test_internal_error_without_text_names_its_type(monkeypatch, capsys):
+    def fault(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run", fault)
+    code, _ = run_cli(["check-algebroid", "tests/data/two_dim_algebra.alg"])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
 
 
 def test_exponent_overflow_exits_2(tmp_path, capsys):
@@ -314,6 +332,6 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
     assert code == 0
     with open(os.path.join(DATA, "poisson.alg")) as fh:
         doc = parse_spec(fh.read())
-    b, chi = poisson_bialgebroid(*doc.lookup("P").resolved[1])
+    b, chi = poisson_bialgebroid(*doc.lookup("P").resolved)
     mu, mu_dual = b.hamiltonians()
     assert sorted(bodies) == sorted(repr(h.body) for h in (mu, mu_dual, chi))

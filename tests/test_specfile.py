@@ -147,7 +147,7 @@ def test_expression_columns_count_from_line_start():
     ("chart pt\n\nconstruct action A\n  base\n",
      "'base' row is missing argument 1 at line 4"),
     ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1\n",
-     "'fiber' row is missing argument 2 at line 5"),
+     "fiber rows read 'fiber <name> <degree>' at line 5"),
     ("chart pt\n\nconstruct poisson P\n  base pt\n  bivector x = 1\n",
      "'bivector' row is missing argument 2 at line 5"),
     ("chart M\n  var x 0\n\nlift L\n  chart M\n  component = x\n",
@@ -156,3 +156,46 @@ def test_expression_columns_count_from_line_start():
 def test_missing_row_arguments(text, where):
     with pytest.raises(ParseError, match=where):
         parse_spec(text)
+
+
+# a chart M and an algebroid V over it; a wrong-kind reference to one of them
+# sits on the line given with each section
+WRONG_KIND_PRELUDE = ("chart M\n  var x 0\n\n"
+                      "algebroid V\n  base M\n  fiber e1 0\n\n")
+WRONG_KIND = {
+    "algebroid.base": ("algebroid W\n  base V\n  fiber e2 0\n", 9),
+    "bialgebroid.primal": ("bialgebroid B\n  primal M\n  dual V\n", 9),
+    "bialgebroid.dual": ("bialgebroid B\n  primal V\n  dual M\n", 10),
+    "hamiltonian.algebroid": ("hamiltonian H\n  algebroid M\n  value = x\n", 9),
+    "morphism.source": ("morphism F\n  type semistrict\n  source M\n"
+                        "  target V\n", 10),
+    "morphism.target": ("morphism F\n  type semistrict\n  source V\n"
+                        "  target M\n", 11),
+    "connection.algebroid": ("connection C\n  algebroid M\n", 9),
+    "bracket.algebroid": ("bracket B\n  algebroid M\n  left = x\n"
+                          "  right = x\n", 9),
+    "cediff.algebroid": ("cediff D\n  algebroid M\n  value = x\n", 9),
+    "schouten.algebroid": ("schouten S\n  algebroid M\n  left = x\n"
+                           "  right = x\n", 9),
+    "bv.algebroid": ("bv Q\n  algebroid M\n  connection V\n  value = 1\n", 9),
+    "bv.connection": ("bv Q\n  algebroid V\n  connection V\n  value = 1\n",
+                      10),
+    "lift.chart": ("lift L\n  chart V\n", 9),
+    "legendre.algebroid": ("legendre L\n  algebroid M\n", 9),
+    "tangent.base": ("construct tangent T\n  base V\n", 9),
+    "action.base": ("construct action A\n  base V\n", 9),
+    "poisson.base": ("construct poisson P\n  base V\n", 9),
+    "nijenhuis.base": ("construct nijenhuis N\n  base V\n", 9),
+    "triangular.algebroid": ("construct triangular R\n  algebroid M\n"
+                             "  r = 1\n", 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KIND))
+def test_wrong_kind_reference_names_its_row(case):
+    section, line = WRONG_KIND[case]
+    key = case.split(".")[1]
+    with pytest.raises(ParseError,
+                       match=f"^'{key}' must name a section of kind .* "
+                             f"at line {line}$"):
+        parse_spec(WRONG_KIND_PRELUDE + section)

@@ -273,14 +273,18 @@ class TestBracketReference:
         picked = data.draw(st.lists(st.integers(0, size - 1), min_size=3,
                                     max_size=4, unique=True))
         k = data.draw(st.sampled_from(picked))
-        partners = {sc.partner_index(i) for i in picked}
+
+        def partner(i):
+            return (i + sc.npairs) % size
+
+        partners = {partner(i) for i in picked}
         others = [i for i in range(size) if i not in partners]
         extra = data.draw(st.lists(st.sampled_from(others), max_size=3,
                                    unique=True)) if others else []
         e1, e2 = [0] * size, [0] * size
         for i in picked:
             e1[i] = exponent(i)
-        e2[sc.partner_index(k)] = 1
+        e2[partner(k)] = 1
         for i in extra:
             e2[i] = exponent(i)
         c1, c2 = (data.draw(st.integers(-3, 3).filter(bool)) for _ in range(2))

@@ -3,6 +3,8 @@
 `verdictbench/tracer.py` wraps package functions by name; a renamed
 function would leave its coverage counter silently at zero.  The tracer
 module is imported read-only from its file and never installed here.
+The section and construction kinds `cli` dispatches on must be the ones
+`specfile` reads.
 """
 
 import importlib
@@ -10,6 +12,8 @@ import importlib.util
 import os
 
 import pytest
+
+from algebroids import cli, specfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,3 +58,10 @@ def test_patched_kernel_resolves(module, qualname):
     # defined by the package itself, not inherited from object
     assert attr in vars(owner), qualname
     assert callable(getattr(owner, attr))
+
+
+def test_section_tables_cover_the_commands():
+    # a kind missing from either table would fail at run time with exit 3
+    for kinds, _, _ in cli.COMMANDS.values():
+        assert set(kinds) <= set(specfile._SECTIONS), kinds
+    assert set(cli._CONSTRUCTS) == set(specfile._CONSTRUCTS)
