@@ -29,9 +29,9 @@ from .algebroid import (
     tangent_spec, torsion,
 )
 from .bialgebroid import (
-    BialgebroidSpec, FullMorphism, LinftyHamiltonian, assemble_hamiltonian,
-    big_bracket, check_bialgebroid, check_linfty, embed_semistrict,
-    hamiltonian_action, legendre_quadratic_check, linfty_morphism_check,
+    BialgebroidSpec, FullMorphism, assemble_hamiltonian, big_bracket,
+    check_bialgebroid, check_linfty, embed_semistrict, hamiltonian_action,
+    legendre_quadratic_check, linfty_morphism_check,
     semistrict_morphism_check, taylor,
 )
 from .constructions import (
@@ -44,8 +44,8 @@ from .specfile import SpecFile, parse_spec, serialize
 __all__ = [
     "AlgebroidSpec", "AlgebroidsError", "BialgebroidSpec", "BracketContext",
     "Chart", "ChartMismatch", "CheckRecord", "Connection", "DegreeError",
-    "DegreeMismatch", "ExponentOverflow", "FullMorphism", "GPoly", "GVar", "Hamiltonian",
-    "LinftyHamiltonian", "MissingSection", "Monomial", "NijenhuisData",
+    "DegreeMismatch", "ExponentOverflow", "FullMorphism", "GPoly", "GVar",
+    "Hamiltonian", "MissingSection", "Monomial", "NijenhuisData",
     "NotLieAlgebra", "NotPoisson", "NotSplit", "NotTriangular",
     "OddSquare", "ParseError", "PolyMap", "Report", "SpecFile",
     "SymplecticChart", "TruncationIncomplete", "UndeclaredVariable",

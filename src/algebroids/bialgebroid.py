@@ -12,11 +12,15 @@ p_{jk} contributes hbar^{k-1} U d_{j1}...d_{jk} (left derivatives, outermost
 factor first), which is the normal-ordered quantization of the vertical
 Taylor pairing.  The formal parameter has degree 2, so the action has
 operator degree one.
+
+Every structure here, an assembled chi, a homotopy table or the mu of a
+morphism endpoint, is a `symplectic.Hamiltonian`.  Its `hbar_cap` is only
+the default cap of the action: a morphism check passes its table's cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
@@ -25,8 +29,9 @@ from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
 from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
                      ExponentOverflow, TruncationIncomplete)
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
-                    FIBER_DIRECTION_KINDS, MOMENTUM_KINDS, inject,
-                    partial_left, substitute)
+                    FIBER_DIRECTION_KINDS, MOMENTUM_KINDS,
+                    enumerate_monomials, inject, partial_left,
+                    render_monomial, substitute)
 from .report import Report
 from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
                          canonical_bracket, is_integrable, legendre,
@@ -105,37 +110,14 @@ class BialgebroidSpec:
         return f"BialgebroidSpec({self.primal!r}, {self.dual!r})"
 
 
-@dataclass
-class LinftyHamiltonian:
-    """A degree-three Hamiltonian on T*[2]V[1] with a formal-parameter cap.
-
-    Construction does not enforce the homotopy-structure conditions; use
-    check_linfty, which itemizes every violation.
-    """
-
-    chart: SymplecticChart
-    body: GPoly
-    hbar_cap: int = 4
-    # hamiltonian_action's split of the body, per hbar cap (`_word_split`)
-    _word_splits: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-
-    def __post_init__(self):
-        if self.body.chart != self.chart.chart:
-            raise ChartMismatch("body must live on the symplectic chart")
-
-    def classification(self):
-        return Hamiltonian(self.chart, self.body).classification()
-
-
-def assemble_hamiltonian(b: BialgebroidSpec, hbar_cap: int = 4) -> LinftyHamiltonian:
+def assemble_hamiltonian(b: BialgebroidSpec, hbar_cap: int = 4) -> Hamiltonian:
     """chi = mu + L*(mu_dual); linear-quadratic in the momenta."""
     mu, mu_dual = b.hamiltonians()
     chi = mu.body + b.legendre.pullback(mu_dual.body)
-    return LinftyHamiltonian(b.chart, chi, hbar_cap)
+    return Hamiltonian(b.chart, chi, hbar_cap)
 
 
-def check_linfty(lham: LinftyHamiltonian, squared=None) -> Report:
+def check_linfty(lham: Hamiltonian, squared=None) -> Report:
     """Degree-three homogeneity, the two vanishing conditions, integrability.
 
     `squared` is `is_integrable(lham)` when the caller has it already."""
@@ -252,18 +234,18 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
 # -- the operator action --------------------------------------------------------
 
 
-def _word_split(lham, cap: Optional[int]):
-    """The body of `lham` split by momentum word for the action under the
+def _word_split(ham: Hamiltonian, cap: Optional[int]):
+    """The body of `ham` split by momentum word for the action under the
     hbar cap `cap`: the out chart, and for each word p_{j1}...p_{jk} of at
     most cap + 1 momenta, (k - 1, the coordinate names of d_{jk}, ...,
     d_{j1} in the order they are taken, U_w on the V[1] chart).
 
-    The split is kept on `lham` per cap, together with the chart and body it
-    was made from, and made again when either has been replaced."""
-    sc, body = lham.chart, lham.body
-    made = lham._word_splits.get(cap)
-    if made is not None and made[0] is sc and made[1] is body:
-        return made[2]
+    The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
+    chart and body cannot change under it."""
+    made = ham._word_splits.get(cap)
+    if made is not None:
+        return made
+    sc = ham.chart
     ce = sc.base_chart
     chart = sc.chart
     npairs = sc.npairs
@@ -274,7 +256,7 @@ def _word_split(lham, cap: Optional[int]):
     momenta = chart.var_bits ^ coords
     wshift, ce_wshift = chart.wshift, ce.wshift
     words = {}   # momentum key -> (k - 1, path, terms of U_w), or None
-    for mono, coeff in body.terms.items():
+    for mono, coeff in ham.body.terms.items():
         word = mono & momenta
         if word not in words:
             momentum_part = chart.fields(word)
@@ -293,28 +275,28 @@ def _word_split(lham, cap: Optional[int]):
             entry[2][u] = coeff
     parts = ((power, path, GPoly(ce, terms))
              for power, path, terms in filter(None, words.values()))
-    split = (with_formal_parameter(ce), [w for w in parts if w[2]])
-    lham._word_splits[cap] = (sc, body, split)
+    split = ham._word_splits[cap] = (with_formal_parameter(ce),
+                                     [w for w in parts if w[2]])
     return split
 
 
-def hamiltonian_action(lham, g: GPoly, hbar_cap: Optional[int] = None) -> GPoly:
+def hamiltonian_action(ham: Hamiltonian, g: GPoly,
+                       hbar_cap: Optional[int] = None) -> GPoly:
     """Act on a function of V[1] by normal-ordered operator substitution.
 
     Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
     c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
     Hamiltonians this is exactly {H, g}.  The terms that share a momentum
     word w share its derivative: the action is the sum over words of
-    hbar^{k-1} * U_w * d_w g.  The result lives on the V[1] chart extended
-    by the formal parameter.
+    hbar^{k-1} * U_w * d_w g.  Powers of hbar above `hbar_cap`, or above
+    the Hamiltonian's own cap without one, are dropped.  The result lives
+    on the V[1] chart extended by the formal parameter.
     """
-    cap = hbar_cap
-    if cap is None and isinstance(lham, LinftyHamiltonian):
-        cap = lham.hbar_cap
-    ce = lham.chart.base_chart
+    ce = ham.chart.base_chart
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
-    out_chart, split = _word_split(lham, cap)
+    out_chart, split = _word_split(
+        ham, ham.hbar_cap if hbar_cap is None else hbar_cap)
     by_power = {}   # k - 1 -> the terms of that power of hbar
     for power, path, u in split:
         deriv = g
@@ -355,14 +337,14 @@ def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
 # -- morphisms -------------------------------------------------------------------
 
 
-def semistrict_morphism_check(f: PolyMap, ham_source, ham_target) -> Report:
+def semistrict_morphism_check(f: PolyMap, ham_source: Hamiltonian,
+                              ham_target: Hamiltonian) -> Report:
     """Verify F*(target Hamiltonian) = Phi*(source Hamiltonian).
 
     F* substitutes the coordinates of the target V[1]-chart by their images
     and keeps target momenta; Phi* substitutes every source momentum by the
     left-derivative Jacobian pairing  p_i -> sum_j (d_i f^j) p_j.  Both land
-    on the mixed chart (source coordinates, target momenta).  Only the
-    `chart` and `body` of the two Hamiltonians are read.
+    on the mixed chart (source coordinates, target momenta).
     """
     sc_v: SymplecticChart = ham_source.chart
     sc_w: SymplecticChart = ham_target.chart
@@ -489,7 +471,6 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
     base_map = {v.name: f.image_of(v.name) for v in f.target.vars
                 if v.kind == KIND_BASE}
     words = {}
-    from .gpoly import enumerate_monomials
     fiber_idx = [i for i, v in enumerate(f.target.vars) if v.kind != KIND_BASE]
     for word in enumerate_monomials(f.target, cap, max_base_degree=0):
         if not any(word) or sum(word) > cap:
@@ -505,8 +486,8 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
     return FullMorphism(f.source, f.target, base_map, words, cap)
 
 
-def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
-                          lham_target: LinftyHamiltonian,
+def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
+                          lham_target: Hamiltonian,
                           cap: Optional[int] = None) -> Report:
     """Verify the operator identity (source action) o f* o T = f* o T o
     (target action), truncating words and formal-parameter powers at the cap.
@@ -524,7 +505,6 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: LinftyHamiltonian,
         raise ChartMismatch("table endpoints must be the V[1] charts")
     out_chart = with_formal_parameter(ce_v)
 
-    from .gpoly import enumerate_monomials, render_monomial
     arguments = [m for m in enumerate_monomials(ce_w, cap, max_base_degree=1)
                  if any(m)]
     for mono in arguments:

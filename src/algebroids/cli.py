@@ -13,9 +13,8 @@ from time import perf_counter
 from typing import List, Optional
 
 from .algebroid import (AlgebroidSpec, bv_operator, ce_differential,
-                        check_algebroid, hamiltonian_of_algebroid,
-                        schouten_bracket)
-from .bialgebroid import (LinftyHamiltonian, check_bialgebroid, check_linfty,
+                        check_algebroid, schouten_bracket)
+from .bialgebroid import (check_bialgebroid, check_linfty,
                           legendre_quadratic_check, linfty_morphism_check,
                           semistrict_morphism_check)
 from .constructions import (action_algebroid, linfty_bialgebra,
@@ -38,13 +37,6 @@ def _value_report(title, value) -> Report:
 def _titled(report: Report, title: str) -> Report:
     report.title = title
     return report
-
-
-def _linfty_of(obj) -> LinftyHamiltonian:
-    if isinstance(obj, AlgebroidSpec):
-        mu = hamiltonian_of_algebroid(obj)
-        return LinftyHamiltonian(mu.chart, mu.body)
-    return obj
 
 
 def _legendre_report(spec: AlgebroidSpec, seed: int) -> Report:
@@ -81,7 +73,7 @@ def _poisson_report(built) -> Report:
     return _titled(rep, "construct poisson")
 
 
-def _triangular_report(lham: LinftyHamiltonian) -> Report:
+def _triangular_report(lham) -> Report:
     rep = Report("construct triangular")
     rep.add("self-check",
             "lifted [r,-] matches the bracket route (checked on build)",
@@ -134,7 +126,7 @@ def _check_morphism(section, seed) -> Report:
     mtype, source, target, data = section.resolved
     check = (semistrict_morphism_check if mtype == "semistrict"
              else linfty_morphism_check)
-    return check(data, _linfty_of(source), _linfty_of(target))
+    return check(data, source, target)
 
 
 def _check_bialgebroid(section, seed) -> Report:

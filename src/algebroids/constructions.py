@@ -11,14 +11,14 @@ from .algebroid import (AlgebroidSpec, basis_section, bivector_matrix,
                         schouten_bracket, section_add, section_bracket,
                         section_is_zero, section_to_multivector, tangent_spec,
                         vector_field_commutator, _coerce)
-from .bialgebroid import (BialgebroidSpec, LinftyHamiltonian,
-                          assemble_hamiltonian)
+from .bialgebroid import BialgebroidSpec, assemble_hamiltonian
 from .errors import (AlgebroidsError, ChartMismatch, DegreeError,
                      NotLieAlgebra, NotPoisson, NotTriangular)
 from .gpoly import Chart, GPoly, KIND_FIBER, MOMENTUM_KINDS, inject
 from .report import Report
-from .symplectic import (SymplecticChart, canonical_bracket, hamiltonian_lift,
-                         legendre, shifted_cotangent, twin_chart)
+from .symplectic import (Hamiltonian, SymplecticChart, canonical_bracket,
+                         hamiltonian_lift, legendre, shifted_cotangent,
+                         twin_chart)
 
 
 def tangent_algebroid(base: Chart,
@@ -56,7 +56,7 @@ def action_algebroid(base: Chart, fiber: Sequence[Tuple[str, int]],
 
 
 def poisson_bialgebroid(base: Chart, pi: Mapping,
-                        hbar_cap: int = 4) -> Tuple[BialgebroidSpec, LinftyHamiltonian]:
+                        hbar_cap: int = 4) -> Tuple[BialgebroidSpec, Hamiltonian]:
     """The bialgebroid of a Poisson bivector: the cotangent algebroid paired
     with the tangent structure on its dual; chi is linear-quadratic and
     integrable."""
@@ -69,7 +69,7 @@ def poisson_bialgebroid(base: Chart, pi: Mapping,
     return b, chi
 
 
-def triangular(spec: AlgebroidSpec, r: GPoly, hbar_cap: int = 4) -> LinftyHamiltonian:
+def triangular(spec: AlgebroidSpec, r: GPoly, hbar_cap: int = 4) -> Hamiltonian:
     """The homotopy structure induced by a classical element r with [r,r] = 0.
 
     The dual-side Hamiltonian is the cotangent lift of the odd Hamiltonian
@@ -98,7 +98,7 @@ def triangular(spec: AlgebroidSpec, r: GPoly, hbar_cap: int = 4) -> LinftyHamilt
         raise AlgebroidsError(
             "triangular self-check failed: the lifted vector field does not "
             "match the bracket route")
-    return LinftyHamiltonian(sc, mu + cobracket_part, hbar_cap)
+    return Hamiltonian(sc, mu + cobracket_part, hbar_cap)
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def _endo_transpose_on_forms(kspec: AlgebroidSpec, nmat, form: Mapping) -> dict:
 
 
 def linfty_bialgebra(fiber, components: Mapping,
-                     hbar_cap: int = 4) -> LinftyHamiltonian:
+                     hbar_cap: int = 4) -> Hamiltonian:
     """A point-case homotopy structure from weighted components.
 
     `fiber` is either the double chart T*[2]V[1] over a point or the
@@ -306,4 +306,4 @@ def linfty_bialgebra(fiber, components: Mapping,
                 raise DegreeError(
                     f"component ({m},{n}) has a term of bidegree ({fw},{mw})")
         parts.append(p)
-    return LinftyHamiltonian(sc, chart.sum(parts), hbar_cap)
+    return Hamiltonian(sc, chart.sum(parts), hbar_cap)

@@ -398,35 +398,15 @@ class GPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check(self, other):
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise ChartMismatch(f"{self.chart!r} vs {other.chart!r}")
-
     def __add__(self, other):
         if not isinstance(other, GPoly):
             return NotImplemented
-        self._check(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = _reduce(s)
-            else:
-                res.pop(m, None)
-        return GPoly._raw(self.chart, res)
+        return self.chart.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, GPoly):
             return NotImplemented
-        self._check(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) - c
-            if s:
-                res[m] = _reduce(s)
-            else:
-                res.pop(m, None)
-        return GPoly._raw(self.chart, res)
+        return self.chart.sum((self, (-1, other)))
 
     def __neg__(self):
         return GPoly._raw(self.chart, {m: -c for m, c in self.terms.items()})
@@ -440,8 +420,9 @@ class GPoly:
                               {m: _reduce(k * c) for m, k in self.terms.items()})
         if not isinstance(other, GPoly):
             return NotImplemented
-        self._check(other)
         chart = self.chart
+        if chart is not other.chart and chart != other.chart:
+            raise ChartMismatch(f"{chart!r} vs {other.chart!r}")
         odd, guard = chart.odd_bits, chart.guard_bits
         cap, wshift = chart.trunc, chart.wshift
         right = [(m2, c2, m2 & odd, _sign_mask(m2 & odd, False))

@@ -23,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .algebroid import AlgebroidSpec, line_connection
-from .bialgebroid import BialgebroidSpec, FullMorphism, LinftyHamiltonian
+from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
+                        line_connection)
+from .bialgebroid import BialgebroidSpec, FullMorphism
 from .constructions import NijenhuisData
 from .errors import DegreeError, ParseError, UndeclaredVariable
 from .expr import parse_expression
 from .gpoly import Chart, KIND_BASE
-from .symplectic import PolyMap, shifted_cotangent
+from .symplectic import Hamiltonian, PolyMap, shifted_cotangent
 
 
 @dataclass
@@ -152,12 +153,22 @@ def _int(token, lineno, what):
 
 
 def _arg(row, i=0):
-    """Argument `i` of a `key arg ...` row; a missing one is a ParseError at
-    the row's line."""
+    """Argument `i` of a `key arg ...` row; without it, the first missing
+    argument is a ParseError at the row's line."""
     key, args, _, lineno = row
     if i >= len(args):
-        raise ParseError(f"{key!r} row is missing argument {i + 1}", lineno)
+        raise ParseError(f"{key!r} row is missing argument {len(args) + 1}",
+                         lineno)
     return args[i]
+
+
+def _name(row, i, names):
+    """Argument `i` of a row, which must be one of `names`; another name is
+    an UndeclaredVariable at the row's line."""
+    arg = _arg(row, i)
+    if arg not in names:
+        raise UndeclaredVariable(arg, row[3], 0)
+    return arg
 
 
 def _int_row(section, key, default):
@@ -175,14 +186,17 @@ def _expr_row(row, chart):
     return parse_expression(text, chart, line=lineno)
 
 
-def _table(section, key, chart, n):
+def _table(section, key, chart, *names):
     """The `key <a1> .. <an> = expr` rows as a table from the argument (for
-    n = 1) or the argument tuple to the polynomial on `chart`."""
+    n = 1) or the argument tuple to the polynomial on `chart`.  Argument
+    `i` must be one of `names[i]`, and every argument is there before any
+    name is checked."""
     table = {}
     for row in section.rows(key):
         value = _expr_row(row, chart)
-        args = tuple(_arg(row, i) for i in range(n))
-        table[args if n > 1 else args[0]] = value
+        _arg(row, len(names) - 1)
+        args = tuple(_name(row, i, n) for i, n in enumerate(names))
+        table[args if len(names) > 1 else args[0]] = value
     return table
 
 
@@ -263,8 +277,8 @@ def _resolve_algebroid(doc, section):
         if len(args) != 2:
             raise ParseError("anchor rows read 'anchor <fiber> <base> = expr>'",
                              lineno)
-        if args[0] not in index:
-            raise UndeclaredVariable(args[0], lineno, 0)
+        _name(row, 0, index)
+        _name(row, 1, base.names)
         anchor[args] = _expr_row(row, base)
         lines[args] = lineno
     bracket = {}
@@ -273,10 +287,7 @@ def _resolve_algebroid(doc, section):
         if len(args) != 3:
             raise ParseError(
                 "bracket rows read 'bracket <a> <b> <c> = expr'", lineno)
-        for n in args:
-            if n not in index:
-                raise UndeclaredVariable(n, lineno, 0)
-        a, b, _ = args
+        a, b, _ = (_name(row, i, index) for i in range(3))
         if index[a] > index[b]:
             raise ParseError(
                 f"bracket pair ({a},{b}) must be in canonical order "
@@ -301,8 +312,15 @@ def _resolve_hamiltonian(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     cap = _int_row(section, "hbar-cap", 4)
     sc = spec.symplectic_chart()
-    return LinftyHamiltonian(sc, _expr_row(section.single("value"), sc.chart),
-                             cap)
+    return Hamiltonian(sc, _expr_row(section.single("value"), sc.chart), cap)
+
+
+def _endpoint(doc, section, key):
+    """The Hamiltonian of the algebroid or hamiltonian section that the
+    single `key` row names: an algebroid stands for its mu."""
+    value = _ref(doc, section, key, "algebroid", "hamiltonian")
+    return (hamiltonian_of_algebroid(value)
+            if isinstance(value, AlgebroidSpec) else value)
 
 
 def _resolve_morphism(doc, section):
@@ -310,31 +328,25 @@ def _resolve_morphism(doc, section):
     mtype = _arg(type_row)
     if mtype not in ("semistrict", "full"):
         raise ParseError("morphism type is 'semistrict' or 'full'", type_row[3])
-    source = _ref(doc, section, "source", "algebroid", "hamiltonian")
-    target = _ref(doc, section, "target", "algebroid", "hamiltonian")
-
-    def ce_chart_of(obj):
-        if isinstance(obj, AlgebroidSpec):
-            return obj.ce_chart()
-        return obj.chart.base_chart
-
-    src_ce, tgt_ce = ce_chart_of(source), ce_chart_of(target)
+    source = _endpoint(doc, section, "source")
+    target = _endpoint(doc, section, "target")
+    src_ce, tgt_ce = source.chart.base_chart, target.chart.base_chart
     if mtype == "semistrict":
         assignment = {}
         for row in section.rows("map"):
             if len(row[1]) != 1:
                 raise ParseError("map rows read 'map <targetvar> = expr'",
                                  row[3])
-            assignment[row[1][0]] = _expr_row(row, src_ce)
+            assignment[_name(row, 0, tgt_ce.names)] = _expr_row(row, src_ce)
         resolved = PolyMap(src_ce, tgt_ce, assignment)
     else:
         cap = _int_row(section, "cap", None)
-        base_map = _table(section, "base", src_ce, 1)
+        base_map = _table(section, "base", src_ce, tgt_ce.names)
         words = {}
         for row in section.rows("word"):
             exps = [0] * len(tgt_ce.vars)
-            for n in row[1]:
-                exps[tgt_ce.index_of(n)] += 1
+            for i in range(len(row[1])):
+                exps[tgt_ce.index_of(_name(row, i, tgt_ce.names))] += 1
             words[tuple(exps)] = _expr_row(row, src_ce)
         resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
     return (mtype, source, target, resolved)
@@ -342,7 +354,8 @@ def _resolve_morphism(doc, section):
 
 def _resolve_connection(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    return line_connection(spec, _table(section, "gamma", spec.base, 1))
+    return line_connection(spec, _table(section, "gamma", spec.base,
+                                        spec.fiber_names))
 
 
 def _resolve_bracket(doc, section):
@@ -377,7 +390,7 @@ def _resolve_bv(doc, section):
 def _resolve_lift(doc, section):
     chart = _ref(doc, section, "chart", "chart")
     shift = _int_row(section, "shift", 2)
-    return (chart, shift, _table(section, "component", chart, 1))
+    return (chart, shift, _table(section, "component", chart, chart.names))
 
 
 def _resolve_legendre(doc, section):
@@ -394,6 +407,7 @@ def _construct_tangent(doc, section):
 def _construct_action(doc, section):
     base = _ref(doc, section, "base", "chart")
     fiber = _fibers(section)
+    names = [n for n, _ in fiber]
     brackets = {}
     for row in section.rows("bracket"):
         p = _expr_row(row, base)
@@ -401,13 +415,15 @@ def _construct_action(doc, section):
             raise DegreeError(
                 "action structure coefficients must be constants",
                 line=row[3])
-        brackets[(_arg(row), _arg(row, 1), _arg(row, 2))] = p
-    return (base, fiber, brackets, _table(section, "act", base, 2))
+        _arg(row, 2)
+        brackets[tuple(_name(row, i, names) for i in range(3))] = p
+    return (base, fiber, brackets,
+            _table(section, "act", base, names, base.names))
 
 
 def _construct_poisson(doc, section):
     base = _ref(doc, section, "base", "chart")
-    pi = _table(section, "bivector", base, 2)
+    pi = _table(section, "bivector", base, base.names, base.names)
     return (base, pi, _int_row(section, "hbar-cap", 4))
 
 
@@ -418,8 +434,9 @@ def _construct_triangular(doc, section):
 
 def _construct_nijenhuis(doc, section):
     base = _ref(doc, section, "base", "chart")
-    return (NijenhuisData(base, _table(section, "endo", base, 2),
-                          _table(section, "bivector", base, 2)),)
+    pairs = (base, base.names, base.names)
+    return (NijenhuisData(base, _table(section, "endo", *pairs),
+                          _table(section, "bivector", *pairs)),)
 
 
 def _construct_linfty_bialgebra(doc, section):

@@ -11,11 +11,15 @@ bracket is defined by the relations {p_i, q^j} = delta_i^j,
 with no closed sign formula anywhere: term-level signs come from these two
 rules alone.  The same extension engine drives every other bracket in the
 package (Schouten, Lie-Poisson), each from its own generator table.
+
+Lie algebroids, Lie bialgebroids and their homotopy versions are all a
+degree-three H on T*[2]V[1] with {H, H} = 0; `Hamiltonian` is the one
+frozen value for every one of them, from spec file to operator action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
@@ -253,17 +257,26 @@ def canonical_context(sc: SymplecticChart, label: str = "canonical") -> BracketC
 # -- Hamiltonians -------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Hamiltonian:
-    """A polynomial on a shifted cotangent chart with derived classification."""
+    """A polynomial on a shifted cotangent chart with derived classification.
 
-    def __init__(self, chart: SymplecticChart, body: GPoly):
-        if body.chart != chart.chart:
+    `hbar_cap` is only the default cap of `bialgebroid.hamiltonian_action`;
+    None leaves it uncapped.  `bialgebroid.check_linfty`, not construction,
+    checks the homotopy-structure conditions.
+    """
+
+    chart: SymplecticChart
+    body: GPoly
+    hbar_cap: Optional[int] = None
+    # the operator action's split of the body, per hbar cap
+    # (`bialgebroid._word_split`)
+    _word_splits: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.body.chart != self.chart.chart:
             raise ChartMismatch("body must live on the symplectic chart")
-        self.chart = chart
-        self.body = body
-        # the operator action's split of the body, per hbar cap
-        # (`bialgebroid._word_split`)
-        self._word_splits = {}
 
     def classification(self):
         """(total degree or None, momentum weights, fiber weights): always
@@ -271,13 +284,6 @@ class Hamiltonian:
         return (self.body.degree(),
                 self.body.kind_weights(MOMENTUM_KINDS),
                 self.body.kind_weights((KIND_FIBER,)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Hamiltonian) and self.chart == other.chart
-                and self.body == other.body)
-
-    def __repr__(self):
-        return f"Hamiltonian({self.body!r})"
 
 
 def hamiltonian_lift(sc: SymplecticChart, components: Mapping[str, GPoly]) -> GPoly:
@@ -287,9 +293,8 @@ def hamiltonian_lift(sc: SymplecticChart, components: Mapping[str, GPoly]) -> GP
         for name, comp in components.items() if comp)
 
 
-def is_integrable(ham):
-    """Return ({H, H}, {H, H} == 0) for a Hamiltonian or any value with the
-    same `chart` and `body`."""
+def is_integrable(ham: Hamiltonian):
+    """Return ({H, H}, {H, H} == 0) for a Hamiltonian."""
     residual = canonical_bracket(ham.body, ham.body, ham.chart)
     return residual, residual.is_zero()
 

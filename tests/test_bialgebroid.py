@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -11,10 +12,9 @@ from corpus import (BIALGEBROID_FAILING, BIALGEBROID_PASSING, LINE, PLANE,
 from algebroids.algebroid import (AlgebroidSpec, ce_differential,
                                   hamiltonian_of_algebroid, tangent_spec)
 from algebroids.bialgebroid import (BialgebroidSpec, FullMorphism, HBAR,
-                                    LinftyHamiltonian, assemble_hamiltonian,
-                                    big_bracket, check_bialgebroid,
-                                    check_linfty, embed_semistrict,
-                                    hamiltonian_action,
+                                    assemble_hamiltonian, big_bracket,
+                                    check_bialgebroid, check_linfty,
+                                    embed_semistrict, hamiltonian_action,
                                     legendre_quadratic_check,
                                     linfty_morphism_check,
                                     semistrict_morphism_check, taylor,
@@ -142,7 +142,7 @@ class TestCheckLinfty:
     def test_momentum_only_term_fails_base_restriction(self):
         sc = shifted_cotangent(Chart([("x", 0), ("xi", 1, "fiber")]), 2)
         # a momentum monomial with no fiber direction at all
-        bad = LinftyHamiltonian(sc, pe("x * x*", sc.chart))
+        bad = Hamiltonian(sc, pe("x * x*", sc.chart))
         report = check_linfty(bad)
         failing = {r.name for r in report.failures()}
         assert "vanish-over-base" in failing
@@ -170,7 +170,7 @@ class TestHamiltonianAction:
         # normal-ordered composition of left derivatives
         pt = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
         sc = shifted_cotangent(pt, 2)
-        chi = LinftyHamiltonian(sc, pe("xi1* * xi2* * xi1", sc.chart))
+        chi = Hamiltonian(sc, pe("xi1* * xi2* * xi1", sc.chart))
         out = hamiltonian_action(chi, pe("xi1 * xi2", pt))
         assert out == pe("-xi1 * hbar", out.chart)
         assert hamiltonian_action(chi, pe("xi1", pt)).is_zero()
@@ -265,9 +265,7 @@ class TestActionKernel:
         body = random_poly(sc.chart, rng, max_weight=4, max_base_degree=2,
                            max_terms=6)
         g = random_poly(ce, rng, max_weight=3, max_base_degree=2, max_terms=4)
-        ham = (Hamiltonian(sc, body) if hbar_cap is None
-               else LinftyHamiltonian(sc, body, hbar_cap))
-        assert hamiltonian_action(ham, g) == \
+        assert hamiltonian_action(Hamiltonian(sc, body, hbar_cap), g) == \
             action_by_injection(sc, body, g, hbar_cap)
 
     @settings(max_examples=60, deadline=None)
@@ -275,8 +273,8 @@ class TestActionKernel:
            trunc=st.sampled_from([None, 2, 3]),
            caps=st.lists(st.sampled_from([None, 0, 1, 2]), min_size=2,
                          max_size=2, unique=True),
-           linfty=st.booleans())
-    def test_one_hamiltonian_many_arguments(self, seed, trunc, caps, linfty):
+           capped=st.booleans())
+    def test_one_hamiltonian_many_arguments(self, seed, trunc, caps, capped):
         # one Hamiltonian object acts on several arguments in a row, under
         # two hbar caps in turn, and several terms share each momentum word
         rng = random.Random(seed)
@@ -289,12 +287,8 @@ class TestActionKernel:
                                 max_terms=4), sc.chart) * pe(w, sc.chart)
              for w in rng.sample(words, 3)]
             + [random_poly(sc.chart, rng, max_weight=4, max_terms=3)])
-        if linfty:
-            ham = LinftyHamiltonian(sc, body, 1)
-            default = 1
-        else:
-            ham = Hamiltonian(sc, body)
-            default = None
+        default = 1 if capped else None
+        ham = Hamiltonian(sc, body, default)
         for _ in range(4):
             g = random_poly(ce, rng, max_weight=3, max_base_degree=2,
                             max_terms=4)
@@ -304,34 +298,40 @@ class TestActionKernel:
                 assert hamiltonian_action(ham, g, hbar_cap=cap) == want
 
     def test_split_follows_body_and_cap(self):
-        # the split kept on a Hamiltonian is made again when its body or its
-        # hbar cap is replaced
+        # a Hamiltonian is frozen, so the split it keeps cannot go stale: a
+        # new body or hbar cap is a new Hamiltonian with its own split
         ce = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
         sc = shifted_cotangent(ce, 2)
         first = pe("x * xi1* + xi2 * xi1* + 2 * x^2 * xi1* + xi1* * xi2*",
                    sc.chart)
         second = pe("xi1 * xi1* * xi2* - 3 * x * xi1* * xi2* + x*", sc.chart)
         g = pe("x^2 * xi1 * xi2 + x * xi1", ce)
-        lham = LinftyHamiltonian(sc, first, hbar_cap=1)
-        assert hamiltonian_action(lham, g) == \
+        ham = Hamiltonian(sc, first, hbar_cap=1)
+        assert hamiltonian_action(ham, g) == \
             action_by_injection(sc, first, g, 1)
-        lham.body = second
-        assert hamiltonian_action(lham, g) == \
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ham.body = second
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ham.hbar_cap = 0
+        assert hamiltonian_action(Hamiltonian(sc, second, 1), g) == \
             action_by_injection(sc, second, g, 1)
-        lham.hbar_cap = 0
-        assert hamiltonian_action(lham, g) == \
-            action_by_injection(sc, second, g, 0)
-        assert hamiltonian_action(lham, g) != \
-            action_by_injection(sc, second, g, 1)
+        capped = dataclasses.replace(ham, hbar_cap=0)
+        assert capped._word_splits is not ham._word_splits
+        assert hamiltonian_action(capped, g) == \
+            action_by_injection(sc, first, g, 0)
+        assert hamiltonian_action(capped, g) != \
+            action_by_injection(sc, first, g, 1)
+        assert hamiltonian_action(ham, g) == \
+            action_by_injection(sc, first, g, 1)
 
     def test_hbar_cap_drops_whole_terms(self):
         pt = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
         sc = shifted_cotangent(pt, 2)
         body = pe("xi1* * xi2* * xi1 + xi1 * xi1*", sc.chart)
         g = pe("xi1 * xi2", pt)
-        out = hamiltonian_action(LinftyHamiltonian(sc, body, hbar_cap=0), g)
+        out = hamiltonian_action(Hamiltonian(sc, body, hbar_cap=0), g)
         assert out == pe("xi1 * xi2", out.chart)
-        out = hamiltonian_action(LinftyHamiltonian(sc, body, hbar_cap=1), g)
+        out = hamiltonian_action(Hamiltonian(sc, body, hbar_cap=1), g)
         assert out == pe("xi1 * xi2 - xi1 * hbar", out.chart)
 
     def test_weight_cap_counts_hbar(self):

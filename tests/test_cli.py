@@ -239,6 +239,55 @@ BAD_INPUTS = {
                             "--trunc", "-1"),
 }
 
+# two algebroids V over M and W over N, for a morphism section from line 13
+TWO_ALGEBROIDS = (b"chart M\n  var x 0\n\nchart N\n  var y 0\n\n"
+                  b"algebroid V\n  base M\n  fiber dx 0\n\n"
+                  b"algebroid W\n  base N\n  fiber dy 0\n\n")
+# a row argument that names no variable of its kind: the input, the name and
+# line of the row, and the subcommand that reads its section
+UNDECLARED_NAMES = {
+    "word-names-no-variable": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  word zz = dx\n", "'zz' at 20",
+        "check-morphism"),
+    "map-names-no-variable": (
+        TWO_ALGEBROIDS + b"morphism f\n  type semistrict\n  source V\n"
+        b"  target W\n  map zz = x\n", "'zz' at 19", "check-morphism"),
+    "base-names-no-variable": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  base zz = x\n", "'zz' at 20",
+        "check-morphism"),
+    "anchor-names-no-base-variable": (
+        b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber dx 0\n"
+        b"  anchor dx nosuch = 1\n", "'nosuch' at 7", "check-algebroid"),
+    "gamma-names-no-fiber": (
+        b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber e1 0\n\n"
+        b"connection C\n  algebroid V\n  gamma nosuch = x\n",
+        "'nosuch' at 10", "round-trip"),
+    "component-names-no-variable": (
+        b"chart M\n  var x 0\n\nlift L\n  chart M\n"
+        b"  component nosuch = x\n", "'nosuch' at 6", "lift"),
+    "bivector-names-no-variable": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct poisson P\n"
+        b"  base M\n  bivector x1 nosuch = x1\n", "'nosuch' at 7",
+        "construct"),
+    "endo-names-no-variable": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct nijenhuis N\n"
+        b"  base M\n  endo x1 nosuch = 1\n", "'nosuch' at 7", "construct"),
+    "act-names-no-variable": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e 0\n  act e nosuch = x\n", "'nosuch' at 7", "construct"),
+    "act-names-no-fiber": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e 0\n  act nosuch x = x\n", "'nosuch' at 7", "construct"),
+    "action-bracket-names-no-fiber": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e 0\n  bracket e nosuch e = 1\n", "'nosuch' at 7",
+        "construct"),
+}
+BAD_INPUTS.update((case, (data, f"undeclared variable {where}:0"))
+                  for case, (data, where, _) in UNDECLARED_NAMES.items())
+
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, capsys):
@@ -253,6 +302,18 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", sorted(UNDECLARED_NAMES))
+def test_undeclared_row_name_exits_2(case, tmp_path, capsys):
+    data, where, own = UNDECLARED_NAMES[case]
+    path = tmp_path / "bad.alg"
+    path.write_bytes(data)
+    for sub in ("round-trip", own):
+        code, _ = run_cli([sub, str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: undeclared variable {where}:0\n"
+
+
 # caps of 2 and below are left out: constructs.alg then passes with
 # `degree-three: PASS [degree=None]` because the structure truncates to zero
 @pytest.mark.parametrize("cap", ["3", "4"])
@@ -263,6 +324,21 @@ def test_trunc_keeps_golden(sub, fname, cap):
     with open(os.path.join(GOLDEN, f"{sub}.txt")) as fh:
         golden = fh.read()
     assert golden == f"# exit={code}\n" + out
+
+
+def test_hbar_cap_row_leaves_check_morphism_alone(tmp_path):
+    # the morphism check truncates at its table's cap, not at the
+    # Hamiltonian's default cap
+    with open(os.path.join(DATA, "morphism.alg")) as fh:
+        text = fh.read()
+    assert "  hbar-cap 3\n" in text
+    outs = []
+    for cap in ("0", "3"):
+        path = tmp_path / f"cap{cap}.alg"
+        path.write_text(text.replace("  hbar-cap 3\n", f"  hbar-cap {cap}\n"))
+        outs.append(run_cli(["check-morphism", str(path), "--json"]))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
 
 
 def test_timings_per_section(monkeypatch):

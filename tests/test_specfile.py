@@ -1,7 +1,9 @@
+import os
+
 import pytest
 
-from algebroids.algebroid import AlgebroidSpec
-from algebroids.bialgebroid import LinftyHamiltonian
+from algebroids.algebroid import AlgebroidSpec, hamiltonian_of_algebroid
+from algebroids.symplectic import Hamiltonian
 from algebroids.errors import DegreeError, ParseError, UndeclaredVariable
 from algebroids.gpoly import Chart
 from algebroids.specfile import parse_spec, serialize
@@ -116,8 +118,24 @@ hamiltonian H
   value = xi1 * xi2 * xi1*
 """)
     lham = doc.lookup("H").resolved
-    assert isinstance(lham, LinftyHamiltonian)
+    assert isinstance(lham, Hamiltonian)
     assert lham.body.is_homogeneous(3)
+
+
+def test_morphism_endpoints_are_hamiltonians():
+    path = os.path.join(os.path.dirname(__file__), "data", "morphism.alg")
+    with open(path) as fh:
+        doc = parse_spec(fh.read())
+    for name in ("f", "F"):
+        _, source, target, _ = doc.lookup(name).resolved
+        assert isinstance(source, Hamiltonian)
+        assert isinstance(target, Hamiltonian)
+    # an algebroid endpoint is the mu of its algebroid
+    _, source, target, _ = doc.lookup("f").resolved
+    for ham, spec in ((source, "V"), (target, "W")):
+        mu = hamiltonian_of_algebroid(doc.lookup(spec).resolved)
+        assert ham.body == mu.body
+    assert doc.lookup("F").resolved[1] is doc.lookup("HG").resolved
 
 
 @pytest.mark.parametrize("text,where", [

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+import algebroids
 from algebroids import cli, specfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,3 +66,9 @@ def test_section_tables_cover_the_commands():
     for kinds, _, _ in cli.COMMANDS.values():
         assert set(kinds) <= set(specfile._SECTIONS), kinds
     assert set(cli._CONSTRUCTS) == set(specfile._CONSTRUCTS)
+
+
+def test_every_export_resolves():
+    # a deleted name left in __all__ breaks only `from algebroids import *`
+    missing = [n for n in algebroids.__all__ if not hasattr(algebroids, n)]
+    assert not missing
