@@ -27,7 +27,8 @@ from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         line_connection)
 from .bialgebroid import BialgebroidSpec, FullMorphism
 from .constructions import NijenhuisData
-from .errors import DegreeError, ParseError, UndeclaredVariable
+from .errors import (AlgebroidsError, DegreeError, ParseError,
+                     UndeclaredVariable)
 from .expr import parse_expression
 from .gpoly import Chart, KIND_BASE
 from .symplectic import Hamiltonian, PolyMap, shifted_cotangent
@@ -152,12 +153,16 @@ def _int(token, lineno, what):
         raise ParseError(f"bad {what} {token!r}", lineno) from None
 
 
-def _arg(row, i=0):
-    """Argument `i` of a `key arg ...` row; without it, the first missing
-    argument is a ParseError at the row's line."""
+def _arg(row, i=0, n=None):
+    """Argument `i` of a `key arg ...` row that takes `n` arguments (any
+    number when `n` is None); without it, the first missing argument is a
+    ParseError at the row's line, and so is the first surplus one."""
     key, args, _, lineno = row
     if i >= len(args):
         raise ParseError(f"{key!r} row is missing argument {len(args) + 1}",
+                         lineno)
+    if n is not None and len(args) > n:
+        raise ParseError(f"{key!r} row has a surplus argument {args[n]!r}",
                          lineno)
     return args[i]
 
@@ -175,7 +180,7 @@ def _int_row(section, key, default):
     """The integer of the single `key` row, or `default` without one; a
     `None` default makes the row required."""
     row = section.single(key, required=default is None)
-    return default if row is None else _int(_arg(row), row[3], key)
+    return default if row is None else _int(_arg(row, n=1), row[3], key)
 
 
 def _expr_row(row, chart):
@@ -194,7 +199,7 @@ def _table(section, key, chart, *names):
     table = {}
     for row in section.rows(key):
         value = _expr_row(row, chart)
-        _arg(row, len(names) - 1)
+        _arg(row, len(names) - 1, len(names))
         args = tuple(_name(row, i, n) for i, n in enumerate(names))
         table[args if len(names) > 1 else args[0]] = value
     return table
@@ -215,7 +220,7 @@ def _ref(doc, section, key, *kinds):
     earlier section has, or one whose section is of none of `kinds`, is a
     ParseError at the row's line."""
     row = section.single(key)
-    target = doc.lookup(_arg(row), row[3])
+    target = doc.lookup(_arg(row, n=1), row[3])
     if target.label not in kinds:
         raise ParseError(f"{key!r} must name a section of kind "
                          f"{' or '.join(kinds)}, not {target.label} "
@@ -325,7 +330,7 @@ def _endpoint(doc, section, key):
 
 def _resolve_morphism(doc, section):
     type_row = section.single("type")
-    mtype = _arg(type_row)
+    mtype = _arg(type_row, n=1)
     if mtype not in ("semistrict", "full"):
         raise ParseError("morphism type is 'semistrict' or 'full'", type_row[3])
     source = _endpoint(doc, section, "source")
@@ -342,12 +347,23 @@ def _resolve_morphism(doc, section):
     else:
         cap = _int_row(section, "cap", None)
         base_map = _table(section, "base", src_ce, tgt_ce.names)
+        entries = [(row, dict([entry]), {}) for row, entry
+                   in zip(section.rows("base"), base_map.items())]
         words = {}
         for row in section.rows("word"):
+            _arg(row)
             exps = [0] * len(tgt_ce.vars)
             for i in range(len(row[1])):
                 exps[tgt_ce.index_of(_name(row, i, tgt_ce.names))] += 1
-            words[tuple(exps)] = _expr_row(row, src_ce)
+            word = tuple(exps)
+            words[word] = _expr_row(row, src_ce)
+            entries.append((row, {}, {word: words[word]}))
+        for row, one_base, one_word in entries:
+            # each entry alone first, so that its fault names its row
+            try:
+                FullMorphism(src_ce, tgt_ce, one_base, one_word, cap)
+            except AlgebroidsError as exc:
+                raise ParseError(str(exc), row[3]) from None
         resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
     return (mtype, source, target, resolved)
 
@@ -415,7 +431,7 @@ def _construct_action(doc, section):
             raise DegreeError(
                 "action structure coefficients must be constants",
                 line=row[3])
-        _arg(row, 2)
+        _arg(row, 2, 3)
         brackets[tuple(_name(row, i, names) for i in range(3))] = p
     return (base, fiber, brackets,
             _table(section, "act", base, names, base.names))
@@ -445,7 +461,7 @@ def _construct_linfty_bialgebra(doc, section):
     sc = shifted_cotangent(coords, 2)
     components = {}
     for row in section.rows("component"):
-        m, n = (_int(_arg(row, i), row[3], "arity") for i in (0, 1))
+        m, n = (_int(_arg(row, i, 2), row[3], "arity") for i in (0, 1))
         components[(m, n)] = _expr_row(row, sc.chart)
     return (sc, components, _int_row(section, "hbar-cap", 4))
 

@@ -129,13 +129,17 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     `pair(k, l)` returns {v_k, v_l} for chart indices k, l (None for zero);
     it is called once per variable v_k of f and v_l of g.  The extension
     applies the two Leibniz rules recursively; it never uses a closed sign
-    formula.
+    formula.  The first rule peels the right monomial m2 for {v_k, m2}; the
+    second peels the left monomial m1 against a whole part G of g, from the
+    sums {v_k, G} = sum c2 {v_k, m2}.  Its sign (-1)^{|rest|(|m2|-n)} reads
+    m2 only through the parity of |m2| - n, so with g split once by that
+    parity, one sign per part is exact.
 
     By those rules every term of {m1, m2} carries a factor {v_k, v_l} with
     v_k in m1 and v_l in m2.  So a bracket at any level of the recursion is
     zero, and is not computed, when no such value is non-zero: `hits[k]` is
     the fields of the variables of g that v_k has a non-zero value with, and
-    `back[m2]` the fields of the variables of f that reach the monomial m2.
+    `reach` the fields of the variables of f whose {v_k, G} is non-zero.
     """
     chart = f.chart
     if g.chart != chart:
@@ -163,8 +167,6 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
             value = table[k, l] = pair(k, l) or None
             if value is not None:
                 hits[k] |= fields[l]
-    back = {m2: sum(fields[k] for k, h in hits.items() if m2 & h)
-            for m2 in g.terms}
 
     vb_memo = {}
 
@@ -189,33 +191,43 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         out = vb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
         return out
 
-    mb_memo = {}
+    def left_terms(part, parity):
+        # (c1, {m1, G}) for the monomials m1 of f that reach the part G of g,
+        # whose monomials all have |m2| - n of the given parity
+        vg = {k: value for k, h in hits.items()
+              if h and (value := chart.sum((c2, vbracket(k, m2))
+                                           for m2, c2 in part.items()
+                                           if m2 & h))}
+        reach = sum(fields[k] for k in vg)
+        memo = {}
 
-    def mbracket(m1, m2, reach):
-        # {m1, m2} by peeling the first variable of m1; `reach` is back[m2]
-        # and meets m1
-        key = (m1, m2)
-        if key in mb_memo:
-            return mb_memo[key]
-        first = field_at[(m1 & -m1).bit_length()]
-        rest = m1 - units[first]
-        parts = []
-        if rest & reach:
-            t1 = mbracket(rest, m2, reach)
-            if t1:
-                parts.append(mul_monomial(t1, units[first], left=True))
-        t2 = vbracket(first, m2)
-        if t2:
-            # the degree parity of a monomial is that of its odd bits
-            s = (rest & odd).bit_count() * ((m2 & odd).bit_count() - shift)
-            parts.append(mul_monomial(t2, rest, coeff=-1 if s % 2 else 1))
-        out = mb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
-        return out
+        def mbracket(m1):
+            # {m1, G} by peeling the first variable of m1, which meets reach
+            if m1 in memo:
+                return memo[m1]
+            first = field_at[(m1 & -m1).bit_length()]
+            rest = m1 - units[first]
+            parts = []
+            if rest & reach:
+                t1 = mbracket(rest)
+                if t1:
+                    parts.append(mul_monomial(t1, units[first], left=True))
+            t2 = vg.get(first)
+            if t2 is not None:
+                # the degree parity of a monomial is that of its odd bits
+                s = (rest & odd).bit_count() & parity
+                parts.append(mul_monomial(t2, rest, coeff=-1 if s else 1))
+            out = memo[m1] = parts[0] if len(parts) == 1 else chart.sum(parts)
+            return out
 
-    return chart.sum((c1 * c2, mbracket(m1, m2, back[m2]))
-                     for m1, c1 in f.terms.items()
-                     for m2, c2 in g.terms.items()
-                     if m1 & back[m2])
+        return [(c1, mbracket(m1)) for m1, c1 in f.terms.items()
+                if m1 & reach]
+
+    split = ({}, {})
+    for m2, c2 in g.terms.items():
+        split[((m2 & odd).bit_count() - shift) & 1][m2] = c2
+    return chart.sum(term for parity, part in enumerate(split) if part
+                     for term in left_terms(part, parity))
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,38 @@ UNDECLARED_NAMES = {
 }
 BAD_INPUTS.update((case, (data, f"undeclared variable {where}:0"))
                   for case, (data, where, _) in UNDECLARED_NAMES.items())
+# a row with more arguments than its key takes, and a `full` morphism entry
+# that the target chart refuses: each is refused at its row's line
+BAD_INPUTS.update({
+    "surplus-component-argument": (
+        b"chart M\n  var x 0\n\nlift L\n  chart M\n  component x junk = x\n",
+        "'component' row has a surplus argument 'junk' at line 6"),
+    "surplus-hbar-cap-argument": (
+        b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n\n"
+        b"hamiltonian H\n  algebroid G\n  hbar-cap 3 7\n"
+        b"  value = xi1 * xi1*\n",
+        "'hbar-cap' row has a surplus argument '7' at line 9"),
+    "surplus-cap-argument": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 2 9\n",
+        "'cap' row has a surplus argument '9' at line 19"),
+    "surplus-reference-argument": (
+        b"chart M\n  var x 0\n\nchart N\n  var y 0\n\nalgebroid V\n"
+        b"  base M N\n  fiber dx 0\n",
+        "'base' row has a surplus argument 'N' at line 8"),
+    "base-entry-names-a-fiber": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  base dy = x\n",
+        "'dy' is not a base coordinate at line 20"),
+    "word-names-a-base-variable": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  word y = dx\n",
+        "words range over fiber coordinates only at line 20"),
+    "empty-word": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  word = dx\n",
+        "'word' row is missing argument 1 at line 20"),
+})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -1,19 +1,23 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroids.algebroid import koszul_algebroid, schouten_bracket
+from algebroids.algebroid import (hamiltonian_of_algebroid, koszul_algebroid,
+                                  schouten_bracket)
 from algebroids.errors import ChartMismatch, DegreeMismatch, NotSplit
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (Chart, GPoly, inject, random_poly,
-                              vector_field_commutator)
+from algebroids.gpoly import (KIND_BASE, Chart, GPoly, enumerate_monomials,
+                              inject, random_poly, vector_field_commutator)
+from algebroids.specfile import parse_spec
 from algebroids.symplectic import (Hamiltonian, PolyMap, biderivation_bracket,
                                    canonical_bracket, canonical_context,
                                    check_poisson_map, hamiltonian_lift,
                                    is_integrable, legendre, shifted_cotangent,
                                    twin_chart)
+from test_workload_oracle import W
 
 LINE = Chart([("x", 0)])
 SUPERLINE = Chart([("x", 0), ("xi", 1, "fiber")])
@@ -222,6 +226,33 @@ def _engine_matches_reference(f, g, n, pair):
     return got
 
 
+def _wide_poly(chart, shift, rng, count):
+    """`count` distinct monomials with coefficients in +-{1, 2, 3}/{1, 2, 3},
+    one with |m| - shift even and one with it odd among them."""
+    pool = [chart.pack(m) for m in enumerate_monomials(chart, 4, 2) if any(m)]
+    by_parity = ([], [])
+    for m in pool:
+        by_parity[(chart.monomial_degree(m) - shift) % 2].append(m)
+    picked = [rng.choice(by_parity[0]), rng.choice(by_parity[1])]
+    rest = [m for m in pool if m not in picked]
+    picked += rng.sample(rest, count - 2)
+    return GPoly(chart, {m: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                     rng.randint(1, 3)) for m in picked})
+
+
+def _lie_hamiltonian(struct, rank):
+    doc = parse_spec(W.lie_spec(struct, rank))
+    return hamiltonian_of_algebroid(doc.registry["G"].resolved)
+
+
+def _chi(d, upper):
+    """chi of a bivector on R^d as `verdictbench/workloads.py` writes it out."""
+    text = "\n".join(W._chart_lines(d) + W.koszul_lines(d, upper)
+                     + ["hamiltonian H", "  algebroid V",
+                        f"  value = {W.chi_text(d, upper)}"]) + "\n"
+    return parse_spec(text).registry["H"].resolved
+
+
 class TestBracketReference:
     # the charts of TestBracketInvariants, one under each weight cap 1..3,
     # and the multivectors of a rank-four cotangent algebroid
@@ -241,6 +272,37 @@ class TestBracketReference:
         got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
         assert got == canonical_bracket(f, g, sc)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           at=st.integers(0, len(SYMPLECTIC) - 1))
+    def test_self_bracket(self, seed, at):
+        # f is g: both sides of the recursion read the same operand
+        rng = random.Random(seed)
+        sc = self.SYMPLECTIC[at]
+        f = random_poly(sc.chart, rng, max_weight=4, max_base_degree=2,
+                        max_terms=8)
+        got = _engine_matches_reference(f, f, sc.shift, _canonical_pair(sc))
+        assert got == canonical_bracket(f, f, sc)
+
+    # the charts with base coordinates and room for twelve distinct monomials
+    WIDE = [sc for sc in SYMPLECTIC
+            if KIND_BASE in sc.chart.kinds
+            and len(list(enumerate_monomials(sc.chart, 4, 2))) > 13]
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           at=st.integers(0, len(WIDE) - 1), itself=st.booleans())
+    def test_wide_right_operand_of_both_parities(self, seed, at, itself):
+        # g has 8-12 terms, with |m2| - n both even and odd among them, so
+        # both of its parts, and both signs of the peeling of m1, are used
+        rng = random.Random(seed)
+        sc = self.WIDE[at]
+        g = _wide_poly(sc.chart, sc.shift, rng, rng.randint(8, 12))
+        f = g if itself else random_poly(sc.chart, rng, max_weight=4,
+                                         max_base_degree=2, max_terms=6)
+        got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
+        assert got == canonical_bracket(f, g, sc)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_schouten_rank_four(self, seed):
@@ -253,6 +315,51 @@ class TestBracketReference:
                             max_base_degree=2, max_terms=4) for _ in range(2))
         got = _engine_matches_reference(f, g, 1, _schouten_pair(spec))
         assert got == schouten_bracket(spec, f, g)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), itself=st.booleans())
+    def test_schouten_wide_right_operand(self, seed, itself):
+        rng = random.Random(seed)
+        spec = koszul_algebroid(
+            Chart([(f"x{i}", 0) for i in range(1, 4)]),
+            {(f"x{i}", f"x{j}"): f"{i * j} * x{i} * x{j}"
+             for i in range(1, 4) for j in range(i + 1, 4)})
+        chart = spec.multivector_chart()
+        g = _wide_poly(chart, 1, rng, rng.randint(8, 12))
+        f = g if itself else random_poly(chart, rng, max_weight=2,
+                                         max_base_degree=2, max_terms=4)
+        got = _engine_matches_reference(f, g, 1, _schouten_pair(spec))
+        assert got == schouten_bracket(spec, f, g)
+
+    @pytest.mark.parametrize("kind,n", [("sl", 2), ("so", 3), ("gl", 2),
+                                        ("b", 3)])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_lie_self_bracket(self, kind, n, broken):
+        # {mu, mu} of a rescaled matrix Lie algebra, or of one with a single
+        # structure constant changed; zero exactly when Jacobi holds
+        rng = random.Random(f"{kind}{n}")
+        rank = W.lie_rank(kind, n)
+        struct = W.rescale(W.lie_structure(kind, n), rng, rank)
+        if broken:
+            struct = W._mutate_lie(struct, rank, rng)
+        mu = _lie_hamiltonian(struct, rank)
+        got = _engine_matches_reference(mu.body, mu.body, 2,
+                                        _canonical_pair(mu.chart))
+        assert got.is_zero() == W.jacobi_holds(struct, rank) != broken
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_log_canonical_chi_self_bracket(self, d, broken):
+        # {chi, chi} of a log-canonical bivector, or of one with a monomial
+        # added; zero exactly when its Jacobiator is
+        rng = random.Random(d)
+        upper = W.log_canonical(d, rng)
+        if broken:
+            upper = W._mutate_bivector(d, upper, rng)
+        chi = _chi(d, upper)
+        got = _engine_matches_reference(chi.body, chi.body, 2,
+                                        _canonical_pair(chi.chart))
+        assert got.is_zero() == W.jacobiator_vanishes(d, upper) != broken
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
