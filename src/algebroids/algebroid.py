@@ -183,18 +183,20 @@ def basis_section(spec: AlgebroidSpec, a: int) -> Section:
 
 def _graded_entries(spec: AlgebroidSpec, x: Section):
     """The non-zero entries of a section as (name, index, coefficient,
-    coefficient degree), and the section's degree: None unless it is
-    homogeneous, 0 for the zero section."""
+    coefficient degree, scalar of a constant coefficient or None), and the
+    section's degree: None unless it is homogeneous, 0 for the zero
+    section."""
     entries = []
     degs = set()
     for name, coeff in x.items():
         if coeff.is_zero():
             continue
         a = spec.fiber_index(name)
-        d = coeff.degree()
+        k = _constant(coeff)
+        d = 0 if k is not None else coeff.degree()
         if d is None:
             return entries, None
-        entries.append((name, a, coeff, d))
+        entries.append((name, a, coeff, d, k))
         degs.add(d + spec.fiber_degrees[a])
     if len(degs) > 1:
         return entries, None
@@ -236,47 +238,61 @@ def _constant(p: GPoly):
     return terms[0] if len(terms) == 1 and 0 in terms else None
 
 
-def section_bracket(spec: AlgebroidSpec, x: Section, y: Section) -> dict:
+def section_bracket(spec: AlgebroidSpec, x: Section, y: Section,
+                    into: Optional[dict] = None, sign: int = 1):
     """[X, Y] from the structure functions, anchor derivatives included.
 
     Graded inputs must be homogeneous; the classical case has no signs.
-    A constant coefficient scales its terms instead of multiplying them,
-    and a derivative of a constant is never taken.
+    A constant coefficient on either side scales its terms instead of
+    multiplying them, and a derivative of a constant is never taken: a
+    constant has degree 0 and no odd variable, so k * p is p scaled by k
+    with no Koszul sign, and rho(X)(k) = 0.
+
+    With `into`, the summands of sign * [X, Y] are appended to its
+    per-fiber lists and nothing is returned; `_close` of those lists is
+    then sign * [X, Y], or its sum with whatever else they hold.
     """
     xs, dx = _graded_entries(spec, x)
     ys, dy = _graded_entries(spec, y)
     if dx is None or dy is None:
         raise DegreeMismatch("section_bracket requires homogeneous sections")
     names = spec.fiber_names
-    parts = {}   # only the fiber names a term lands on
+    parts = {} if into is None else into   # only the fiber names hit
     rho_x = None   # built for the first non-constant g
-    for bn, b, g, gdeg in ys:
+    for bn, b, g, gdeg, k in ys:
         db = spec.fiber_degrees[b]
         rho_b = basis_anchor(spec, b)
-        k = _constant(g)
         # rho(X)(g^b) e_b
         if k is None:
             if rho_x is None:
                 rho_x = anchor_of(spec, x)
             if rho_x:
-                parts.setdefault(bn, []).append(apply_vector_field(rho_x, g))
+                parts.setdefault(bn, []).append(
+                    (sign, apply_vector_field(rho_x, g)))
         # (-1)^{|X||g|} g * (f [e_a, e_b] - (-1)^{(|f|+d_a) d_b} rho_b(f) e_a)
-        s1 = -1 if (dx * gdeg) % 2 else 1
-        for an, a, f, fdeg in xs:
+        s1 = -sign if (dx * gdeg) % 2 else sign
+        for an, a, f, fdeg, kf in xs:
             row = spec.structure.get((a, b))
             if row:
-                gf, scale = (f, s1 * k) if k is not None else (g * f, s1)
+                # g * f as a scale and a polynomial, None for a unit one
+                if k is None:
+                    scale, gf = (s1, g * f) if kf is None else (s1 * kf, g)
+                elif kf is None:
+                    scale, gf = s1 * k, f
+                else:
+                    scale, gf = s1 * k * kf, None
                 for c, centry in row.items():
                     parts.setdefault(names[c], []).append(
-                        (scale, gf * centry))
-            if rho_b and _constant(f) is None:
+                        (scale, centry if gf is None else gf * centry))
+            if rho_b and kf is None:
                 rb = apply_vector_field(rho_b, f)
                 if rb:
                     s2 = -1 if ((fdeg + spec.fiber_degrees[a]) * db) % 2 else 1
                     parts.setdefault(an, []).append(
                         (-s1 * s2 * k, rb) if k is not None
                         else (-s1 * s2, g * rb))
-    return _close(spec, parts)
+    if into is None:
+        return _close(spec, parts)
 
 
 def section_add(spec, x, y, scale=1):
@@ -370,10 +386,9 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
                             (c, a, b, degs[c] * degs[b])):
             inner = table.get((p, q))
             if inner and (anchored[r] or not reach[r].isdisjoint(inner)):
-                sign = -1 if dd % 2 else 1
-                for n, t in section_bracket(spec, inner, basis[r]).items():
-                    parts.setdefault(n, []).append((sign, t))
-        j = _close(spec, parts)
+                section_bracket(spec, inner, basis[r], into=parts,
+                                sign=-1 if dd % 2 else 1)
+        j = _close(spec, parts) if parts else {}
         axioms_ok = axioms_ok and not j
         report.add(f"jacobi({names[a]},{names[b]},{names[c]})",
                    "[[X,Y],Z] + graded cyclic = 0",

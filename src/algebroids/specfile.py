@@ -49,16 +49,18 @@ class Section:
         """The kind as a header spells it: `chart`, `construct poisson`."""
         return f"{self.kind} {self.subtype}" if self.subtype else self.kind
 
-    def rows(self, key):
+    def rows(self, key, unordered=False):
         """The `key` rows in file order; a row repeating the key and the
-        arguments of an earlier one is refused at its line."""
+        arguments of an earlier one, in any order when `unordered`, is
+        refused at its line."""
         rows = [e for e in self.entries if e[0] == key]
         seen = set()
         for _, args, _, lineno in rows:
-            if args in seen:
+            same = tuple(sorted(args)) if unordered else args
+            if same in seen:
                 raise ParseError(f"duplicate row {' '.join((key,) + args)!r} "
                                  f"in section {self.name!r}", lineno)
-            seen.add(args)
+            seen.add(same)
         return rows
 
     def single(self, key, required=True):
@@ -161,10 +163,18 @@ def _arg(row, i=0, n=None):
     if i >= len(args):
         raise ParseError(f"{key!r} row is missing argument {len(args) + 1}",
                          lineno)
-    if n is not None and len(args) > n:
+    if n is not None:
+        _no_surplus(row, n)
+    return args[i]
+
+
+def _no_surplus(row, n):
+    """Refuse the first argument past the `n` that a row takes, at the
+    row's line."""
+    key, args, _, lineno = row
+    if len(args) > n:
         raise ParseError(f"{key!r} row has a surplus argument {args[n]!r}",
                          lineno)
-    return args[i]
 
 
 def _name(row, i, names):
@@ -189,6 +199,13 @@ def _expr_row(row, chart):
     if text is None:
         raise ParseError("missing '=' expression", lineno)
     return parse_expression(text, chart, line=lineno)
+
+
+def _value(section, key, chart):
+    """The expression of the single `key` row, which takes no argument."""
+    row = section.single(key)
+    _no_surplus(row, 0)
+    return _expr_row(row, chart)
 
 
 def _table(section, key, chart, *names):
@@ -317,7 +334,7 @@ def _resolve_hamiltonian(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     cap = _int_row(section, "hbar-cap", 4)
     sc = spec.symplectic_chart()
-    return Hamiltonian(sc, _expr_row(section.single("value"), sc.chart), cap)
+    return Hamiltonian(sc, _value(section, "value", sc.chart), cap)
 
 
 def _endpoint(doc, section, key):
@@ -350,7 +367,8 @@ def _resolve_morphism(doc, section):
         entries = [(row, dict([entry]), {}) for row, entry
                    in zip(section.rows("base"), base_map.items())]
         words = {}
-        for row in section.rows("word"):
+        # the same fibers in another order name the same word
+        for row in section.rows("word", unordered=True):
             _arg(row)
             exps = [0] * len(tgt_ce.vars)
             for i in range(len(row[1])):
@@ -377,20 +395,19 @@ def _resolve_connection(doc, section):
 def _resolve_bracket(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     chart = spec.symplectic_chart().chart
-    return (spec, _expr_row(section.single("left"), chart),
-            _expr_row(section.single("right"), chart))
+    return (spec, _value(section, "left", chart),
+            _value(section, "right", chart))
 
 
 def _resolve_cediff(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    return (spec, _expr_row(section.single("value"), spec.ce_chart()))
+    return (spec, _value(section, "value", spec.ce_chart()))
 
 
 def _resolve_schouten(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     mv = spec.multivector_chart()
-    return (spec, _expr_row(section.single("left"), mv),
-            _expr_row(section.single("right"), mv))
+    return (spec, _value(section, "left", mv), _value(section, "right", mv))
 
 
 def _resolve_bv(doc, section):
@@ -400,7 +417,7 @@ def _resolve_bv(doc, section):
         raise ParseError("the connection must belong to the same algebroid",
                          section.single("connection")[3])
     return (spec, conn,
-            _expr_row(section.single("value"), spec.multivector_chart()))
+            _value(section, "value", spec.multivector_chart()))
 
 
 def _resolve_lift(doc, section):
@@ -445,7 +462,7 @@ def _construct_poisson(doc, section):
 
 def _construct_triangular(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    return (spec, _expr_row(section.single("r"), spec.multivector_chart()))
+    return (spec, _value(section, "r", spec.multivector_chart()))
 
 
 def _construct_nijenhuis(doc, section):

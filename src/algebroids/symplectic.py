@@ -19,6 +19,7 @@ frozen value for every one of them, from spec file to operator action.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -306,8 +307,16 @@ def hamiltonian_lift(sc: SymplecticChart, components: Mapping[str, GPoly]) -> GP
 
 
 def is_integrable(ham: Hamiltonian):
-    """Return ({H, H}, {H, H} == 0) for a Hamiltonian."""
-    residual = canonical_bracket(ham.body, ham.body, ham.chart)
+    """Return ({H, H}, {H, H} == 0) for a Hamiltonian.
+
+    The bracket runs over integers: with d the lcm of the denominators of
+    H, {dH, dH} = d^2 {H, H}, since the bracket is bilinear, and dH and
+    every generator value (+-1) are integral.  Dividing by d^2 is exact.
+    """
+    d = math.lcm(*(c.denominator for c in ham.body.terms.values()
+                   if c.__class__ is not int))
+    scaled = ham.body * d
+    residual = canonical_bracket(scaled, scaled, ham.chart) / (d * d)
     return residual, residual.is_zero()
 
 

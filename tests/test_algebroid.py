@@ -11,15 +11,16 @@ from corpus import (FAILING, LINE, PASSING, PLANE, POINT, abelian,
                     action_on_line, heisenberg, koszul_constant,
                     koszul_linear, two_dim_algebra)
 
-from algebroids.algebroid import (AlgebroidSpec, adjoint_line_connection,
-                                  anchor_of, basis_section, bv_operator,
-                                  ce_differential, check_algebroid,
-                                  contraction, curvature,
+from algebroids.algebroid import (AlgebroidSpec, _close,
+                                  adjoint_line_connection, anchor_of,
+                                  basis_section, bv_operator, ce_differential,
+                                  check_algebroid, contraction, curvature,
                                   hamiltonian_of_algebroid, koszul_algebroid,
                                   lie_derivative, lie_poisson, line_connection,
                                   schouten_bracket, schouten_context,
-                                  section_bracket, section_to_multivector,
-                                  tangent_spec, torsion)
+                                  section_add, section_bracket,
+                                  section_to_multivector, tangent_spec,
+                                  torsion)
 from algebroids.errors import DegreeError, NotPoisson
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, apply_vector_field, inject, partial_left,
@@ -281,6 +282,36 @@ class TestAxiomRoute:
             want = _reference_section_bracket(spec, x, y)
             assert list(section_bracket(spec, x, y).items()) == \
                 list(want.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_into_then_close(self, seed):
+        # appending sign * [X, Y] and closing once equals the closed sum
+        rng = random.Random(seed)
+        spec = _graded_spec(rng)
+        x, y, z = (_graded_section(spec, rng) for _ in range(3))
+        parts = {}
+        assert section_bracket(spec, x, y, into=parts) is None
+        assert list(_close(spec, parts).items()) == \
+            list(section_bracket(spec, x, y).items())
+        section_bracket(spec, z, y, into=parts, sign=-1)
+        want = section_add(spec, section_bracket(spec, x, y),
+                           section_bracket(spec, z, y), scale=-1)
+        assert _close(spec, parts) == want
+
+    def test_constant_coefficients_scale(self):
+        # [xi1, xi2] = -x2 xi1 - x1 xi2 - xi3 mixes constant and polynomial
+        # structure entries; every section pairs a constant, a polynomial
+        # and a zero coefficient in each order
+        space = Chart([("x1", 0), ("x2", 0), ("x3", 0)])
+        spec = koszul_algebroid(space, {(0, 1): "x1 * x2 + x3"})
+        kinds = (None, space.const(Fraction(-2, 3)), pe("x1 + 3 * x3^2", space))
+        sections = [{n: p for n, p in zip(spec.fiber_names, coeffs) if p}
+                    for coeffs in itertools.product(kinds, repeat=spec.rank)]
+        for x in sections:
+            for y in sections:
+                assert list(section_bracket(spec, x, y).items()) == \
+                    list(_reference_section_bracket(spec, x, y).items())
 
     def test_odd_anchor_sign(self):
         # [y e_a, e_b] = -(-1)^{(|y| + d_a) d_b} rho_b(y) e_a = e_a: the

@@ -318,7 +318,41 @@ BAD_INPUTS.update({
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
         b"  target W\n  cap 1\n  word = dx\n",
         "'word' row is missing argument 1 at line 20"),
+    # the same word with its fibers in another order
+    "reordered-duplicate-word": (
+        b"chart M\n  var x 0\n\nchart N\n  var y 0\n\n"
+        b"algebroid V\n  base M\n  fiber dx 0\n\n"
+        b"algebroid W\n  base N\n  fiber dy 0\n  fiber dz 0\n\n"
+        b"morphism f\n  type full\n  source V\n  target W\n  cap 2\n"
+        b"  word dy dz = 0\n  word dz dy = 0\n",
+        "duplicate row 'word dz dy' in section 'f' at line 22"),
 })
+# a row that takes only an expression, given an argument: the key, the
+# section that holds it, and the row's line when the section follows an
+# algebroid V over a chart M
+EXPRESSION_ROWS = {
+    "hamiltonian-value": ("value", b"hamiltonian H\n  algebroid V\n"
+                          b"  value junk = x * x*\n", 10),
+    "bracket-left": ("left", b"bracket B\n  algebroid V\n"
+                     b"  left junk = x\n  right = x*\n", 10),
+    "bracket-right": ("right", b"bracket B\n  algebroid V\n"
+                      b"  left = x\n  right junk = x*\n", 11),
+    "schouten-left": ("left", b"schouten S\n  algebroid V\n"
+                      b"  left junk = x\n  right = x\n", 10),
+    "schouten-right": ("right", b"schouten S\n  algebroid V\n"
+                       b"  left = x\n  right junk = x\n", 11),
+    "cediff-value": ("value", b"cediff D\n  algebroid V\n"
+                     b"  value junk = x\n", 10),
+    "bv-value": ("value", b"connection C\n  algebroid V\n\nbv W\n"
+                 b"  algebroid V\n  connection C\n  value junk = x\n", 14),
+    "triangular-r": ("r", b"construct triangular T\n  algebroid V\n"
+                     b"  r junk = 0\n", 10),
+}
+BAD_INPUTS.update(
+    (f"surplus-{case}-argument",
+     (b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber dx 0\n\n"
+      + section, f"{key!r} row has a surplus argument 'junk' at line {line}"))
+    for case, (key, section, line) in EXPRESSION_ROWS.items())
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algebroids.algebroid import (hamiltonian_of_algebroid, koszul_algebroid,
@@ -482,6 +482,55 @@ class TestIsIntegrable:
         ham = Hamiltonian(sc, pe("xi1 * xi2 * xi1* + xi1 * xi3 * xi2*", sc.chart))
         residual, flag = is_integrable(ham)
         assert not flag and not residual.is_zero()
+
+
+class TestIntegralSelfBracket:
+    # is_integrable brackets d*H with itself in integers and divides by d^2;
+    # the bracket of H with itself in Fraction arithmetic is the reference
+
+    @staticmethod
+    def _agrees(ham):
+        assert any(c.__class__ is Fraction for c in ham.body.terms.values())
+        residual, flag = is_integrable(ham)
+        want = canonical_bracket(ham.body, ham.body, ham.chart)
+        assert residual == want and flag == want.is_zero()
+        # stored coefficients keep their form: an int when integral
+        assert all(c.__class__ is int or c.denominator != 1
+                   for c in residual.terms.values())
+        return flag
+
+    @pytest.mark.parametrize("kind,n", [("sl", 2), ("so", 3), ("b", 3)])
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_lie_hamiltonian_with_denominators(self, kind, n, broken):
+        rng = random.Random(f"{kind}{n}")
+        rank = W.lie_rank(kind, n)
+        struct = W.rescale(W.lie_structure(kind, n), rng, rank)
+        if broken:
+            struct = W._mutate_lie(struct, rank, rng)
+        mu = _lie_hamiltonian(struct, rank)
+        ham = Hamiltonian(mu.chart, mu.body * Fraction(2, 3))
+        assert self._agrees(ham) == W.jacobi_holds(struct, rank) != broken
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           at=st.integers(0, len(TestBracketReference.WIDE) - 1))
+    def test_fraction_coefficients(self, seed, at):
+        # the charts include ones under a weight cap
+        rng = random.Random(seed)
+        sc = TestBracketReference.WIDE[at]
+        body = _wide_poly(sc.chart, sc.shift, rng, rng.randint(3, 8))
+        assume(body)
+        # its numerators are at most 3, so 5/7 gives each a denominator
+        self._agrees(Hamiltonian(sc, body * Fraction(5, 7)))
+
+    def test_capped_chart(self):
+        # under cap 2 the residual keeps 2/3 x* y* and drops its weight-3
+        # term 3/4 xi1 xi2 y*
+        sc = TestBracketReference.CAPPED[1]
+        ham = Hamiltonian(sc, pe("1/2 * xi1 * x* + 2/3 * xi1* * y*"
+                                 " + 3/4 * x * xi2 * y*", sc.chart))
+        assert not self._agrees(ham)
+        assert is_integrable(ham)[0] == pe("2/3 * x* * y*", sc.chart)
 
 
 class TestHamiltonianClassification:

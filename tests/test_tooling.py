@@ -14,7 +14,7 @@ import os
 import pytest
 
 import algebroids
-from algebroids import cli, specfile
+from algebroids import algebroid, cli, specfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,3 +72,20 @@ def test_every_export_resolves():
     # a deleted name left in __all__ breaks only `from algebroids import *`
     missing = [n for n in algebroids.__all__ if not hasattr(algebroids, n)]
     assert not missing
+
+
+def test_axiom_route_calls_section_bracket(monkeypatch):
+    # the tracer counts [X, Y] at the module binding of section_bracket; a
+    # Jacobi loop that stopped calling it there would read 0 on lie-ladder
+    calls = []
+    bracket = algebroid.section_bracket
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(algebroid, "section_bracket", counted)
+    with open(os.path.join(ROOT, "tests", "data", "two_dim_algebra.alg")) as fh:
+        spec = specfile.parse_spec(fh.read()).lookup("V").resolved
+    assert algebroid.check_algebroid(spec).passed
+    assert calls
