@@ -11,11 +11,11 @@ series of differential operators: each normal-ordered monomial U p_{j1}...
 p_{jk} contributes hbar^{k-1} U d_{j1}...d_{jk} (left derivatives, outermost
 factor first), which is the normal-ordered quantization of the vertical
 Taylor pairing.  The formal parameter has degree 2, so the action has
-operator degree one.
+operator degree one.  The action returns its series power by power; only a
+failing morphism record writes hbar out as a coordinate.
 
 Every structure here, an assembled chi, a homotopy table or the mu of a
-morphism endpoint, is a `symplectic.Hamiltonian`.  Its `hbar_cap` is only
-the default cap of the action: a morphism check passes its table's cap.
+morphism endpoint, is a `symplectic.Hamiltonian`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Tuple
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
 from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
-                     ExponentOverflow, TruncationIncomplete)
+                     TruncationIncomplete)
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
                     FIBER_DIRECTION_KINDS, MOMENTUM_KINDS,
                     enumerate_monomials, inject, partial_left,
@@ -46,33 +46,6 @@ def with_formal_parameter(chart: Chart) -> Chart:
         raise ChartMismatch(
             f"the coordinate name {HBAR!r} is reserved for the formal parameter")
     return chart.extend([(HBAR, 2, KIND_FORMAL)])
-
-
-def _times_hbar(p: GPoly, out_chart: Chart, power: int) -> GPoly:
-    """p * hbar^power on `out_chart`, which is p's chart with the formal
-    parameter inserted: `power` is written into the hbar field, under the
-    weight cap of `out_chart`.  hbar is even, so no Koszul sign arises.
-
-    The fields below hbar keep their place; those above it, and the weight,
-    move up by the width of the hbar field."""
-    chart = p.chart
-    hb = out_chart.index_of(HBAR)
-    if power > out_chart.exp_masks[hb]:
-        raise ExponentOverflow(f"exponent of {HBAR!r} is above "
-                               f"{out_chart.exp_masks[hb]}")
-    hbar = power * out_chart.units[hb]
-    at = out_chart.shifts[hb]
-    width = out_chart.exp_masks[hb].bit_length() + 1
-    low = (1 << at) - 1
-    high = chart.var_bits ^ low
-    cap = out_chart.trunc
-    if cap is not None:
-        cap -= power * out_chart.weights[hb]
-    wshift, out_wshift = chart.wshift, out_chart.wshift
-    return GPoly._raw(out_chart, {
-        ((m & low) | (m & high) << width) + ((m >> wshift) << out_wshift)
-        + hbar: c
-        for m, c in p.terms.items() if cap is None or m >> wshift <= cap})
 
 
 class BialgebroidSpec:
@@ -110,11 +83,11 @@ class BialgebroidSpec:
         return f"BialgebroidSpec({self.primal!r}, {self.dual!r})"
 
 
-def assemble_hamiltonian(b: BialgebroidSpec, hbar_cap: int = 4) -> Hamiltonian:
+def assemble_hamiltonian(b: BialgebroidSpec) -> Hamiltonian:
     """chi = mu + L*(mu_dual); linear-quadratic in the momenta."""
     mu, mu_dual = b.hamiltonians()
     chi = mu.body + b.legendre.pullback(mu_dual.body)
-    return Hamiltonian(b.chart, chi, hbar_cap)
+    return Hamiltonian(b.chart, chi)
 
 
 def check_linfty(lham: Hamiltonian, squared=None) -> Report:
@@ -236,9 +209,9 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
 
 def _word_split(ham: Hamiltonian, cap: Optional[int]):
     """The body of `ham` split by momentum word for the action under the
-    hbar cap `cap`: the out chart, and for each word p_{j1}...p_{jk} of at
-    most cap + 1 momenta, (k - 1, the coordinate names of d_{jk}, ...,
-    d_{j1} in the order they are taken, U_w on the V[1] chart).
+    hbar cap `cap`: for each word p_{j1}...p_{jk} of at most cap + 1
+    momenta, (k - 1, the coordinate names of d_{jk}, ..., d_{j1} in the
+    order they are taken, U_w on the V[1] chart).
 
     The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
     chart and body cannot change under it."""
@@ -275,30 +248,39 @@ def _word_split(ham: Hamiltonian, cap: Optional[int]):
             entry[2][u] = coeff
     parts = ((power, path, GPoly(ce, terms))
              for power, path, terms in filter(None, words.values()))
-    split = ham._word_splits[cap] = (with_formal_parameter(ce),
-                                     [w for w in parts if w[2]])
+    split = ham._word_splits[cap] = [w for w in parts if w[2]]
     return split
 
 
+def _at_power(p: GPoly, power: int) -> GPoly:
+    """p as the coefficient of hbar^power: hbar has weight one, so the
+    terms of weight above the chart cap less `power` drop."""
+    cap = p.chart.trunc
+    if cap is None or not power:
+        return p
+    wshift = p.chart.wshift
+    return GPoly._raw(p.chart, {m: c for m, c in p.terms.items()
+                                if m >> wshift <= cap - power})
+
+
 def hamiltonian_action(ham: Hamiltonian, g: GPoly,
-                       hbar_cap: Optional[int] = None) -> GPoly:
+                       hbar_cap: Optional[int] = None) -> dict:
     """Act on a function of V[1] by normal-ordered operator substitution.
 
     Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
     c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
     Hamiltonians this is exactly {H, g}.  The terms that share a momentum
     word w share its derivative: the action is the sum over words of
-    hbar^{k-1} * U_w * d_w g.  Powers of hbar above `hbar_cap`, or above
-    the Hamiltonian's own cap without one, are dropped.  The result lives
-    on the V[1] chart extended by the formal parameter.
+    hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
+    hbar^k}: nonzero polynomials on the V[1] chart, coefficient k truncated
+    at the chart cap less k (hbar has weight one).  Powers of hbar above
+    `hbar_cap` are dropped; None keeps them all.
     """
     ce = ham.chart.base_chart
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
-    out_chart, split = _word_split(
-        ham, ham.hbar_cap if hbar_cap is None else hbar_cap)
     by_power = {}   # k - 1 -> the terms of that power of hbar
-    for power, path, u in split:
+    for power, path, u in _word_split(ham, hbar_cap):
         deriv = g
         for name in path:
             deriv = partial_left(deriv, name)
@@ -306,11 +288,12 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
                 break
         else:
             by_power.setdefault(power, []).append(u * deriv)
-    return out_chart.sum(_times_hbar(ce.sum(parts), out_chart, power)
-                         for power, parts in by_power.items())
+    series = {k: _at_power(ce.sum(parts), k)
+              for k, parts in sorted(by_power.items())}
+    return {k: coeff for k, coeff in series.items() if coeff}
 
 
-def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
+def taylor(g: GPoly, cap: int) -> dict:
     """The coefficient table of g about the zero section: fiber word ->
     base-coefficient polynomial, up to word weight cap.
 
@@ -318,8 +301,7 @@ def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
     exponents zeroed); the normalization is the plain monomial coefficient.
     """
     chart = g.chart
-    if nbase is None:
-        nbase = sum(1 for v in chart.vars if v.kind == KIND_BASE)
+    nbase = sum(1 for v in chart.vars if v.kind == KIND_BASE)
     if any(v.kind == KIND_BASE for v in chart.vars[nbase:]):
         raise ChartMismatch("base coordinates must precede fiber coordinates")
     table = {}
@@ -328,9 +310,9 @@ def taylor(g: GPoly, cap: int, nbase: Optional[int] = None) -> dict:
         word = (0,) * nbase + exps[nbase:]
         if sum(exps[nbase:]) > cap:
             continue
+        # distinct monomials have distinct (word, base part) pairs
         base_part = chart.pack(exps[:nbase] + (0,) * (len(exps) - nbase))
-        entry = table.setdefault(word, {})
-        entry[base_part] = entry.get(base_part, 0) + c
+        table.setdefault(word, {})[base_part] = c
     return {w: GPoly(chart, terms) for w, terms in sorted(table.items())}
 
 
@@ -471,11 +453,9 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
     base_map = {v.name: f.image_of(v.name) for v in f.target.vars
                 if v.kind == KIND_BASE}
     words = {}
-    fiber_idx = [i for i, v in enumerate(f.target.vars) if v.kind != KIND_BASE]
+    # the words of weight at most cap, with every base exponent zero
     for word in enumerate_monomials(f.target, cap, max_base_degree=0):
-        if not any(word) or sum(word) > cap:
-            continue
-        if any(e and i not in fiber_idx for i, e in enumerate(word)):
+        if not any(word):
             continue
         img = f.source.one()
         for i, e in enumerate(word):
@@ -487,47 +467,44 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
 
 
 def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
-                          lham_target: Hamiltonian,
-                          cap: Optional[int] = None) -> Report:
+                          lham_target: Hamiltonian) -> Report:
     """Verify the operator identity (source action) o f* o T = f* o T o
-    (target action), truncating words and formal-parameter powers at the cap.
+    (target action) power by power in the formal parameter, truncating
+    words and powers of hbar at the table's cap.
 
     The identity is evaluated on every monomial of the target function chart
     up to the weight cap (with base exponents at most one), not only on the
     coordinate generators: second derivatives vanish on linear arguments, so
-    generators alone cannot see the higher operations.
+    generators alone cannot see the higher operations.  A failing record
+    shows its residual as a polynomial in hbar.
     """
-    cap = fm.cap if cap is None else cap
     report = Report("homotopy-morphism")
     ce_v = lham_source.chart.base_chart
     ce_w = lham_target.chart.base_chart
     if fm.source != ce_v or fm.target != ce_w:
         raise ChartMismatch("table endpoints must be the V[1] charts")
+    with_formal_parameter(ce_w)   # hbar is reserved on both sides
     out_chart = with_formal_parameter(ce_v)
-
-    arguments = [m for m in enumerate_monomials(ce_w, cap, max_base_degree=1)
-                 if any(m)]
-    for mono in arguments:
+    hbar = out_chart.var_poly(HBAR)
+    zero = ce_v.zero()
+    for mono in enumerate_monomials(ce_w, fm.cap, max_base_degree=1):
+        if not any(mono):
+            continue
         name = render_monomial(ce_w, mono)
         g = GPoly(ce_w, {ce_w.pack(mono): 1})
-        # left side: act downstairs after pulling back
-        lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), hbar_cap=cap)
-        # right side: act upstairs, expand in the formal parameter, pull back;
-        # the action already dropped the powers of hbar above the cap
-        acted = hamiltonian_action(lham_target, g, hbar_cap=cap)
-        hb_idx = acted.chart.index_of(HBAR)
-        terms = []
-        for power, piece in acted.split_by(lambda m: m[hb_idx]).items():
-            # strip the formal parameter before the Taylor pullback
-            stripped = {}
-            for m, c in piece.terms.items():
-                exps = acted.chart.unpack(m)
-                stripped[ce_w.pack(exps[:hb_idx] + exps[hb_idx + 1:])] = c
-            terms.append(_times_hbar(fm.pull_taylor(GPoly(ce_w, stripped)),
-                                     out_chart, power))
-        rhs = out_chart.sum(terms)
-        report.add(f"generator({name})",
-                   "operator identity on the generator", lhs - rhs)
+        # left side: act downstairs after pulling back; right side: act
+        # upstairs and pull back each power of hbar
+        lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), fm.cap)
+        rhs = {k: fm.pull_taylor(c)
+               for k, c in hamiltonian_action(lham_target, g, fm.cap).items()}
+        # a weight-raising table can pull rhs[k] back above the cap less k;
+        # times hbar^k those terms fall above the cap of the out chart
+        diffs = {k: lhs.get(k, zero) - rhs.get(k, zero)
+                 for k in lhs.keys() | rhs.keys()}
+        residual = [inject(d, out_chart) * hbar ** k
+                    for k, d in diffs.items() if d]
+        report.add(f"generator({name})", "operator identity on the generator",
+                   out_chart.sum(residual))
     return report
 
 

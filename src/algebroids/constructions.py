@@ -55,8 +55,8 @@ def action_algebroid(base: Chart, fiber: Sequence[Tuple[str, int]],
     return AlgebroidSpec(base, [(n, d) for n, d in fiber], anchor, bracket)
 
 
-def poisson_bialgebroid(base: Chart, pi: Mapping,
-                        hbar_cap: int = 4) -> Tuple[BialgebroidSpec, Hamiltonian]:
+def poisson_bialgebroid(base: Chart,
+                        pi: Mapping) -> Tuple[BialgebroidSpec, Hamiltonian]:
     """The bialgebroid of a Poisson bivector: the cotangent algebroid paired
     with the tangent structure on its dual; chi is linear-quadratic and
     integrable."""
@@ -65,11 +65,10 @@ def poisson_bialgebroid(base: Chart, pi: Mapping,
     anchor = {(fn, xv.name): 1 for fn, xv in zip(dual_names, base.vars)}
     dual = AlgebroidSpec(base, [(fn, 0) for fn in dual_names], anchor, {})
     b = BialgebroidSpec(primal, dual)
-    chi = assemble_hamiltonian(b, hbar_cap)
-    return b, chi
+    return b, assemble_hamiltonian(b)
 
 
-def triangular(spec: AlgebroidSpec, r: GPoly, hbar_cap: int = 4) -> Hamiltonian:
+def triangular(spec: AlgebroidSpec, r: GPoly) -> Hamiltonian:
     """The homotopy structure induced by a classical element r with [r,r] = 0.
 
     The dual-side Hamiltonian is the cotangent lift of the odd Hamiltonian
@@ -98,7 +97,7 @@ def triangular(spec: AlgebroidSpec, r: GPoly, hbar_cap: int = 4) -> Hamiltonian:
         raise AlgebroidsError(
             "triangular self-check failed: the lifted vector field does not "
             "match the bracket route")
-    return Hamiltonian(sc, mu + cobracket_part, hbar_cap)
+    return Hamiltonian(sc, mu + cobracket_part)
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,7 @@ def _endo_transpose_on_forms(kspec: AlgebroidSpec, nmat, form: Mapping) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def linfty_bialgebra(fiber, components: Mapping,
-                     hbar_cap: int = 4) -> Hamiltonian:
+def linfty_bialgebra(fiber, components: Mapping) -> Hamiltonian:
     """A point-case homotopy structure from weighted components.
 
     `fiber` is either the double chart T*[2]V[1] over a point or the
@@ -306,4 +304,4 @@ def linfty_bialgebra(fiber, components: Mapping,
                 raise DegreeError(
                     f"component ({m},{n}) has a term of bidegree ({fw},{mw})")
         parts.append(p)
-    return Hamiltonian(sc, chart.sum(parts), hbar_cap)
+    return Hamiltonian(sc, chart.sum(parts))

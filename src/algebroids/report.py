@@ -50,10 +50,8 @@ class Report:
         self.records.append(rec)
         return rec
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
-        for r in other.records:
-            self.records.append(CheckRecord(prefix + r.name, r.identity,
-                                            r.passed, r.residual, r.detail))
+    def extend(self, other: "Report") -> None:
+        self.records.extend(other.records)
 
     def failures(self) -> List[CheckRecord]:
         return [r for r in self.records if not r.passed]

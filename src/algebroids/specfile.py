@@ -193,6 +193,16 @@ def _int_row(section, key, default):
     return default if row is None else _int(_arg(row, n=1), row[3], key)
 
 
+def _cap_row(section, key, default):
+    """`_int_row` for a weight cap, which is non-negative: a negative cap
+    leaves nothing to check, and is refused at its row's line."""
+    cap = _int_row(section, key, default)
+    if cap < 0:
+        raise ParseError(f"bad {key} {cap}: a cap is non-negative",
+                         section.single(key)[3])
+    return cap
+
+
 def _expr_row(row, chart):
     """The `= expr` of a row, parsed on `chart` at the row's line."""
     _, _, text, lineno = row
@@ -332,9 +342,9 @@ def _resolve_bialgebroid(doc, section):
 
 def _resolve_hamiltonian(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    cap = _int_row(section, "hbar-cap", 4)
+    _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
     sc = spec.symplectic_chart()
-    return Hamiltonian(sc, _value(section, "value", sc.chart), cap)
+    return Hamiltonian(sc, _value(section, "value", sc.chart))
 
 
 def _endpoint(doc, section, key):
@@ -362,7 +372,7 @@ def _resolve_morphism(doc, section):
             assignment[_name(row, 0, tgt_ce.names)] = _expr_row(row, src_ce)
         resolved = PolyMap(src_ce, tgt_ce, assignment)
     else:
-        cap = _int_row(section, "cap", None)
+        cap = _cap_row(section, "cap", None)
         base_map = _table(section, "base", src_ce, tgt_ce.names)
         entries = [(row, dict([entry]), {}) for row, entry
                    in zip(section.rows("base"), base_map.items())]
@@ -454,10 +464,21 @@ def _construct_action(doc, section):
             _table(section, "act", base, names, base.names))
 
 
+def _bivector(section, base):
+    """The `bivector <xi> <xj> = expr` rows as a table; a pair given in both
+    orders, or a diagonal pair, is refused at its line."""
+    for _, args, _, lineno in section.rows("bivector", unordered=True):
+        if len(args) == 2 and args[0] == args[1]:
+            raise ParseError("diagonal bivector entries vanish: row "
+                             f"'bivector {' '.join(args)}'", lineno)
+    return _table(section, "bivector", base, base.names, base.names)
+
+
 def _construct_poisson(doc, section):
     base = _ref(doc, section, "base", "chart")
-    pi = _table(section, "bivector", base, base.names, base.names)
-    return (base, pi, _int_row(section, "hbar-cap", 4))
+    pi = _bivector(section, base)
+    _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
+    return (base, pi)
 
 
 def _construct_triangular(doc, section):
@@ -467,9 +488,8 @@ def _construct_triangular(doc, section):
 
 def _construct_nijenhuis(doc, section):
     base = _ref(doc, section, "base", "chart")
-    pairs = (base, base.names, base.names)
-    return (NijenhuisData(base, _table(section, "endo", *pairs),
-                          _table(section, "bivector", *pairs)),)
+    endo = _table(section, "endo", base, base.names, base.names)
+    return (NijenhuisData(base, endo, _bivector(section, base)),)
 
 
 def _construct_linfty_bialgebra(doc, section):
@@ -480,7 +500,8 @@ def _construct_linfty_bialgebra(doc, section):
     for row in section.rows("component"):
         m, n = (_int(_arg(row, i, 2), row[3], "arity") for i in (0, 1))
         components[(m, n)] = _expr_row(row, sc.chart)
-    return (sc, components, _int_row(section, "hbar-cap", 4))
+    _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
+    return (sc, components)
 
 
 # section kind -> (the keys its rows may use, resolver from the document and

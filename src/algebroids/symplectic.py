@@ -274,14 +274,12 @@ def canonical_context(sc: SymplecticChart, label: str = "canonical") -> BracketC
 class Hamiltonian:
     """A polynomial on a shifted cotangent chart with derived classification.
 
-    `hbar_cap` is only the default cap of `bialgebroid.hamiltonian_action`;
-    None leaves it uncapped.  `bialgebroid.check_linfty`, not construction,
-    checks the homotopy-structure conditions.
+    `bialgebroid.check_linfty`, not construction, checks the
+    homotopy-structure conditions.
     """
 
     chart: SymplecticChart
     body: GPoly
-    hbar_cap: Optional[int] = None
     # the operator action's split of the body, per hbar cap
     # (`bialgebroid._word_split`)
     _word_splits: dict = field(default_factory=dict, init=False,

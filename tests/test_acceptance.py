@@ -7,7 +7,6 @@ weight cap <= 6.
 
 import io
 import contextlib
-import dataclasses
 import itertools
 import os
 import random
@@ -26,13 +25,13 @@ from algebroids.algebroid import (AlgebroidSpec, adjoint_line_connection,
                                   hamiltonian_of_algebroid, lie_derivative,
                                   schouten_bracket, section_bracket,
                                   tangent_spec)
-from algebroids.bialgebroid import (BialgebroidSpec, HBAR,
+from algebroids.bialgebroid import (BialgebroidSpec,
                                     assemble_hamiltonian, check_bialgebroid,
                                     check_linfty, hamiltonian_action,
                                     legendre_quadratic_check)
 from algebroids.constructions import linfty_bialgebra, triangular
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (Chart, GPoly, inject, random_poly,
+from algebroids.gpoly import (Chart, inject, random_poly,
                               vector_field_commutator)
 from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
                                    hamiltonian_lift, legendre,
@@ -45,17 +44,15 @@ def _ce_chart(lham):
                   for v in lham.chart.base_chart.vars])
 
 
-def _act_twice(lham, g, ce):
-    first = hamiltonian_action(lham, g)
-    hb = first.chart.index_of(HBAR)
-    total = first.chart.zero()
-    for power, piece in first.split_by(lambda m: m[hb]).items():
-        unpack = first.chart.unpack
-        stripped = GPoly(ce, {ce.pack(unpack(m)[:len(ce.vars)]): c
-                              for m, c in piece.terms.items()})
-        total = total + inject(hamiltonian_action(lham, stripped),
-                               first.chart) * first.chart.var_poly(HBAR) ** power
-    return total
+def _act_twice(lham, g, hbar_cap):
+    """chi(chi(g)) as an hbar series, each action capped at `hbar_cap`."""
+    by_power = {}
+    for p1, first in hamiltonian_action(lham, g, hbar_cap).items():
+        for p2, second in hamiltonian_action(lham, first, hbar_cap).items():
+            by_power.setdefault(p1 + p2, []).append(second)
+    ce = lham.chart.base_chart
+    total = {k: ce.sum(parts) for k, parts in by_power.items()}
+    return {k: v for k, v in total.items() if v}
 
 
 def test_criterion_01_canonical_bracket_axioms():
@@ -285,17 +282,17 @@ def test_criterion_11_operator_nilpotency():
     structure in the composable corpus."""
     rng = random.Random(127)
     for name, build in NILPOTENT_CORPUS.items():
-        lham = dataclasses.replace(build(), hbar_cap=4)
+        lham = build()
         assert check_linfty(lham).passed, name
         ce = _ce_chart(lham)
         for _ in range(50):
             g = random_poly(ce, rng, 3, 2, 3)
-            assert _act_twice(lham, g, ce).is_zero(), name
+            assert _act_twice(lham, g, 4) == {}, name
     # pinned counterexample: the linear bivector carries a modular field
     chi = assemble_hamiltonian(BIALGEBROID_PASSING["poisson-linear"]())
     ce = _ce_chart(chi)
-    residual = _act_twice(chi, pe("x1^2 * x2 * xi1 * xi2", ce), ce)
-    assert residual == pe("-x1^2 * xi1 * xi2 * hbar", residual.chart)
+    residual = _act_twice(chi, pe("x1^2 * x2 * xi1 * xi2", ce), 4)
+    assert residual == {1: pe("-x1^2 * xi1 * xi2", ce)}
 
 
 def _bidegree_support(chi_sq, chart):

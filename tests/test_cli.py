@@ -61,6 +61,7 @@ def test_golden(sub, fname, flags):
 KERNEL_CASES = [
     ("check-algebroid", "gl3_broken.alg", ["--json", "--residuals"]),
     ("check-morphism", "log_canonical_d3.alg", ["--json"]),
+    ("check-morphism", "point_morphism.alg", ["--json", "--residuals"]),
 ]
 
 
@@ -326,6 +327,38 @@ BAD_INPUTS.update({
         b"morphism f\n  type full\n  source V\n  target W\n  cap 2\n"
         b"  word dy dz = 0\n  word dz dy = 0\n",
         "duplicate row 'word dz dy' in section 'f' at line 22"),
+    # pi is antisymmetric: a pair in both orders would be summed, and a
+    # diagonal pair is zero
+    "reversed-bivector-pair": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct poisson P\n"
+        b"  base M\n  bivector x1 x2 = x1\n  bivector x2 x1 = x2\n",
+        "duplicate row 'bivector x2 x1' in section 'P' at line 8"),
+    "reversed-nijenhuis-bivector-pair": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct nijenhuis N\n"
+        b"  base M\n  bivector x1 x2 = 1\n  bivector x2 x1 = 1\n",
+        "duplicate row 'bivector x2 x1' in section 'N' at line 8"),
+    "diagonal-bivector": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct poisson P\n"
+        b"  base M\n  bivector x1 x1 = x1\n",
+        "diagonal bivector entries vanish: row 'bivector x1 x1' at line 7"),
+    "diagonal-nijenhuis-bivector": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct nijenhuis N\n"
+        b"  base M\n  bivector x2 x2 = 1\n",
+        "diagonal bivector entries vanish: row 'bivector x2 x2' at line 7"),
+    # a negative cap leaves no argument to check: a vacuous PASS
+    "negative-cap": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap -1\n",
+        "bad cap -1: a cap is non-negative at line 19"),
+    "negative-hbar-cap": (
+        b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n\n"
+        b"hamiltonian H\n  algebroid G\n  hbar-cap -3\n"
+        b"  value = xi1 * xi1*\n",
+        "bad hbar-cap -3: a cap is non-negative at line 9"),
+    "negative-poisson-hbar-cap": (
+        b"chart M\n  var x1 0\n  var x2 0\n\nconstruct poisson P\n"
+        b"  base M\n  bivector x1 x2 = x1\n  hbar-cap -1\n",
+        "bad hbar-cap -1: a cap is non-negative at line 8"),
 })
 # a row that takes only an expression, given an argument: the key, the
 # section that holds it, and the row's line when the section follows an
@@ -393,8 +426,8 @@ def test_trunc_keeps_golden(sub, fname, cap):
 
 
 def test_hbar_cap_row_leaves_check_morphism_alone(tmp_path):
-    # the morphism check truncates at its table's cap, not at the
-    # Hamiltonian's default cap
+    # an hbar-cap row sets nothing: the morphism check truncates at its
+    # table's cap
     with open(os.path.join(DATA, "morphism.alg")) as fh:
         text = fh.read()
     assert "  hbar-cap 3\n" in text

@@ -14,7 +14,7 @@ import os
 import pytest
 
 import algebroids
-from algebroids import algebroid, cli, specfile
+from algebroids import algebroid, bialgebroid, cli, specfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -88,4 +88,21 @@ def test_axiom_route_calls_section_bracket(monkeypatch):
     with open(os.path.join(ROOT, "tests", "data", "two_dim_algebra.alg")) as fh:
         spec = specfile.parse_spec(fh.read()).lookup("V").resolved
     assert algebroid.check_algebroid(spec).passed
+    assert calls
+
+
+def test_morphism_check_calls_the_action(monkeypatch):
+    # the tracer counts the operator action at the module binding of
+    # hamiltonian_action; a morphism check that inlined the action would
+    # read 0 on poisson-ladder and cli-cold
+    calls = []
+    action = bialgebroid.hamiltonian_action
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return action(*args, **kwargs)
+
+    monkeypatch.setattr(bialgebroid, "hamiltonian_action", counted)
+    path = os.path.join(ROOT, "tests", "data", "morphism.alg")
+    assert cli.main(["check-morphism", path]) == 0
     assert calls
