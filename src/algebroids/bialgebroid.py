@@ -20,16 +20,15 @@ morphism endpoint, is a `symplectic.Hamiltonian`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Tuple
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
-from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
-                     TruncationIncomplete)
-from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FORMAL,
-                    FIBER_DIRECTION_KINDS, MOMENTUM_KINDS,
+from .errors import ChartMismatch, DegreeError, TruncationIncomplete
+from .gpoly import (Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_FORMAL,
+                    KIND_MOMENTUM_BASE, FIBER_DIRECTION_KINDS, MOMENTUM_KINDS,
                     enumerate_monomials, inject, partial_left,
                     render_monomial, substitute)
 from .report import Report
@@ -293,27 +292,29 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     return {k: coeff for k, coeff in series.items() if coeff}
 
 
-def taylor(g: GPoly, cap: int) -> dict:
-    """The coefficient table of g about the zero section: fiber word ->
-    base-coefficient polynomial, up to word weight cap.
-
-    Words are monomials in the non-base coordinates of g's chart (base
-    exponents zeroed); the normalization is the plain monomial coefficient.
-    """
-    chart = g.chart
-    nbase = sum(1 for v in chart.vars if v.kind == KIND_BASE)
-    if any(v.kind == KIND_BASE for v in chart.vars[nbase:]):
+@lru_cache(maxsize=64)
+def base_chart(chart: Chart) -> Chart:
+    """The leading base coordinates of a V[1] chart as a chart of their
+    own: a base monomial has the same packed key on both."""
+    nbase = chart.kinds.count(KIND_BASE)
+    if chart.kinds[:nbase] != (KIND_BASE,) * nbase:
         raise ChartMismatch("base coordinates must precede fiber coordinates")
+    return Chart(chart.vars[:nbase])
+
+
+def taylor(g: GPoly, cap: int) -> dict:
+    """The coefficient table of g about the zero section: the packed key of
+    each fiber word of weight at most cap -> its coefficient on
+    `base_chart(g.chart)`.  The base-field mask splits each key into the
+    word and the coefficient monomial, whose key it already is."""
+    base = base_chart(g.chart)
+    mask, wshift = base.var_bits, g.chart.wshift
     table = {}
     for m, c in g.terms.items():
-        exps = chart.unpack(m)
-        word = (0,) * nbase + exps[nbase:]
-        if sum(exps[nbase:]) > cap:
-            continue
-        # distinct monomials have distinct (word, base part) pairs
-        base_part = chart.pack(exps[:nbase] + (0,) * (len(exps) - nbase))
-        table.setdefault(word, {})[base_part] = c
-    return {w: GPoly(chart, terms) for w, terms in sorted(table.items())}
+        if m >> wshift <= cap:
+            # distinct monomials have distinct (word, base part) pairs
+            table.setdefault(m & ~mask, {})[m & mask] = c
+    return {word: GPoly._raw(base, terms) for word, terms in table.items()}
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -371,99 +372,76 @@ def semistrict_morphism_check(f: PolyMap, ham_source: Hamiltonian,
     return report
 
 
-@dataclass
-class FullMorphism:
-    """A weight-truncated morphism table V[1] -> S(W[1]).
+def table_entry(source: Chart, target: Chart, key, img: GPoly) -> int:
+    """Check one row of a morphism table alone, as the map onto one
+    coordinate that it is, and return the row's packed key on `target`.
 
-    `base_map` assigns target base coordinates; `words` assigns to each
-    graded-symmetric word in the target fiber coordinates (an exponent
-    tuple over the target V[1] chart with base entries zero) its pullback, a
-    polynomial on the source V[1] chart.  All entries are degree-preserving
-    and basepoint-preserving.
+    `key` names a base coordinate of `target`, or is a word: an exponent
+    tuple over its fiber coordinates, whose image `img` on `source` must
+    vanish on the zero section as a fiber coordinate's does."""
+    if isinstance(key, str):
+        v = target.var(key)
+        if v.kind != KIND_BASE:
+            raise ChartMismatch(f"{key!r} is not a base coordinate")
+        packed = target.units[v.index]
+    else:
+        if len(key) != len(target.vars):
+            raise ChartMismatch("word length does not match the target chart")
+        if any(e and kind == KIND_BASE for e, kind in zip(key, target.kinds)):
+            raise ChartMismatch("words range over fiber coordinates only")
+        packed = target.pack(key)
+        v = GVar(render_monomial(target, key), target.monomial_degree(packed),
+                 KIND_FIBER)
+    PolyMap(source, Chart([v]), {v.name: img})
+    return packed
+
+
+class FullMorphism:
+    """A weight-truncated morphism table V[1] -> S(W[1]), between two bases
+    in general.  It holds what `pull_taylor` reads: the weight cap `cap`;
+    `words`, the image on `source` of each word in the fiber coordinates of
+    `target`, keyed by its packed key there (the constructor takes exponent
+    tuples, each checked by `table_entry`); and `base`, the PolyMap from
+    `source` to the target base chart that `base_map` gives.
     """
 
-    source: Chart
-    target: Chart
-    base_map: Mapping[str, GPoly]
-    words: Mapping[tuple, GPoly]
-    cap: int
-
-    def __post_init__(self):
-        base_map = {}
-        for name, img in self.base_map.items():
-            v = self.target.var(name)
-            if v.kind != KIND_BASE:
-                raise ChartMismatch(f"{name!r} is not a base coordinate")
-            if img.chart != self.source:
-                raise ChartMismatch("entries live on the source chart")
-            if not img.is_homogeneous(v.degree) or img.constant_term() != 0:
-                raise DegreeMismatch(
-                    f"base entry {name!r} must be homogeneous of degree "
-                    f"{v.degree} with zero constant term")
-            base_map[name] = img
-        self.base_map = base_map
-        words = {}
-        kinds = self.target.kinds
-        src_kinds = self.source.kinds
-        for word, img in self.words.items():
-            word = tuple(word)
-            if len(word) != len(self.target.vars):
-                raise ChartMismatch("word length does not match the target chart")
-            if any(e and kinds[i] == KIND_BASE for i, e in enumerate(word)):
-                raise ChartMismatch("words range over fiber coordinates only")
-            if img.chart != self.source:
-                raise ChartMismatch("entries live on the source chart")
-            want = self.target.monomial_degree(self.target.pack(word))
-            if not img.is_homogeneous(want):
-                raise DegreeMismatch(
-                    f"word entry {word} must be homogeneous of degree {want}")
-            for m in img.terms:
-                if not any(src_kinds[i] != KIND_BASE
-                           for i, _ in self.source.fields(m)):
-                    raise DegreeMismatch(
-                        "word entries must vanish on the zero section")
-            words[word] = img
-        self.words = words
-
-    def pull_base(self, p: GPoly) -> GPoly:
-        """Pull back a base-coefficient polynomial through the base map."""
-        return substitute(p, dict(self.base_map), target=self.source)
+    def __init__(self, source: Chart, target: Chart,
+                 base_map: Mapping[str, GPoly], words: Mapping[tuple, GPoly],
+                 cap: int):
+        self.words = {table_entry(source, target, word, img): img
+                      for word, img in words.items()}
+        self.base = PolyMap(source, base_chart(target), base_map)
+        self.source, self.target, self.cap = source, target, cap
 
     def pull_taylor(self, g: GPoly) -> GPoly:
         """Apply f* after the Taylor expansion of g about the zero section."""
+        if g.chart != self.target:
+            raise ChartMismatch("the table pulls back functions on its target")
         terms = []
         for word, coeff in taylor(g, self.cap).items():
-            pulled_coeff = self.pull_base(coeff)
-            if pulled_coeff.is_zero():
-                continue
-            if not any(word):
-                terms.append(pulled_coeff)
-                continue
-            img = self.words.get(word)
-            if img is None:
-                raise TruncationIncomplete(
-                    f"missing word {word} below the weight cap {self.cap}")
-            terms.append(pulled_coeff * img)
+            pulled = self.base.pullback(coeff)
+            if pulled and word:
+                img = self.words.get(word)
+                if img is None:
+                    raise TruncationIncomplete(
+                        f"missing word {self.target.unpack(word)} below the "
+                        f"weight cap {self.cap}")
+                pulled = pulled * img
+            terms.append(pulled)
         return self.source.sum(terms)
 
 
 def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
-    """A chart morphism as a table: word entries multiply the weight-one
-    images, base entries are the base-coordinate images."""
-    base_map = {v.name: f.image_of(v.name) for v in f.target.vars
+    """A chart morphism as a table: each word's entry is the pullback of
+    the word, and the base entries are the base-coordinate images."""
+    target = f.target
+    base_map = {v.name: f.image_of(v.name) for v in target.vars
                 if v.kind == KIND_BASE}
-    words = {}
     # the words of weight at most cap, with every base exponent zero
-    for word in enumerate_monomials(f.target, cap, max_base_degree=0):
-        if not any(word):
-            continue
-        img = f.source.one()
-        for i, e in enumerate(word):
-            for _ in range(e):
-                img = img * f.image_of(f.target.names[i])
-        if img:
-            words[word] = img
-    return FullMorphism(f.source, f.target, base_map, words, cap)
+    words = {word: f.pullback(GPoly._raw(target, {target.pack(word): 1}))
+             for word in enumerate_monomials(target, cap, max_base_degree=0)
+             if any(word)}
+    return FullMorphism(f.source, target, base_map, words, cap)
 
 
 def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
@@ -473,10 +451,14 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
     words and powers of hbar at the table's cap.
 
     The identity is evaluated on every monomial of the target function chart
-    up to the weight cap (with base exponents at most one), not only on the
-    coordinate generators: second derivatives vanish on linear arguments, so
-    generators alone cannot see the higher operations.  A failing record
-    shows its residual as a polynomial in hbar.
+    up to the weight cap, not only on the coordinate generators: second
+    derivatives vanish on linear arguments, so generators alone cannot see
+    the higher operations.  Each base exponent runs up to r, the most base
+    momenta in one monomial of either body (at least 1).  The two sides
+    then differ by sum_a c_a * f*(d^a g) over base multi-indices a of order
+    at most r, and g = x^b gives a multiple of c_b plus terms in c_a for
+    a < b: where these arguments pass, every c_a is zero.  A failing
+    record shows its residual as a polynomial in hbar.
     """
     report = Report("homotopy-morphism")
     ce_v = lham_source.chart.base_chart
@@ -487,7 +469,10 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
     out_chart = with_formal_parameter(ce_v)
     hbar = out_chart.var_poly(HBAR)
     zero = ce_v.zero()
-    for mono in enumerate_monomials(ce_w, fm.cap, max_base_degree=1):
+    base_momenta = (KIND_MOMENTUM_BASE,)
+    r = max({1} | lham_source.body.kind_weights(base_momenta)
+            | lham_target.body.kind_weights(base_momenta))
+    for mono in enumerate_monomials(ce_w, fm.cap, max_base_degree=r):
         if not any(mono):
             continue
         name = render_monomial(ce_w, mono)

@@ -571,47 +571,45 @@ def partial_left(f: GPoly, v) -> GPoly:
     return GPoly._raw(chart, res)
 
 
-def substitute(f: GPoly, assignment: Mapping, target: Optional[Chart] = None) -> GPoly:
-    """Apply the algebra map sending each variable to its assigned polynomial.
-
-    Keys of `assignment` are variable names (or GVars) of f's chart; values
-    are homogeneous polynomials of the same degree on `target`.  Unassigned
-    variables must exist on `target` with the same degree and map to
-    themselves.
-    """
-    src = f.chart
-    images = {}
-    for key, val in assignment.items():
-        name = key if isinstance(key, str) else key.name
-        src.index_of(name)  # raises UndeclaredVariable
-        images[name] = val
-    if target is None:
-        target = next((p.chart for p in images.values()), src)
-    # each leg is an image polynomial, or the target index of an unassigned
-    # variable: an identity leg, applied as a monomial shift
+def image_legs(chart: Chart, images: Mapping[str, "GPoly"],
+               target: Chart) -> list:
+    """The leg, in chart order, of each variable of `chart` under the
+    algebra map onto `target` that sends the variables named in `images`
+    to their images, homogeneous polynomials of the same degree on
+    `target`; a leg is that image, or the index of the same-degree namesake
+    on `target` that an unnamed variable maps to.  This is the one check of
+    map images: `substitute`, `PolyMap` and `FullMorphism` all use it."""
+    for name in images:
+        chart.index_of(name)  # raises UndeclaredVariable
     legs = []
-    for v in src.vars:
+    for v in chart.vars:
         img = images.get(v.name)
         if img is None:
             if not target.has(v.name) or target.var(v.name).degree != v.degree:
                 raise DegreeMismatch(
-                    f"variable {v.name!r} has no same-degree counterpart on the target chart")
+                    f"variable {v.name!r} has no image and no same-degree "
+                    f"counterpart on {target!r}")
             legs.append(target.index_of(v.name))
+        elif img.chart != target:
+            raise ChartMismatch(f"image of {v.name!r} must live on {target!r}")
+        elif not img.is_homogeneous(v.degree):
+            raise DegreeMismatch(
+                f"image of {v.name!r} must be homogeneous of degree {v.degree}")
         else:
-            if img.chart != target:
-                raise ChartMismatch("assigned polynomial lives on the wrong chart")
-            if not img.is_homogeneous(v.degree):
-                raise DegreeMismatch(
-                    f"image of {v.name!r} is not homogeneous of degree {v.degree}")
             legs.append(img)
+    return legs
 
+
+def pull_legs(f: GPoly, legs: list, target: Chart) -> GPoly:
+    """f under the algebra map with the checked `legs` (`image_legs`) of its
+    chart's variables; an identity leg is a monomial shift."""
     units = target.units
 
     def image(m, c):
         part = target.const(c)
-        for idx, e in src.fields(m):
+        for idx, e in f.chart.fields(m):
             leg = legs[idx]
-            if isinstance(leg, int):
+            if leg.__class__ is int:
                 part = mul_monomial(part, e * units[leg])
             else:
                 for _ in range(e):
@@ -621,6 +619,16 @@ def substitute(f: GPoly, assignment: Mapping, target: Optional[Chart] = None) ->
         return part
 
     return target.sum(image(m, c) for m, c in f.terms.items())
+
+
+def substitute(f: GPoly, assignment: Mapping[str, GPoly],
+               target: Optional[Chart] = None) -> GPoly:
+    """Apply the algebra map sending each variable named in `assignment` to
+    its polynomial on `target`, and every other variable to its namesake
+    there (`image_legs`)."""
+    if target is None:
+        target = next((p.chart for p in assignment.values()), f.chart)
+    return pull_legs(f, image_legs(f.chart, assignment, target), target)
 
 
 def inject(f: GPoly, target: Chart) -> GPoly:

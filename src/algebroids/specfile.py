@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         line_connection)
-from .bialgebroid import BialgebroidSpec, FullMorphism
+from .bialgebroid import BialgebroidSpec, FullMorphism, table_entry
 from .constructions import NijenhuisData
 from .errors import (AlgebroidsError, DegreeError, ParseError,
                      UndeclaredVariable)
@@ -374,7 +374,7 @@ def _resolve_morphism(doc, section):
     else:
         cap = _cap_row(section, "cap", None)
         base_map = _table(section, "base", src_ce, tgt_ce.names)
-        entries = [(row, dict([entry]), {}) for row, entry
+        entries = [(row, name, img) for row, (name, img)
                    in zip(section.rows("base"), base_map.items())]
         words = {}
         # the same fibers in another order name the same word
@@ -385,14 +385,18 @@ def _resolve_morphism(doc, section):
                 exps[tgt_ce.index_of(_name(row, i, tgt_ce.names))] += 1
             word = tuple(exps)
             words[word] = _expr_row(row, src_ce)
-            entries.append((row, {}, {word: words[word]}))
-        for row, one_base, one_word in entries:
-            # each entry alone first, so that its fault names its row
+            entries.append((row, word, words[word]))
+        # each entry alone first, so that its fault names its row; what only
+        # the whole table lacks, such as a base row, names the type row
+        for row, key, img in entries:
             try:
-                FullMorphism(src_ce, tgt_ce, one_base, one_word, cap)
+                table_entry(src_ce, tgt_ce, key, img)
             except AlgebroidsError as exc:
                 raise ParseError(str(exc), row[3]) from None
-        resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
+        try:
+            resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
+        except AlgebroidsError as exc:
+            raise ParseError(str(exc), type_row[3]) from None
     return (mtype, source, target, resolved)
 
 

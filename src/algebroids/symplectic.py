@@ -26,7 +26,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
-    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, inject, mul_monomial, substitute,
+    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, mul_monomial,
+    pull_legs,
 )
 from .report import Report
 
@@ -325,40 +326,28 @@ class PolyMap:
     """A graded-manifold morphism in coordinates: each target coordinate is
     assigned a source polynomial of the same degree, with zero constant term
     (basepoints go to basepoints); fiber-direction targets pull back to
-    polynomials with no base-only monomials."""
+    polynomials with no base-only monomials.  An unassigned coordinate maps
+    to its same-degree namesake on the source.  The map keeps the legs that
+    `gpoly.image_legs` checked once, so `pullback` checks nothing per call.
+    """
 
     def __init__(self, source: Chart, target: Chart,
                  assignment: Mapping[str, GPoly]):
         self.source = source
         self.target = target
-        self.assignment = {}
-        for key, img in assignment.items():
-            name = key if isinstance(key, str) else key.name
-            tv = target.var(name)
-            if img.chart != source:
-                raise ChartMismatch(
-                    f"image of {name!r} must live on the source chart")
-            if not img.is_homogeneous(tv.degree):
-                raise DegreeMismatch(
-                    f"image of {name!r} must be homogeneous of degree {tv.degree}")
+        self.assignment = dict(assignment)
+        self._legs = image_legs(target, self.assignment, source)
+        src_kinds = source.kinds
+        for name, img in self.assignment.items():
             if img.constant_term() != 0:
                 raise DegreeMismatch(
                     f"image of {name!r} must preserve the basepoint "
                     "(zero constant term)")
-            if tv.kind != KIND_BASE:
-                src_kinds = source.kinds
-                for m in img.terms:
-                    if not any(src_kinds[i] != KIND_BASE
-                               for i, _ in source.fields(m)):
-                        raise DegreeMismatch(
-                            f"image of {name!r} must vanish on the zero section")
-            self.assignment[name] = img
-        for tv in target.vars:
-            if tv.name not in self.assignment:
-                if not source.has(tv.name) or source.var(tv.name).degree != tv.degree:
-                    raise DegreeMismatch(
-                        f"target coordinate {tv.name!r} has no assignment and no "
-                        "same-degree source counterpart")
+            if target.var(name).kind != KIND_BASE and any(
+                    all(src_kinds[i] == KIND_BASE for i, _ in source.fields(m))
+                    for m in img.terms):
+                raise DegreeMismatch(
+                    f"image of {name!r} must vanish on the zero section")
 
     def image_of(self, name: str) -> GPoly:
         img = self.assignment.get(name)
@@ -369,7 +358,7 @@ class PolyMap:
     def pullback(self, poly: GPoly) -> GPoly:
         if poly.chart != self.target:
             raise ChartMismatch("pullback input must live on the target chart")
-        return substitute(poly, self.assignment, target=self.source)
+        return pull_legs(poly, self._legs, self.source)
 
     def then(self, other: "PolyMap") -> "PolyMap":
         """Composition: self followed by other (source -> other.target)."""

@@ -62,6 +62,8 @@ KERNEL_CASES = [
     ("check-algebroid", "gl3_broken.alg", ["--json", "--residuals"]),
     ("check-morphism", "log_canonical_d3.alg", ["--json"]),
     ("check-morphism", "point_morphism.alg", ["--json", "--residuals"]),
+    ("check-morphism", "base_degree_two.alg", ["--json", "--residuals"]),
+    ("check-morphism", "cross_chart_morphism.alg", ["--json", "--residuals"]),
 ]
 
 
@@ -311,6 +313,13 @@ BAD_INPUTS.update({
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
         b"  target W\n  cap 1\n  base dy = x\n",
         "'dy' is not a base coordinate at line 20"),
+    # a target base coordinate with neither a base row nor a namesake on
+    # the source: only the whole table lacks it, so its type row is named
+    "missing-base-row": (
+        TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
+        b"  target W\n  cap 1\n  word dy = dx\n",
+        "variable 'y' has no image and no same-degree counterpart on "
+        "Chart(x:0, dx:1) at line 16"),
     "word-names-a-base-variable": (
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
         b"  target W\n  cap 1\n  word y = dx\n",

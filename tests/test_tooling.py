@@ -2,14 +2,19 @@
 
 `verdictbench/tracer.py` wraps package functions by name; a renamed
 function would leave its coverage counter silently at zero.  The tracer
-module is imported read-only from its file and never installed here.
+module is imported read-only from its file; only the coverage test
+installs it, around one pass of each workload, and removes it again.
 The section and construction kinds `cli` dispatches on must be the ones
 `specfile` reads.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import os
+import sys
 
 import pytest
 
@@ -106,3 +111,46 @@ def test_morphism_check_calls_the_action(monkeypatch):
     path = os.path.join(ROOT, "tests", "data", "morphism.alg")
     assert cli.main(["check-morphism", path]) == 0
     assert calls
+
+
+@pytest.fixture
+def bench_runner(monkeypatch):
+    """`verdictbench/run.py`, loaded read-only from its file; it imports
+    its sibling modules `tracer` and `workloads` by those names."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "verdictbench"))
+    path = os.path.join(ROOT, "verdictbench", "run.py")
+    spec = importlib.util.spec_from_file_location("verdictbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    WORKLOADS = [w["name"] for w in json.load(_fh)["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_coverage_counters(workload, bench_runner, monkeypatch,
+                                    tmp_path):
+    # a traced run reads correct: false when one of these counters is zero,
+    # for instance when a call no longer goes through the module binding
+    # the tracer wraps; pass 0 of seed 7 runs in-process, cli-cold included
+    run = bench_runner
+    monkeypatch.chdir(ROOT)
+    items = run.write_inputs(run.W.make_pass(workload, 7, 0), str(tmp_path),
+                             0)
+    tracer = run.T.Tracer()
+    tracer.install()
+    try:
+        for _, argv in items:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+    finally:
+        tracer.uninstall()
+    metrics = run.per_layer(run.T.merge([tracer.state()]), 1, 0.0, 0.0, 1.0)
+    zero = [name for name in run.COMMON_COVERAGE + run.COVERAGE[workload]
+            if not metrics[name][0]]
+    assert not zero
