@@ -25,8 +25,8 @@ from .errors import (ChartMismatch, DegreeError, DegreeMismatch, NotPoisson,
                      NotSplit)
 from .expr import parse_expression
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, apply_vector_field,
-                    inject, mono_normalize, partial_left, restrict_to,
-                    vector_field_commutator)
+                    inject, mono_normalize, mul_monomial, partial_left,
+                    restrict_to, vector_field_commutator)
 from .report import Report
 from .symplectic import (BracketContext, Hamiltonian, SymplecticChart,
                          biderivation_bracket, canonical_bracket,
@@ -324,31 +324,36 @@ def hamiltonian_of_algebroid(spec: AlgebroidSpec,
     equivalent to the bracket axioms, and d = {mu, -} restricts to
     d(xi^c) = -1/2 C^c_ab xi^a xi^b, the homogeneous-coordinate form of the
     classical coboundary operator.
+
+    Each term is its coefficient shifted by the unit keys of its variables
+    (`mul_monomial`).  The spec keeps the result per chart: mu's one memo.
     """
     sc = sympl if sympl is not None else spec.symplectic_chart()
     C = sc.chart
+    made = spec._cache.get(("mu", C))
+    if made is not None:
+        return made
+    unit = dict(zip(C.names, C.units))
+    mom = {v.name: unit[sc.momentum_of(v.name).name] for v in sc.coords()}
+    names = spec.fiber_names
     terms = []
-    for a, an in enumerate(spec.fiber_names):
-        xi_a = C.var_poly(an)
-        for i, xv in enumerate(spec.base.vars):
-            entry = spec.anchor[a][i]
-            if entry.is_zero():
-                continue
-            mom = sc.momentum_of(xv.name).name
-            terms.append(xi_a * inject(entry, C) * C.var_poly(mom))
+    for an, row in zip(names, spec.anchor):
+        for xv, entry in zip(spec.base.vars, row):
+            if entry:
+                term = mul_monomial(inject(entry, C), mom[xv.name])
+                terms.append(mul_monomial(term, unit[an], left=True))
     # one term per pair a <= b: the (b, a) term equals the (a, b) one, since
     # d_a + d_b is even and the antisymmetry of C cancels the Koszul sign
     # of xi^b xi^a
-    names = spec.fiber_names
     for (a, b), row in spec.structure.items():
         if a > b:
             continue
         scale = -1 if a < b else Fraction(-1, 2)
-        pair = C.var_poly(names[a]) * C.var_poly(names[b])
         for c, centry in row.items():
-            mom = sc.momentum_of(names[c]).name
-            terms.append((scale, inject(centry, C) * pair * C.var_poly(mom)))
-    return Hamiltonian(sc, C.sum(terms))
+            term = mul_monomial(inject(centry, C), unit[names[a]])
+            term = mul_monomial(term, unit[names[b]])
+            terms.append(mul_monomial(term, mom[names[c]], coeff=scale))
+    return spec._cache.setdefault(("mu", C), Hamiltonian(sc, C.sum(terms)))
 
 
 def check_algebroid(spec: AlgebroidSpec) -> Report:
@@ -426,8 +431,7 @@ def ce_differential(spec: AlgebroidSpec, phi: GPoly,
     ce = sc.base_chart
     if phi.chart != ce:
         raise ChartMismatch("ce_differential input must be momentum-free")
-    mu = spec._cached(("mu", sc.chart),
-                      lambda: hamiltonian_of_algebroid(spec, sc).body)
+    mu = hamiltonian_of_algebroid(spec, sc).body
     out = canonical_bracket(mu, inject(phi, sc.chart), sc)
     return restrict_to(out, ce)   # momentum-free by momentum-weight one
 

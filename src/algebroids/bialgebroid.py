@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
@@ -73,20 +73,15 @@ class BialgebroidSpec:
         self.twin = twin_chart(self.chart)
         self.legendre = legendre(self.chart)
 
-    def hamiltonians(self) -> Tuple[Hamiltonian, Hamiltonian]:
-        mu = hamiltonian_of_algebroid(self.primal, self.chart)
-        mu_dual = hamiltonian_of_algebroid(self.dual, self.twin)
-        return mu, mu_dual
-
     def __repr__(self):
         return f"BialgebroidSpec({self.primal!r}, {self.dual!r})"
 
 
 def assemble_hamiltonian(b: BialgebroidSpec) -> Hamiltonian:
     """chi = mu + L*(mu_dual); linear-quadratic in the momenta."""
-    mu, mu_dual = b.hamiltonians()
-    chi = mu.body + b.legendre.pullback(mu_dual.body)
-    return Hamiltonian(b.chart, chi)
+    mu = hamiltonian_of_algebroid(b.primal, b.chart).body
+    mu_dual = hamiltonian_of_algebroid(b.dual, b.twin).body
+    return Hamiltonian(b.chart, mu + b.legendre.pullback(mu_dual))
 
 
 def check_linfty(lham: Hamiltonian, squared=None) -> Report:
@@ -146,11 +141,12 @@ def check_bialgebroid(b: BialgebroidSpec, squared=None) -> Report:
 
         labels = list(spec.starred_names())
         gens = [mv.var_poly(n) for n in labels]
-        for i, (la, pa) in enumerate(zip(labels, gens)):
-            for lb, pb in zip(labels[i:], gens[i:]):
+        d_gens = [d_star(p) for p in gens]
+        for i, (la, pa, da) in enumerate(zip(labels, gens, d_gens)):
+            for lb, pb, db in zip(labels[i:], gens[i:], d_gens[i:]):
                 lhs = d_star(schouten_bracket(spec, pa, pb))
-                rhs = (schouten_bracket(spec, d_star(pa), pb)
-                       + schouten_bracket(spec, pa, d_star(pb)))
+                rhs = (schouten_bracket(spec, da, pb)
+                       + schouten_bracket(spec, pa, db))
                 res = lhs - rhs
                 ok = res.is_zero()
                 compat_ok = compat_ok and ok
@@ -177,8 +173,8 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
         xi*_a A^i_a(x) x*_i  -  1/2 C_c^{ab}(x) xi*_a xi*_b xi^c
     """
     report = Report("legendre-quadratic")
-    _, mu_dual = b.hamiltonians()
-    via_legendre = b.legendre.pullback(mu_dual.body)
+    via_legendre = b.legendre.pullback(
+        hamiltonian_of_algebroid(b.dual, b.twin).body)
 
     C = b.chart.chart
     dual = b.dual

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """Outcome of a single identity check."""
+class CheckRecord(NamedTuple):
+    """Outcome of a single identity check; a tuple, so a record is cheap
+    to build and compares equal to the tuple of its fields."""
 
     name: str
     identity: str          # the mathematical identity being tested

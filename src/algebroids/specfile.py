@@ -363,14 +363,20 @@ def _resolve_morphism(doc, section):
     source = _endpoint(doc, section, "source")
     target = _endpoint(doc, section, "target")
     src_ce, tgt_ce = source.chart.base_chart, target.chart.base_chart
+    # each row alone first, as the map onto the one coordinate or word it
+    # names, so that its fault names its row; what only the whole table
+    # lacks, such as a base row, names the type row
     if mtype == "semistrict":
         assignment = {}
         for row in section.rows("map"):
             if len(row[1]) != 1:
                 raise ParseError("map rows read 'map <targetvar> = expr'",
                                  row[3])
-            assignment[_name(row, 0, tgt_ce.names)] = _expr_row(row, src_ce)
-        resolved = PolyMap(src_ce, tgt_ce, assignment)
+            name = _name(row, 0, tgt_ce.names)
+            img = assignment[name] = _expr_row(row, src_ce)
+            _at_row(row, PolyMap, src_ce, Chart([tgt_ce.var(name)]),
+                    {name: img})
+        resolved = _at_row(type_row, PolyMap, src_ce, tgt_ce, assignment)
     else:
         cap = _cap_row(section, "cap", None)
         base_map = _table(section, "base", src_ce, tgt_ce.names)
@@ -386,18 +392,25 @@ def _resolve_morphism(doc, section):
             word = tuple(exps)
             words[word] = _expr_row(row, src_ce)
             entries.append((row, word, words[word]))
-        # each entry alone first, so that its fault names its row; what only
-        # the whole table lacks, such as a base row, names the type row
         for row, key, img in entries:
-            try:
-                table_entry(src_ce, tgt_ce, key, img)
-            except AlgebroidsError as exc:
-                raise ParseError(str(exc), row[3]) from None
-        try:
-            resolved = FullMorphism(src_ce, tgt_ce, base_map, words, cap)
-        except AlgebroidsError as exc:
-            raise ParseError(str(exc), type_row[3]) from None
+            weight = tgt_ce.monomial_weight(
+                _at_row(row, table_entry, src_ce, tgt_ce, key, img))
+            # the check reads no word above the cap: such a row is unused
+            if weight > cap:
+                raise ParseError(f"a word of weight {weight} is above the "
+                                 f"table's cap {cap}", row[3])
+        resolved = _at_row(type_row, FullMorphism, src_ce, tgt_ce, base_map,
+                           words, cap)
     return (mtype, source, target, resolved)
+
+
+def _at_row(row, build, *args):
+    """build(*args), with the AlgebroidsError it raises placed at the line
+    of `row`."""
+    try:
+        return build(*args)
+    except AlgebroidsError as exc:
+        raise ParseError(str(exc), row[3]) from None
 
 
 def _resolve_connection(doc, section):

@@ -354,6 +354,25 @@ BAD_INPUTS.update({
         b"chart M\n  var x1 0\n  var x2 0\n\nconstruct nijenhuis N\n"
         b"  base M\n  bivector x2 x2 = 1\n",
         "diagonal bivector entries vanish: row 'bivector x2 x2' at line 7"),
+    # a `semistrict` row is checked alone, as the map onto its coordinate;
+    # what only the whole map lacks names the type row
+    "semistrict-map-moves-the-basepoint": (
+        TWO_ALGEBROIDS + b"morphism f\n  type semistrict\n  source V\n"
+        b"  target W\n  map y = x ^ 2 + 1\n  map dy = 2 * x * dx\n",
+        "image of 'y' must preserve the basepoint (zero constant term) "
+        "at line 19"),
+    "semistrict-missing-map-row": (
+        TWO_ALGEBROIDS + b"morphism f\n  type semistrict\n  source V\n"
+        b"  target W\n  map dy = dx\n",
+        "variable 'y' has no image and no same-degree counterpart on "
+        "Chart(x:0, dx:1) at line 16"),
+    # the check reads no word above the table's cap
+    "word-above-cap": (
+        b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n"
+        b"  fiber xi2 0\n\nmorphism F\n  type full\n  source G\n"
+        b"  target G\n  cap 1\n  word xi1 = xi1\n  word xi2 = xi2\n"
+        b"  word xi1 xi2 = xi1 * xi2\n",
+        "a word of weight 2 is above the table's cap 1 at line 15"),
     # a negative cap leaves no argument to check: a vacuous PASS
     "negative-cap": (
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
@@ -517,5 +536,32 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
     with open(os.path.join(DATA, "poisson.alg")) as fh:
         doc = parse_spec(fh.read())
     b, chi = poisson_bialgebroid(*doc.lookup("P").resolved)
-    mu, mu_dual = b.hamiltonians()
+    mu = algebroid.hamiltonian_of_algebroid(b.primal)
+    mu_dual = algebroid.hamiltonian_of_algebroid(b.dual)
     assert sorted(bodies) == sorted(repr(h.body) for h in (mu, mu_dual, chi))
+
+
+# mu builds per subcommand on poisson.alg: one per algebroid section (V and
+# Vd); one per spec and chart (V, Vd, Vd on the Legendre twin chart) for
+# the bialgebroid B and for the construction P
+@pytest.mark.parametrize("sub, builds", [("check-algebroid", 2),
+                                         ("check-bialgebroid", 3),
+                                         ("construct", 3)])
+def test_mu_is_built_once_per_spec_and_chart(sub, builds, monkeypatch):
+    # the builder's binding in every module that calls it, wrapped: a memo
+    # hit returns the Hamiltonian it returned before, a build a new one
+    from algebroids import algebroid, bialgebroid, constructions, specfile
+    original = algebroid.hamiltonian_of_algebroid
+    returned = []
+
+    def counted(*args, **kwargs):
+        ham = original(*args, **kwargs)
+        if not any(ham is seen for seen in returned):
+            returned.append(ham)
+        return ham
+
+    for module in (algebroid, bialgebroid, constructions, specfile):
+        monkeypatch.setattr(module, "hamiltonian_of_algebroid", counted)
+    code, _ = run_cli([sub, "tests/data/poisson.alg"])
+    assert code == 0
+    assert len(returned) == builds

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,3 +48,16 @@ class TestVerdictJson:
             assert verdict_json("c", results, residuals) == want
         assert verdict_json("c", []) == json.dumps(payload("c", [], False),
                                                    indent=2)
+
+
+def test_record_is_an_immutable_tuple():
+    # the fields, their order and their defaults are those of the record
+    # that Report.add builds; a record equals the tuple of its fields
+    rec = CheckRecord("n", "i", True)
+    assert rec == ("n", "i", True, None, None)
+    assert CheckRecord._fields == ("name", "identity", "passed", "residual",
+                                   "detail")
+    with pytest.raises(AttributeError):
+        rec.passed = False
+    assert rec.to_dict(residuals=True) == {"name": "n", "identity": "i",
+                                           "passed": True}
