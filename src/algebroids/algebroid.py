@@ -405,8 +405,8 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
             rhs = vector_field_commutator(spec.base, basis_anchor(spec, a),
                                           basis_anchor(spec, b))
             diff = section_add(spec, lhs, rhs, scale=-1)
-            # the residual shows Q^i d_i as its lift Q^i x_i*, which a cap
-            # may truncate: decide on the components
+            # the residual shows Q^i d_i as its lift Q^i x_i*: decide on
+            # the components
             res = hamiltonian_lift(spec.symplectic_chart(), diff)
             ok = not diff
             axioms_ok = axioms_ok and ok

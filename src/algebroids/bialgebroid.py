@@ -40,7 +40,7 @@ HBAR = "hbar"
 
 
 def with_formal_parameter(chart: Chart) -> Chart:
-    """`chart` followed by the formal parameter, under the same weight cap."""
+    """`chart` followed by the formal parameter."""
     if chart.has(HBAR):
         raise ChartMismatch(
             f"the coordinate name {HBAR!r} is reserved for the formal parameter")
@@ -247,17 +247,6 @@ def _word_split(ham: Hamiltonian, cap: Optional[int]):
     return split
 
 
-def _at_power(p: GPoly, power: int) -> GPoly:
-    """p as the coefficient of hbar^power: hbar has weight one, so the
-    terms of weight above the chart cap less `power` drop."""
-    cap = p.chart.trunc
-    if cap is None or not power:
-        return p
-    wshift = p.chart.wshift
-    return GPoly._raw(p.chart, {m: c for m, c in p.terms.items()
-                                if m >> wshift <= cap - power})
-
-
 def hamiltonian_action(ham: Hamiltonian, g: GPoly,
                        hbar_cap: Optional[int] = None) -> dict:
     """Act on a function of V[1] by normal-ordered operator substitution.
@@ -267,8 +256,7 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     Hamiltonians this is exactly {H, g}.  The terms that share a momentum
     word w share its derivative: the action is the sum over words of
     hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
-    hbar^k}: nonzero polynomials on the V[1] chart, coefficient k truncated
-    at the chart cap less k (hbar has weight one).  Powers of hbar above
+    hbar^k}: nonzero polynomials on the V[1] chart.  Powers of hbar above
     `hbar_cap` are dropped; None keeps them all.
     """
     ce = ham.chart.base_chart
@@ -283,8 +271,7 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
                 break
         else:
             by_power.setdefault(power, []).append(u * deriv)
-    series = {k: _at_power(ce.sum(parts), k)
-              for k, parts in sorted(by_power.items())}
+    series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
     return {k: coeff for k, coeff in series.items() if coeff}
 
 
@@ -393,8 +380,8 @@ def table_entry(source: Chart, target: Chart, key, img: GPoly) -> int:
 
 
 class FullMorphism:
-    """A weight-truncated morphism table V[1] -> S(W[1]), between two bases
-    in general.  It holds what `pull_taylor` reads: the weight cap `cap`;
+    """A morphism table V[1] -> S(W[1]) up to a weight cap, between two
+    bases in general.  It holds what `pull_taylor` reads: the weight cap `cap`;
     `words`, the image on `source` of each word in the fiber coordinates of
     `target`, keyed by its packed key there (the constructor takes exponent
     tuples, each checked by `table_entry`); and `base`, the PolyMap from
@@ -443,8 +430,8 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
 def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
                           lham_target: Hamiltonian) -> Report:
     """Verify the operator identity (source action) o f* o T = f* o T o
-    (target action) power by power in the formal parameter, truncating
-    words and powers of hbar at the table's cap.
+    (target action) power by power in the formal parameter, with words and
+    powers of hbar cut at the table's cap.
 
     The identity is evaluated on every monomial of the target function chart
     up to the weight cap, not only on the coordinate generators: second
@@ -478,8 +465,6 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
         lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), fm.cap)
         rhs = {k: fm.pull_taylor(c)
                for k, c in hamiltonian_action(lham_target, g, fm.cap).items()}
-        # a weight-raising table can pull rhs[k] back above the cap less k;
-        # times hbar^k those terms fall above the cap of the out chart
         diffs = {k: lhs.get(k, zero) - rhs.get(k, zero)
                  for k in lhs.keys() | rhs.keys()}
         residual = [inject(d, out_chart) * hbar ** k

@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     parser.add_argument("--residuals", action="store_true",
                         help="print full residual polynomials")
+    # accepted and ignored while verdictbench/workloads.py still passes it
     parser.add_argument("--trunc", type=int, default=None,
-                        help="override the file's weight cap")
+                        help=argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property subcommands")
     parser.add_argument("--timings", action="store_true",
@@ -235,6 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trunc is not None:
+        if args.trunc < 0:
+            print("error: --trunc takes one non-negative integer",
+                  file=sys.stderr)
+            return 2
+        print("warning: --trunc is ignored: charts carry no weight cap; "
+              "a morphism table's cap row is the only weight cap",
+              file=sys.stderr)
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -242,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = parse_spec(text, trunc_override=args.trunc)
+        doc = parse_spec(text)
         results = run(args.subcommand, doc, name=args.name, seed=args.seed)
     except AlgebroidsError as exc:
         print(f"error: {exc}", file=sys.stderr)

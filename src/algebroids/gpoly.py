@@ -9,7 +9,7 @@ A monomial is stored as one `int` key (`Chart.pack`).  Variable i owns a bit
 field at `Chart.shifts[i]`: one exponent bit for an odd variable, fifteen for
 an even one, each topped by a guard bit that catches a carry.  One more field
 above all of them holds the weight.  So a product of monomials is the sum of
-their keys, the weight cap is a shift, an odd square is
+their keys, a monomial's weight is a shift, an odd square is
 `k1 & k2 & chart.odd_bits`, and the Koszul sign is the parity of the
 crossings of the odd bits.  Exponent tuples appear only at the edges, through
 `Chart.pack` and `Chart.unpack`.
@@ -108,21 +108,17 @@ def _make_vars(variables: Iterable[VarSpec]):
 class Chart:
     """An ordered graded coordinate system.
 
-    The declaration order is the canonical monomial order.  An optional
-    weight cap `trunc` makes the chart a formal-series ring truncated by the
-    ideal of monomials of weight > trunc (base directions carry weight 0).
-    The chart also fixes the packed layout of its monomial keys.
+    The declaration order is the canonical monomial order.  The chart also
+    fixes the packed layout of its monomial keys, whose top field holds the
+    weight (base directions carry weight 0, all others 1).
     """
 
-    __slots__ = ("vars", "trunc", "names", "degrees", "parities", "weights",
+    __slots__ = ("vars", "names", "degrees", "parities", "weights",
                  "kinds", "_index", "shifts", "exp_masks", "units", "odd_bits",
                  "guard_bits", "wshift", "var_bits", "field_at")
 
-    def __init__(self, variables: Iterable[VarSpec], trunc: Optional[int] = None):
+    def __init__(self, variables: Iterable[VarSpec]):
         self.vars = _make_vars(variables)
-        if trunc is not None and trunc < 0:
-            raise ValueError("trunc must be non-negative")
-        self.trunc = trunc
         self.names = tuple(v.name for v in self.vars)
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique within a chart")
@@ -151,11 +147,10 @@ class Chart:
         self.odd_bits, self.guard_bits = odd_bits, guard_bits
 
     def __eq__(self, other):
-        return (isinstance(other, Chart) and self.vars == other.vars
-                and self.trunc == other.trunc)
+        return isinstance(other, Chart) and self.vars == other.vars
 
     def __hash__(self):
-        return hash((self.vars, self.trunc))
+        return hash(self.vars)
 
     def __repr__(self):
         inner = ", ".join(f"{v.name}:{v.degree}" for v in self.vars)
@@ -180,8 +175,8 @@ class Chart:
         return name in self._index
 
     def extend(self, variables: Iterable[VarSpec]) -> "Chart":
-        """This chart followed by `variables`, under the same weight cap."""
-        return Chart(self.vars + tuple(variables), trunc=self.trunc)
+        """This chart followed by `variables`."""
+        return Chart(self.vars + tuple(variables))
 
     def sum(self, polys: Iterable) -> "GPoly":
         """The sum of polynomials on this chart, built in one fresh dict.
@@ -375,16 +370,12 @@ class GPoly:
 
     def __init__(self, chart: Chart, terms: dict):
         self.chart = chart
-        cap = chart.trunc
-        wshift = chart.wshift
         clean = {}
         for m, c in terms.items():
             if m.__class__ is not int:
                 raise TypeError("monomial keys are packed ints (Chart.pack)")
             c = _scalar(c)
             if c == 0:
-                continue
-            if cap is not None and m >> wshift > cap:
                 continue
             clean[m] = c
         self.terms = clean
@@ -424,7 +415,6 @@ class GPoly:
         if chart is not other.chart and chart != other.chart:
             raise ChartMismatch(f"{chart!r} vs {other.chart!r}")
         odd, guard = chart.odd_bits, chart.guard_bits
-        cap, wshift = chart.trunc, chart.wshift
         right = [(m2, c2, m2 & odd, _sign_mask(m2 & odd, False))
                  for m2, c2 in other.terms.items()]
         res = {}
@@ -436,8 +426,6 @@ class GPoly:
                 m = m1 + m2
                 if m & guard:
                     raise chart.carry_error(m)
-                if cap is not None and m >> wshift > cap:
-                    continue
                 c = c1 * c2
                 if (o1 & flips).bit_count() & 1:
                     c = -c
@@ -530,12 +518,11 @@ def mul_monomial(p: GPoly, m: int, left: bool = False,
     times p when `left`.
 
     The product is a shift of every key by `m`, with the Koszul sign of the
-    crossings, under the chart cap.  Shifting by one monomial maps distinct
+    crossings.  Shifting by one monomial maps distinct
     monomials to distinct monomials, so no two terms collide.
     """
     chart = p.chart
     odd, guard = chart.odd_bits, chart.guard_bits
-    cap, wshift = chart.trunc, chart.wshift
     om = m & odd
     flips = _sign_mask(om, left)
     res = {}
@@ -546,8 +533,6 @@ def mul_monomial(p: GPoly, m: int, left: bool = False,
         out = e + m
         if out & guard:
             raise chart.carry_error(out)
-        if cap is not None and out >> wshift > cap:
-            continue
         if coeff != 1:
             c = _reduce(c * coeff)
         res[out] = -c if (oe & flips).bit_count() & 1 else c

@@ -3,8 +3,9 @@
 A document is a sequence of sections.  A section header sits at column zero
 (`chart M`, `algebroid V`, `construct poisson P`); body lines are indented
 `key value ...` entries, with expressions after an `=`.  Comments run from
-`#` to end of line.  A single top-level `trunc <k>` line caps formal-series
-weights for every chart in the file.
+`#` to end of line.  Charts carry no weight cap: the `cap` row of a
+`type full` morphism table is the only one, and a top-level `trunc <k>`
+line is refused.
 
 One table, `_SECTIONS`, gives each section kind its keys and its resolver;
 `_CONSTRUCTS` does the same for each construction kind, so the keys of a
@@ -79,7 +80,6 @@ class Section:
 
 @dataclass
 class SpecFile:
-    trunc: Optional[int]
     sections: List[Section]
     registry: dict = field(default_factory=dict)
 
@@ -107,7 +107,6 @@ def _tokenize_line(line: str):
 
 def _scan(text: str) -> List[Section]:
     sections = []
-    trunc = None
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.rstrip()
@@ -117,11 +116,9 @@ def _scan(text: str) -> List[Section]:
         indented = stripped[:1].isspace()
         if not indented:
             if tokens[0] == "trunc":
-                if len(tokens) != 2 or expr is not None or not tokens[1].isdigit():
-                    raise ParseError("trunc takes one non-negative integer",
-                                     lineno)
-                trunc = int(tokens[1])
-                continue
+                raise ParseError("'trunc' lines are refused: charts carry no "
+                                 "weight cap; a morphism table's 'cap' row "
+                                 "is the only weight cap", lineno)
             kind = tokens[0]
             if kind not in _SECTIONS:
                 raise ParseError(f"unknown section kind {kind!r}", lineno,
@@ -145,7 +142,7 @@ def _scan(text: str) -> List[Section]:
         if current is None:
             raise ParseError("indented line outside any section", lineno)
         current.entries.append((tokens[0], tuple(tokens[1:]), expr, lineno))
-    return sections, trunc
+    return sections
 
 
 def _int(token, lineno, what):
@@ -255,13 +252,9 @@ def _ref(doc, section, key, *kinds):
     return target.resolved
 
 
-def parse_spec(text: str, trunc_override: Optional[int] = None) -> SpecFile:
-    sections, trunc = _scan(text)
-    if trunc_override is not None:
-        if trunc_override < 0:
-            raise ParseError("--trunc takes one non-negative integer")
-        trunc = trunc_override
-    doc = SpecFile(trunc, sections)
+def parse_spec(text: str) -> SpecFile:
+    sections = _scan(text)
+    doc = SpecFile(sections)
     for section in sections:
         if section.name in doc.registry:
             raise ParseError(f"duplicate section name {section.name!r}",
@@ -293,7 +286,7 @@ def _resolve_chart(doc, section):
                              f"{section.name!r}", lineno)
         seen.add(name)
         variables.append((name, _int(degree, lineno, "degree"), KIND_BASE))
-    return Chart(variables, trunc=doc.trunc)
+    return Chart(variables)
 
 
 def _resolve_algebroid(doc, section):
@@ -379,6 +372,12 @@ def _resolve_morphism(doc, section):
         resolved = _at_row(type_row, PolyMap, src_ce, tgt_ce, assignment)
     else:
         cap = _cap_row(section, "cap", None)
+        # the check's arguments are the nonconstant target monomials of
+        # weight at most the cap: a cap that leaves none checks nothing
+        if not any(w <= cap for w in tgt_ce.weights):
+            raise ParseError(f"cap {cap} leaves no argument: the target has "
+                             f"no nonconstant monomial of weight at most "
+                             f"{cap}", section.single("cap")[3])
         base_map = _table(section, "base", src_ce, tgt_ce.names)
         entries = [(row, name, img) for row, (name, img)
                    in zip(section.rows("base"), base_map.items())]
@@ -510,8 +509,7 @@ def _construct_nijenhuis(doc, section):
 
 
 def _construct_linfty_bialgebra(doc, section):
-    coords = Chart([(n, 1 - d, "fiber") for n, d in _fibers(section)],
-                   trunc=doc.trunc)
+    coords = Chart([(n, 1 - d, "fiber") for n, d in _fibers(section)])
     sc = shifted_cotangent(coords, 2)
     components = {}
     for row in section.rows("component"):
@@ -559,9 +557,6 @@ _CONSTRUCTS = {
 
 def serialize(doc: SpecFile) -> str:
     lines = []
-    if doc.trunc is not None:
-        lines.append(f"trunc {doc.trunc}")
-        lines.append("")
     for section in doc.sections:
         lines.append(f"{section.label} {section.name}")
         for key, args, expr, _ in section.entries:

@@ -117,8 +117,7 @@ def twin_chart(sc: SymplecticChart) -> SymplecticChart:
     momenta = ([GVar(mom[v.name].name, mom[v.name].degree, KIND_MOMENTUM_BASE)
                 for v in base]
                + [GVar(v.name, v.degree, KIND_MOMENTUM_FIBER) for v in fiber])
-    return SymplecticChart(Chart(coords, trunc=sc.chart.trunc), momenta,
-                           sc.shift)
+    return SymplecticChart(Chart(coords), momenta, sc.shift)
 
 
 # -- the biderivation extension engine ---------------------------------------

@@ -235,6 +235,11 @@ BAD_INPUTS = {
                              b"  algebroid M\n  left = x\n  right = x\n",
                              "'algebroid' must name a section of kind "
                              "algebroid, not chart 'M' at line 5"),
+    "trunc-line": (b"trunc 2\n\nchart pt\n\nalgebroid V\n  base pt\n"
+                   b"  fiber xi1 0\n",
+                   "'trunc' lines are refused: charts carry no weight cap; "
+                   "a morphism table's 'cap' row is the only weight cap "
+                   "at line 1"),
     # trailing items are extra command-line arguments
     "negative-trunc-flag": (b"chart pt\n\nalgebroid V\n  base pt\n"
                             b"  fiber xi1 0\n",
@@ -373,6 +378,12 @@ BAD_INPUTS.update({
         b"  target G\n  cap 1\n  word xi1 = xi1\n  word xi2 = xi2\n"
         b"  word xi1 xi2 = xi1 * xi2\n",
         "a word of weight 2 is above the table's cap 1 at line 15"),
+    # over a point, cap 0 leaves no argument either
+    "cap-leaves-no-argument": (
+        b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n\n"
+        b"morphism F\n  type full\n  source G\n  target G\n  cap 0\n",
+        "cap 0 leaves no argument: the target has no nonconstant monomial "
+        "of weight at most 0 at line 11"),
     # a negative cap leaves no argument to check: a vacuous PASS
     "negative-cap": (
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
@@ -441,16 +452,23 @@ def test_undeclared_row_name_exits_2(case, tmp_path, capsys):
             f"error: undeclared variable {where}:0\n"
 
 
-# caps of 2 and below are left out: constructs.alg then passes with
-# `degree-three: PASS [degree=None]` because the structure truncates to zero
-@pytest.mark.parametrize("cap", ["3", "4"])
-@pytest.mark.parametrize("sub,fname", [("check-morphism", "morphism.alg"),
-                                       ("construct", "constructs.alg")])
-def test_trunc_keeps_golden(sub, fname, cap):
-    code, out = run_cli([sub, f"tests/data/{fname}", "--trunc", cap])
-    with open(os.path.join(GOLDEN, f"{sub}.txt")) as fh:
+TRUNC_WARNING = ("warning: --trunc is ignored: charts carry no weight cap; "
+                 "a morphism table's cap row is the only weight cap\n")
+
+
+# the flag is accepted and ignored: every golden output and exit code stands,
+# and stderr holds the one warning line
+@pytest.mark.parametrize("cap", ["0", "1", "2", "3", "4"])
+@pytest.mark.parametrize("sub,fname,flags", GOLDEN_CASES,
+                         ids=[f"{c[0]}{'-json' if '--json' in c[2] else ''}-"
+                              f"{c[1]}" for c in GOLDEN_CASES])
+def test_trunc_keeps_golden(sub, fname, flags, cap, capsys):
+    code, out = run_cli([sub, f"tests/data/{fname}", *flags, "--trunc", cap])
+    tag = sub + ("-json" if "--json" in flags else "")
+    with open(os.path.join(GOLDEN, f"{tag}.txt")) as fh:
         golden = fh.read()
     assert golden == f"# exit={code}\n" + out
+    assert capsys.readouterr().err == TRUNC_WARNING
 
 
 def test_hbar_cap_row_leaves_check_morphism_alone(tmp_path):

@@ -189,47 +189,45 @@ class TestRingInvariants:
 
 
 # the fast kernels against the general product they replace
-CAPPED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),
-                ("t", 2, "formal-parameter")], trunc=2)
 SOURCE = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),
                 ("t", 2, "formal-parameter")])
 # the source variables in another order, with an extra variable between
 SHUFFLED = [("xi2", 1, "fiber"), ("z", 0), ("t", 2, "formal-parameter"),
             ("x", 0), ("xi1", 1, "fiber")]
-TARGETS = [Chart(SHUFFLED), Chart(SHUFFLED, trunc=1)]
+TARGET = Chart(SHUFFLED)
 
 
 class TestKernelEquivalence:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_mul_monomial_is_product_by_one_term(self, data):
-        chart = data.draw(st.sampled_from([MIXED, CAPPED]))
+        chart = data.draw(st.sampled_from([MIXED, SOURCE]))
         p = data.draw(small_poly(chart))
         m = chart.pack(data.draw(st.sampled_from(enumerate_monomials(chart, 3))))
         mono = GPoly(chart, {m: 1})
         assert mul_monomial(p, m) == p * mono
         assert mul_monomial(p, m, left=True) == mono * p
 
-    def test_mul_monomial_odd_square_and_cap_drop(self):
-        f = pe("xi1 + x * xi2 + xi2 * t", CAPPED)
-        xi1 = CAPPED.pack((0, 1, 0, 0))
-        assert mul_monomial(f, xi1) == pe("x * xi2 * xi1", CAPPED)
-        assert mul_monomial(f, xi1, left=True) == pe("x * xi1 * xi2", CAPPED)
-        # xi2 * t * x^2 * t has weight 3 > 2 and drops
-        assert mul_monomial(f, CAPPED.pack((2, 0, 0, 1))) == \
-            pe("x^2 * t * xi1 + x^3 * xi2 * t", CAPPED)
+    def test_mul_monomial_odd_square(self):
+        f = pe("xi1 + x * xi2 + xi2 * t", SOURCE)
+        xi1 = SOURCE.pack((0, 1, 0, 0))
+        assert mul_monomial(f, xi1) == \
+            pe("x * xi2 * xi1 + xi2 * t * xi1", SOURCE)
+        assert mul_monomial(f, xi1, left=True) == \
+            pe("x * xi1 * xi2 + xi1 * xi2 * t", SOURCE)
+        assert mul_monomial(f, SOURCE.pack((2, 0, 0, 1))) == \
+            pe("x^2 * t * xi1 + x^3 * xi2 * t + x^2 * xi2 * t^2", SOURCE)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_identity_legs_match_explicit_images(self, data):
-        target = data.draw(st.sampled_from(TARGETS))
         f = data.draw(small_poly(SOURCE))
-        explicit = {name: target.var_poly(name) for name in SOURCE.names}
-        assert substitute(f, {}, target) == substitute(f, explicit, target)
+        explicit = {name: TARGET.var_poly(name) for name in SOURCE.names}
+        assert substitute(f, {}, TARGET) == substitute(f, explicit, TARGET)
         # one assigned leg among identity legs
-        x_image = {"x": pe("x + z", target)}
-        assert substitute(f, x_image, target) == \
-            substitute(f, {**explicit, **x_image}, target)
+        x_image = {"x": pe("x + z", TARGET)}
+        assert substitute(f, x_image, TARGET) == \
+            substitute(f, {**explicit, **x_image}, TARGET)
 
 
 # integer coefficients against a reference that computes with Fractions only
@@ -266,9 +264,7 @@ def tuples(p):
 
 
 def ref_clean(chart, terms):
-    cap = chart.trunc
-    return {m: c for m, c in terms.items() if c != 0
-            and (cap is None or chart.monomial_weight(chart.pack(m)) <= cap)}
+    return {m: c for m, c in terms.items() if c != 0}
 
 
 def ref_add(chart, *summands):
@@ -323,7 +319,7 @@ class TestIntegerCoefficients:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_ring_operations_match_fraction_reference(self, data):
-        chart = data.draw(st.sampled_from([MIXED, CAPPED]))
+        chart = data.draw(st.sampled_from([MIXED, SOURCE]))
         f, g, h = (data.draw(mixed_poly(chart)) for _ in range(3))
         s = data.draw(coefficient().filter(bool))
         a, b = ref(f), ref(g)
@@ -346,13 +342,12 @@ class TestIntegerCoefficients:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_substitute_matches_fraction_reference(self, data):
-        target = data.draw(st.sampled_from(TARGETS))
         f = data.draw(mixed_poly(SOURCE))
-        images = {v.name: data.draw(mixed_poly(target, degree=v.degree))
+        images = {v.name: data.draw(mixed_poly(TARGET, degree=v.degree))
                   for v in SOURCE.vars}
-        got = substitute(f, images, target)
+        got = substitute(f, images, TARGET)
         assert tuples(got) == ref_substitute(
-            f, {n: ref(p) for n, p in images.items()}, target)
+            f, {n: ref(p) for n, p in images.items()}, TARGET)
         assert_canonical(got)
 
     def test_halves_pair_up_to_int(self):
@@ -400,12 +395,12 @@ def _weight(chart, exps):
     return sum(e * w for e, w in zip(exps, chart.weights))
 
 
-# a capped chart, one with a formal-parameter field between the others, and
-# one of 50 variables (the size of the gl(5) chart) with parities interleaved
+# a chart of every kind but the formal parameter, one with a formal-parameter
+# field between the others, and one of 50 variables (the size of the gl(5)
+# chart) with parities interleaved
 PACKED_CHARTS = [
     Chart([("x", 0), ("xi1", 1, "fiber"), ("y", 0), ("xi2", 1, "fiber"),
-           ("x*", 2, "momentum-base"), ("xi1*", 1, "momentum-fiber")],
-          trunc=3),
+           ("x*", 2, "momentum-base"), ("xi1*", 1, "momentum-fiber")]),
     Chart([("x", 0), ("xi1", 1, "fiber"), ("hbar", 2, "formal-parameter"),
            ("xi2", 1, "fiber"), ("xi1*", 1, "momentum-fiber")]),
     Chart([(f"v{i}", (0, 1, 2, 1, 1)[i % 5],
@@ -423,24 +418,20 @@ def exponent_tuple(draw, chart):
 class TestPackedKeys:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_product_sign_odd_square_and_cap(self, data):
+    def test_product_sign_and_odd_square(self, data):
         chart = data.draw(st.sampled_from(PACKED_CHARTS))
         e1 = data.draw(exponent_tuple(chart))
         e2 = data.draw(exponent_tuple(chart))
         k1, k2 = chart.pack(e1), chart.pack(e2)
         assert (chart.unpack(k1), chart.unpack(k2)) == (e1, e2)
         assert k1 >> chart.wshift == _weight(chart, e1)
-        cap = chart.trunc
         merged = _merge_exps(e1, e2, chart.parities)
         assert (merged is None) == bool(k1 & k2 & chart.odd_bits)
         want = {}
         if merged is not None:
             sign, exps = merged
             assert k1 + k2 == chart.pack(exps)
-            if cap is None or _weight(chart, exps) <= cap:
-                want = {exps: sign}
-        if cap is not None and max(_weight(chart, e1), _weight(chart, e2)) > cap:
-            want = {}
+            want = {exps: sign}
         p1, p2 = GPoly(chart, {k1: 1}), GPoly(chart, {k2: 1})
         for got in (p1 * p2, mul_monomial(p1, k2),
                     mul_monomial(p2, k1, left=True)):
@@ -451,8 +442,6 @@ class TestPackedKeys:
     def test_partial_left(self, data):
         chart = data.draw(st.sampled_from(PACKED_CHARTS))
         e = data.draw(exponent_tuple(chart))
-        if chart.trunc is not None and _weight(chart, e) > chart.trunc:
-            return
         f = GPoly(chart, {chart.pack(e): 3})
         for k, name in enumerate(chart.names):
             want = {}
@@ -500,27 +489,6 @@ class TestPackedKeys:
             half * half
         assert (top * MIXED.var_poly("xi2")).terms == \
             {MIXED.pack((MAX_EXPONENT, 1, 1)): 1}
-
-
-class TestTruncation:
-    def test_truncated_product_is_ideal(self):
-        capped = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber"),
-                        ("t", 2, "formal-parameter")], trunc=2)
-        rng = random.Random(7)
-        for _ in range(30):
-            f = random_poly(capped, rng, max_weight=2, max_base_degree=2)
-            g = random_poly(capped, rng, max_weight=2, max_base_degree=2)
-            full = Chart([(v.name, v.degree, v.kind) for v in capped.vars])
-            lift_f = GPoly(full, dict(f.terms))
-            lift_g = GPoly(full, dict(g.terms))
-            truncated = GPoly(capped, dict((lift_f * lift_g).terms))
-            assert truncated == f * g
-
-    def test_trunc_drops_heavy_monomials(self):
-        capped = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")],
-                       trunc=1)
-        assert pe("xi1 * xi2", capped).is_zero()
-        assert not pe("x^3 * xi1", capped).is_zero()
 
 
 class TestVectorFields:

@@ -105,12 +105,6 @@ construct triangular TR
     assert serialize(parse_spec(serialize(doc))) == serialize(doc)
 
 
-def test_trunc_line_applies_to_charts():
-    doc = parse_spec("trunc 2\n\n" + MINIMAL)
-    chart = doc.lookup("M").resolved
-    assert chart.trunc == 2
-
-
 def test_hamiltonian_section_builds_linfty():
     doc = parse_spec(TWO_DIM + """
 hamiltonian H

@@ -24,9 +24,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 MANIFEST = os.path.join(HERE, "data", "sweep.sha256")
 
-FLAG_SETS = ([], ["--json"], ["--json", "--residuals"],
-             ["--trunc", "0"], ["--trunc", "1"], ["--trunc", "2"],
-             ["--trunc", "3"])
+# `--trunc 2` is the ignored flag as the benchmark passes it
+FLAG_SETS = ([], ["--json"], ["--json", "--residuals"], ["--trunc", "2"])
 
 
 def spec_files():

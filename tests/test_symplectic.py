@@ -254,12 +254,11 @@ def _chi(d, upper):
 
 
 class TestBracketReference:
-    # the charts of TestBracketInvariants, one under each weight cap 1..3,
-    # and the multivectors of a rank-four cotangent algebroid
-    CAPPED = [shifted_cotangent(Chart([("x", 0), ("y", 0), ("xi1", 1, "fiber"),
-                                       ("xi2", 1, "fiber")], trunc=t), 2)
-              for t in (1, 2, 3)]
-    SYMPLECTIC = TestBracketInvariants.CHARTS + CAPPED
+    # the charts of TestBracketInvariants, one with two base and two fiber
+    # coordinates, and the multivectors of a rank-four cotangent algebroid
+    PLANE = shifted_cotangent(Chart([("x", 0), ("y", 0), ("xi1", 1, "fiber"),
+                                     ("xi2", 1, "fiber")]), 2)
+    SYMPLECTIC = TestBracketInvariants.CHARTS + [PLANE]
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -515,7 +514,6 @@ class TestIntegralSelfBracket:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            at=st.integers(0, len(TestBracketReference.WIDE) - 1))
     def test_fraction_coefficients(self, seed, at):
-        # the charts include ones under a weight cap
         rng = random.Random(seed)
         sc = TestBracketReference.WIDE[at]
         body = _wide_poly(sc.chart, sc.shift, rng, rng.randint(3, 8))
@@ -523,14 +521,15 @@ class TestIntegralSelfBracket:
         # its numerators are at most 3, so 5/7 gives each a denominator
         self._agrees(Hamiltonian(sc, body * Fraction(5, 7)))
 
-    def test_capped_chart(self):
-        # under cap 2 the residual keeps 2/3 x* y* and drops its weight-3
-        # term 3/4 xi1 xi2 y*
-        sc = TestBracketReference.CAPPED[1]
+    def test_residual_of_two_weights(self):
+        # the residual keeps its weight-2 term 2/3 x* y* and its weight-3
+        # term 3/4 xi1 xi2 y*: charts carry no weight cap
+        sc = TestBracketReference.PLANE
         ham = Hamiltonian(sc, pe("1/2 * xi1 * x* + 2/3 * xi1* * y*"
                                  " + 3/4 * x * xi2 * y*", sc.chart))
         assert not self._agrees(ham)
-        assert is_integrable(ham)[0] == pe("2/3 * x* * y*", sc.chart)
+        assert is_integrable(ham)[0] == \
+            pe("2/3 * x* * y* + 3/4 * xi1 * xi2 * y*", sc.chart)
 
 
 class TestHamiltonianClassification:
