@@ -21,7 +21,6 @@ morphism endpoint, is a `symplectic.Hamiltonian`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
@@ -275,7 +274,6 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     return {k: coeff for k, coeff in series.items() if coeff}
 
 
-@lru_cache(maxsize=64)
 def base_chart(chart: Chart) -> Chart:
     """The leading base coordinates of a V[1] chart as a chart of their
     own: a base monomial has the same packed key on both."""
@@ -285,12 +283,11 @@ def base_chart(chart: Chart) -> Chart:
     return Chart(chart.vars[:nbase])
 
 
-def taylor(g: GPoly, cap: int) -> dict:
+def taylor(g: GPoly, cap: int, base: Chart) -> dict:
     """The coefficient table of g about the zero section: the packed key of
-    each fiber word of weight at most cap -> its coefficient on
-    `base_chart(g.chart)`.  The base-field mask splits each key into the
-    word and the coefficient monomial, whose key it already is."""
-    base = base_chart(g.chart)
+    each fiber word of weight at most cap -> its coefficient on `base`,
+    which is `base_chart(g.chart)`.  The base-field mask splits each key
+    into the word and the coefficient monomial, whose key it already is."""
     mask, wshift = base.var_bits, g.chart.wshift
     table = {}
     for m, c in g.terms.items():
@@ -401,7 +398,7 @@ class FullMorphism:
         if g.chart != self.target:
             raise ChartMismatch("the table pulls back functions on its target")
         terms = []
-        for word, coeff in taylor(g, self.cap).items():
+        for word, coeff in taylor(g, self.cap, self.base.target).items():
             pulled = self.base.pullback(coeff)
             if pulled and word:
                 img = self.words.get(word)

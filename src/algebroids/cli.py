@@ -7,7 +7,6 @@ error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from time import perf_counter
 from typing import List, Optional
@@ -21,10 +20,11 @@ from .constructions import (action_algebroid, linfty_bialgebra,
                             nijenhuis_check, poisson_bialgebroid,
                             tangent_algebroid, triangular)
 from .errors import AlgebroidsError, MissingSection
-from .gpoly import MOMENTUM_KINDS, random_poly, render_poly
+from .gpoly import MOMENTUM_KINDS, render_poly
 from .report import Report, verdict_json
 from .specfile import Section, SpecFile, parse_spec, serialize
-from .symplectic import (canonical_bracket, hamiltonian_lift, is_integrable,
+from .symplectic import (canonical_bracket, canonical_context,
+                         check_poisson_map, hamiltonian_lift, is_integrable,
                          legendre, shifted_cotangent, twin_chart)
 
 
@@ -39,29 +39,18 @@ def _titled(report: Report, title: str) -> Report:
     return report
 
 
-def _legendre_report(spec: AlgebroidSpec, seed: int) -> Report:
+def _legendre_report(spec: AlgebroidSpec) -> Report:
     report = Report("legendre")
     sc = spec.symplectic_chart()
+    twin = twin_chart(sc)
     lmap = legendre(sc)
     for v in lmap.target.vars:
         report.add(f"assign({v.name})", "coordinate image", passed=True,
                    detail=render_poly(lmap.image_of(v.name)))
-    back = legendre(twin_chart(sc))
     report.add("involution", "the exchange composed with itself is the identity",
-               passed=lmap.then(back).is_identity())
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(10):
-        f = random_poly(lmap.target, rng, max_weight=4, max_base_degree=1,
-                        max_terms=2)
-        g = random_poly(lmap.target, rng, max_weight=4, max_base_degree=1,
-                        max_terms=2)
-        lhs = lmap.pullback(canonical_bracket(f, g, twin_chart(sc)))
-        rhs = canonical_bracket(lmap.pullback(f), lmap.pullback(g), sc)
-        ok = ok and (lhs == rhs)
-    report.add("bracket-preserving",
-               "pullback respects the canonical bracket on sampled pairs",
-               passed=ok, detail=f"seed={seed}")
+               passed=lmap.then(legendre(twin)).is_identity())
+    report.extend(check_poisson_map(lmap, canonical_context(sc),
+                                    canonical_context(twin)))
     return report
 
 
@@ -109,12 +98,12 @@ _CONSTRUCTS = {
 }
 
 
-def _construct_report(section, seed) -> Report:
+def _construct_report(section) -> Report:
     build, _, report = _CONSTRUCTS[section.subtype]
     return report(build(section.resolved))
 
 
-def _check_linfty(section, seed) -> Optional[Report]:
+def _check_linfty(section) -> Optional[Report]:
     if section.kind == "hamiltonian":
         return check_linfty(section.resolved)
     build, linfty, _ = _CONSTRUCTS[section.subtype]
@@ -122,20 +111,20 @@ def _check_linfty(section, seed) -> Optional[Report]:
     return None if linfty is None else check_linfty(linfty(built))
 
 
-def _check_morphism(section, seed) -> Report:
+def _check_morphism(section) -> Report:
     mtype, source, target, data = section.resolved
     check = (semistrict_morphism_check if mtype == "semistrict"
              else linfty_morphism_check)
     return check(data, source, target)
 
 
-def _check_bialgebroid(section, seed) -> Report:
+def _check_bialgebroid(section) -> Report:
     rep = check_bialgebroid(section.resolved)
     rep.extend(legendre_quadratic_check(section.resolved))
     return rep
 
 
-def _round_trip(section, seed) -> Report:
+def _round_trip(section) -> Report:
     doc = section.resolved
     report = Report("round-trip")
     report.add("serialize-parse", "parse, serialize, parse is the identity",
@@ -144,42 +133,40 @@ def _round_trip(section, seed) -> Report:
 
 
 # subcommand -> (section kinds it reads, the Section field `--name` selects
-# by, handler from a section and the seed to a Report or None for a section
-# it skips).  No kinds means the whole file, as one section named "file".
+# by, handler from a section to a Report or None for a section it skips).
+# No kinds means the whole file, as one section named "file".
 COMMANDS = {
     "check-algebroid": (("algebroid",), "name",
-                        lambda s, seed: check_algebroid(s.resolved)),
+                        lambda s: check_algebroid(s.resolved)),
     # dual-structure data presented as an algebroid on the dual bundle
     "check-coalgebroid": (("algebroid",), "name",
-                          lambda s, seed: _titled(
-                              check_algebroid(s.resolved),
-                              "coalgebroid (dual algebroid data)")),
+                          lambda s: _titled(check_algebroid(s.resolved),
+                                            "coalgebroid (dual algebroid data)")),
     "check-bialgebroid": (("bialgebroid",), "name", _check_bialgebroid),
     "check-linfty": (("hamiltonian", "construct"), "name", _check_linfty),
     "check-morphism": (("morphism",), "name", _check_morphism),
-    "bracket": (("bracket",), "name", lambda s, seed: _value_report(
+    "bracket": (("bracket",), "name", lambda s: _value_report(
         "bracket", canonical_bracket(s.resolved[1], s.resolved[2],
                                      s.resolved[0].symplectic_chart()))),
-    "ce-diff": (("cediff",), "name", lambda s, seed: _value_report(
+    "ce-diff": (("cediff",), "name", lambda s: _value_report(
         "ce-differential", ce_differential(*s.resolved))),
-    "schouten": (("schouten",), "name", lambda s, seed: _value_report(
+    "schouten": (("schouten",), "name", lambda s: _value_report(
         "schouten", schouten_bracket(*s.resolved))),
-    "bv": (("bv",), "name", lambda s, seed: _value_report(
+    "bv": (("bv",), "name", lambda s: _value_report(
         "bv-operator", bv_operator(*s.resolved))),
-    "lift": (("lift",), "name", lambda s, seed: _value_report(
+    "lift": (("lift",), "name", lambda s: _value_report(
         "hamiltonian-lift",
         hamiltonian_lift(shifted_cotangent(s.resolved[0], s.resolved[1]),
                          s.resolved[2]))),
-    "legendre": (("legendre",), "name",
-                 lambda s, seed: _legendre_report(s.resolved, seed)),
+    "legendre": (("legendre",), "name", lambda s: _legendre_report(s.resolved)),
     "construct": (("construct",), "subtype", _construct_report),
     "round-trip": ((), "name", _round_trip),
 }
 SUBCOMMANDS = tuple(COMMANDS)
 
 
-def run(subcommand: str, doc: SpecFile, name: Optional[str] = None,
-        seed: int = 0) -> List[tuple]:
+def run(subcommand: str, doc: SpecFile,
+        name: Optional[str] = None) -> List[tuple]:
     """Execute a subcommand; returns [(section name, Report), ...].
 
     Each report's `elapsed_ms` is the time its own section took."""
@@ -194,7 +181,7 @@ def run(subcommand: str, doc: SpecFile, name: Optional[str] = None,
     out = []
     for s in sections:
         started = perf_counter()
-        rep = handler(s, seed)
+        rep = handler(s)
         if rep is not None:
             rep.elapsed_ms = (perf_counter() - started) * 1000.0
             out.append((s.name, rep))
@@ -227,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted and ignored while verdictbench/workloads.py still passes it
     parser.add_argument("--trunc", type=int, default=None,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property subcommands")
     parser.add_argument("--timings", action="store_true",
                         help="show elapsed time in the human summary")
     return parser
@@ -252,7 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         doc = parse_spec(text)
-        results = run(args.subcommand, doc, name=args.name, seed=args.seed)
+        results = run(args.subcommand, doc, name=args.name)
     except AlgebroidsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -486,11 +486,6 @@ class GPoly:
     def constant_term(self) -> Scalar:
         return self.terms.get(0, 0)
 
-    def monomials(self):
-        """The monomials in the order of their exponent tuples."""
-        return [Monomial(self.chart, e)
-                for e in sorted(map(self.chart.unpack, self.terms))]
-
     def component(self, keep) -> "GPoly":
         """Sub-sum of the terms whose exponent tuple satisfies `keep`."""
         unpack = self.chart.unpack
@@ -622,20 +617,16 @@ def inject(f: GPoly, target: Chart) -> GPoly:
 
 
 def restrict_to(f: GPoly, target: Chart) -> GPoly:
-    """Project f onto a sub-chart, requiring no foreign variables appear."""
-    idx = []
-    for v in f.chart.vars:
-        idx.append(target.index_of(v.name) if target.has(v.name) else None)
-    res = {}
-    for m, c in f.terms.items():
-        out = [0] * len(target.vars)
-        for i, e in f.chart.fields(m):
-            if idx[i] is None:
-                raise ChartMismatch(
-                    "polynomial uses variables outside the target chart")
-            out[idx[i]] = e
-        res[target.pack(out)] = c
-    return GPoly(target, res)
+    """Re-express f on a chart that holds every variable f uses, by name;
+    the namesake legs carry the Koszul sign of a reordering."""
+    legs = [target.index_of(v.name) if target.has(v.name) else None
+            for v in f.chart.vars]
+    used = 0
+    for m in f.terms:
+        used |= m   # a field is non-zero here exactly when a term uses it
+    if any(legs[i] is None for i, _ in f.chart.fields(used)):
+        raise ChartMismatch("polynomial uses variables outside the target chart")
+    return pull_legs(f, legs, target)
 
 
 # -- vector fields ---------------------------------------------------------

@@ -405,7 +405,12 @@ def legendre(sc: SymplecticChart) -> PolyMap:
 
 def check_poisson_map(f: PolyMap, src: BracketContext,
                       tgt: BracketContext) -> Report:
-    """Verify f*{a,b}_tgt = {f*a, f*b}_src on all target generator pairs."""
+    """Verify f*{a,b}_tgt = {f*a, f*b}_src on all target generator pairs.
+
+    This decides whether f* preserves the brackets: both sides are
+    biderivations along the algebra map f*, so they agree on every pair of
+    polynomials exactly when they agree on every pair of generators, and
+    graded skew-symmetry of both brackets gives (b, a) from (a, b)."""
     if f.source != src.chart or f.target != tgt.chart:
         raise ChartMismatch("map endpoints do not match the bracket contexts")
     report = Report(f"poisson-map {src.label} -> {tgt.label}")

@@ -1,5 +1,6 @@
 import io
 import contextlib
+import json
 import os
 
 import pytest
@@ -151,9 +152,23 @@ def test_name_filter():
     assert "[T]" in out and "[A]" not in out
 
 
-def test_seed_changes_only_detail():
-    _, a = run_cli(["legendre", "tests/data/two_dim_algebra.alg", "--seed", "1"])
-    assert "seed=1" in a and "PASS" in a
+def test_legendre_checks_every_generator_pair(tmp_path):
+    spec = tmp_path / "graded.alg"
+    spec.write_text("chart M\n  var x 0\n\nalgebroid V\n  base M\n"
+                    "  fiber a 0\n  fiber b 1\n\nlegendre L\n  algebroid V\n")
+    _, out = run_cli(["legendre", str(spec), "--json"])
+    checks = json.loads(out)["sections"][0]["checks"]
+    n = sum(c["name"].startswith("assign(") for c in checks)
+    pairs = [c for c in checks if c["name"].startswith("pair(")]
+    assert n == 6 and len(pairs) == n * (n + 1) // 2
+    assert all(c["passed"] for c in pairs)
+
+
+def test_seed_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["legendre", "tests/data/two_dim_algebra.alg", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 BAD_INPUTS = {

@@ -11,8 +11,8 @@ from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (MAX_EXPONENT, Chart, GPoly, Monomial,
                               enumerate_monomials, inject, mono_normalize,
                               mul_monomial, partial_left, random_poly,
-                              render_poly, substitute, vector_field_commutator,
-                              apply_vector_field)
+                              render_poly, restrict_to, substitute,
+                              vector_field_commutator, apply_vector_field)
 
 ODD2 = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
 MIXED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
@@ -122,6 +122,18 @@ class TestChart:
         f = pe("x^2", small)
         assert inject(f, MIXED) == poly("x^2")
 
+    def test_restrict_to_reordered_odd_variables(self):
+        swapped = Chart([("xi2", 1, "fiber"), ("xi1", 1, "fiber")])
+        f = pe("xi1 * xi2", ODD2)
+        assert restrict_to(f, swapped) == pe("-xi2 * xi1", swapped)
+        assert restrict_to(f, swapped) == inject(f, swapped)
+
+    def test_restrict_to_needs_every_used_variable(self):
+        small = Chart([("x", 0), ("xi1", 1, "fiber")])
+        assert restrict_to(poly("x * xi1"), small) == pe("x * xi1", small)
+        with pytest.raises(ChartMismatch):
+            restrict_to(poly("x * xi2"), small)
+
 
 @st.composite
 def small_poly(draw, chart=MIXED, max_weight=3):
@@ -228,6 +240,13 @@ class TestKernelEquivalence:
         x_image = {"x": pe("x + z", TARGET)}
         assert substitute(f, x_image, TARGET) == \
             substitute(f, {**explicit, **x_image}, TARGET)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_restrict_to_undoes_inject(self, data):
+        f = data.draw(small_poly(SOURCE))
+        shuffled = Chart(data.draw(st.permutations(SOURCE.vars)))
+        assert restrict_to(inject(f, TARGET), shuffled) == inject(f, shuffled)
 
 
 # integer coefficients against a reference that computes with Fractions only

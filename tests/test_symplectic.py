@@ -556,6 +556,21 @@ class TestCheckPoissonMap:
                                 canonical_context(tw))
         assert rep.passed
 
+    def test_legendre_without_even_fiber_sign_fails_one_pair(self):
+        # b has degree 2; its twin momentum must pull back to -b
+        sc = shifted_cotangent(
+            Chart([("x", 0), ("a", 1, "fiber"), ("b", 2, "fiber")]), 2)
+        tw = twin_chart(sc)
+        exchange = legendre(sc)
+        assert exchange.image_of("b") == -sc.chart.var_poly("b")
+        unsigned = PolyMap(sc.chart, tw.chart, {**exchange.assignment,
+                                                "b": sc.chart.var_poly("b")})
+        rep = check_poisson_map(unsigned, canonical_context(sc),
+                                canonical_context(tw))
+        assert len(rep.records) == 21
+        assert [(r.name, r.residual) for r in rep.failures()] == \
+            [("pair(b*,b)", "-2")]
+
     def test_momentum_scaling_fails(self):
         sc = shifted_cotangent(LINE, 2)
         ctx = canonical_context(sc)
