@@ -65,6 +65,7 @@ KERNEL_CASES = [
     ("check-morphism", "point_morphism.alg", ["--json", "--residuals"]),
     ("check-morphism", "base_degree_two.alg", ["--json", "--residuals"]),
     ("check-morphism", "cross_chart_morphism.alg", ["--json", "--residuals"]),
+    ("bv", "bv_polynomial.alg", ["--json"]),
 ]
 
 
