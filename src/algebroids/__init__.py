@@ -18,8 +18,8 @@ from .gpoly import (
 from .expr import parse_expression
 from .symplectic import (
     BracketContext, Hamiltonian, PolyMap, SymplecticChart, canonical_bracket,
-    canonical_context, check_poisson_map, hamiltonian_lift, is_integrable,
-    legendre, shifted_cotangent, twin_chart,
+    canonical_context, check_poisson_map, hamiltonian_action,
+    hamiltonian_lift, is_integrable, legendre, shifted_cotangent, twin_chart,
 )
 from .algebroid import (
     AlgebroidSpec, Connection, adjoint_line_connection, bv_operator,
@@ -30,7 +30,7 @@ from .algebroid import (
 )
 from .bialgebroid import (
     BialgebroidSpec, FullMorphism, assemble_hamiltonian, big_bracket,
-    check_bialgebroid, check_linfty, embed_semistrict, hamiltonian_action,
+    check_bialgebroid, check_linfty, embed_semistrict,
     legendre_quadratic_check, linfty_morphism_check,
     semistrict_morphism_check, taylor,
 )

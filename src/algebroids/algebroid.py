@@ -25,11 +25,11 @@ from .errors import (ChartMismatch, DegreeError, DegreeMismatch, NotPoisson,
                      NotSplit)
 from .expr import parse_expression
 from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, apply_vector_field,
-                    inject, mono_normalize, mul_monomial, partial_left,
-                    restrict_to, vector_field_commutator)
+                    inject, mul_monomial, partial_left,
+                    vector_field_commutator)
 from .report import Report
 from .symplectic import (BracketContext, Hamiltonian, SymplecticChart,
-                         biderivation_bracket, canonical_bracket,
+                         biderivation_bracket, hamiltonian_action,
                          hamiltonian_lift, is_integrable, shifted_cotangent)
 
 Section = Mapping[str, GPoly]   # fiber name -> coefficient polynomial on base
@@ -426,14 +426,15 @@ def check_algebroid(spec: AlgebroidSpec) -> Report:
 
 def ce_differential(spec: AlgebroidSpec, phi: GPoly,
                     sympl: Optional[SymplecticChart] = None) -> GPoly:
-    """d(phi) = {mu, phi}, a degree +1 derivation of functions on V[1]."""
+    """d(phi) = {mu, phi}, a degree +1 derivation of functions on V[1]: the
+    hbar^0 term of mu's operator action, which is {mu, -} since mu has
+    momentum weight one."""
     sc = sympl if sympl is not None else spec.symplectic_chart()
     ce = sc.base_chart
     if phi.chart != ce:
         raise ChartMismatch("ce_differential input must be momentum-free")
-    mu = hamiltonian_of_algebroid(spec, sc).body
-    out = canonical_bracket(mu, inject(phi, sc.chart), sc)
-    return restrict_to(out, ce)   # momentum-free by momentum-weight one
+    mu = hamiltonian_of_algebroid(spec, sc)
+    return hamiltonian_action(mu, phi, 0).get(0, ce.zero())
 
 
 def contraction(spec: AlgebroidSpec, x: Section, phi: GPoly) -> GPoly:
@@ -508,18 +509,16 @@ def schouten_bracket(spec: AlgebroidSpec, p: GPoly, q: GPoly) -> GPoly:
     return biderivation_bracket(p, q, 1, _table_bracket(spec, chart, 1, -1))
 
 
-def schouten_context(spec: AlgebroidSpec, label="multivectors") -> BracketContext:
-    chart = spec.multivector_chart()
-    return BracketContext(label, chart, 1,
-                          lambda f, g: biderivation_bracket(
-                              f, g, 1, _table_bracket(spec, chart, 1, -1)))
+def schouten_context(spec: AlgebroidSpec) -> BracketContext:
+    return BracketContext("multivectors", spec.multivector_chart(),
+                          lambda f, g: schouten_bracket(spec, f, g))
 
 
-def lie_poisson(spec: AlgebroidSpec, label="dual-bundle") -> BracketContext:
+def lie_poisson(spec: AlgebroidSpec) -> BracketContext:
     """The fiber-linear Poisson bracket on the unshifted dual bundle:
     {e_a, e_b} = C^c_ab e_c, {e_a, f} = rho(e_a) f, {f, g} = 0."""
     chart = spec.lie_poisson_chart()
-    return BracketContext(label, chart, 0,
+    return BracketContext("dual-bundle", chart,
                           lambda f, g: biderivation_bracket(
                               f, g, 0, _table_bracket(spec, chart, 0, 1)))
 
@@ -561,8 +560,7 @@ def bivector_multivector(spec_t: AlgebroidSpec, pi_full: Mapping) -> GPoly:
                      for (i, j), entry in pi_full.items() if entry)
 
 
-def koszul_algebroid(base: Chart, pi: Mapping,
-                     fiber_names: Optional[Sequence[str]] = None) -> AlgebroidSpec:
+def koszul_algebroid(base: Chart, pi: Mapping) -> AlgebroidSpec:
     """The cotangent algebroid of a Poisson bivector.
 
     Conventions matching the Hamiltonian dictionary above: the anchor sends
@@ -576,8 +574,7 @@ def koszul_algebroid(base: Chart, pi: Mapping,
     if not schouten_bracket(t, pi_mv, pi_mv).is_zero():
         raise NotPoisson("[pi, pi] != 0")
     n = len(base.vars)
-    if fiber_names is None:
-        fiber_names = [f"xi{i + 1}" for i in range(n)]
+    fiber_names = [f"xi{i + 1}" for i in range(n)]
     zero = base.zero()
     anchor = {}
     for j in range(n):
@@ -635,15 +632,15 @@ class Connection:
         return {n: p for n, p in out.items() if p}
 
 
-def line_connection(spec: AlgebroidSpec, gammas: Mapping[str, object],
-                    line_name: str = "vol") -> Connection:
+def line_connection(spec: AlgebroidSpec,
+                    gammas: Mapping[str, object]) -> Connection:
     """A connection on a line bundle: one coefficient polynomial per e_a."""
     base = spec.base
     rows = []
     for name in spec.fiber_names:
         g = _coerce(base, gammas.get(name, 0))
         rows.append(((g,),))
-    return Connection(spec, (line_name,), tuple(rows))
+    return Connection(spec, ("vol",), tuple(rows))
 
 
 def adjoint_line_connection(spec: AlgebroidSpec) -> Connection:
@@ -686,26 +683,18 @@ def torsion(spec: AlgebroidSpec, conn: Connection, x: Section,
     return section_add(spec, t, section_bracket(spec, x, y), scale=-1)
 
 
-def _top_coefficient(spec: AlgebroidSpec, p: GPoly) -> GPoly:
-    """The base coefficient of the top multivector monomial e_1...e_n."""
-    nbase = len(spec.base.vars)
-    out = {}
-    for m, c in p.terms.items():
-        exps = p.chart.unpack(m)
-        fiber_part = exps[nbase:]
-        if all(e == 1 for e in fiber_part):
-            out[spec.base.pack(exps[:nbase])] = c
-        elif any(fiber_part):
-            raise DegreeMismatch("not a top-power section")
-    return GPoly(spec.base, out)
-
-
 def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
     """The order-two operator on multivectors induced by a top-power line
-    connection; it lowers arity by one and generates the bracket through
-    [a,b] = (-1)^{|a|}(D(ab) - D(a)b - (-1)^{|a|} a D(b)), which freezes its
-    sign convention.  For the adjoint connection of a Lie algebra it is the
-    homological coboundary: D(e_1 ^ e_2) = [e_1, e_2]."""
+    connection Gamma,
+
+        D = sum_a (rho_a^i d_{x^i} + Gamma_a - sum_c C^c_ac) d_{e_a}
+            + 1/2 sum_{a,b,c} C^c_ab e_c d_{e_b} d_{e_a},
+
+    with left derivatives, coefficients on the left, and d_{e_a} taken
+    first in d_{e_b} d_{e_a}.  It lowers arity by one and generates the
+    bracket through [a,b] = (-1)^{|a|}(D(ab) - D(a)b - (-1)^{|a|} a D(b)),
+    which freezes its sign convention.  For the adjoint connection of a Lie
+    algebra it is the homological coboundary: D(e_1 ^ e_2) = [e_1, e_2]."""
     if any(d % 2 for d in spec.fiber_degrees):
         raise NotSplit("top-power evaluation needs even section degrees")
     if conn.rank != 1:
@@ -713,54 +702,26 @@ def bv_operator(spec: AlgebroidSpec, conn: Connection, omega: GPoly) -> GPoly:
     chart = spec.multivector_chart()
     if omega.chart != chart:
         raise ChartMismatch("multivectors live on the V*[1] chart")
-    n = spec.rank
-    nbase = len(spec.base.vars)
     stars = spec.starred_names()
-    gamma = [conn.gamma[a][0][0] for a in range(n)]
-
-    by_arity = omega.split_by(lambda m: sum(m[nbase:]))
+    half = Fraction(1, 2)
     out = []
-    for q, part in by_arity.items():
-        if q == 0:
+    for a, star in enumerate(stars):
+        d_a = partial_left(omega, star)
+        if not d_a:
             continue
-        p = n - q
-        # identifying multivectors with top-valued forms by wedging the
-        # arguments on the left costs (-1)^{p q} per evaluation; relative to
-        # the reconstruction side the mismatch is (-1)^p, compensated here
-        side = -1 if p % 2 else 1
-        # values of the displayed alternating formula on ascending basis tuples
-        values = {}
-        for tup in itertools.combinations(range(n), p + 1):
-            terms = []
-            for k, ik in enumerate(tup):
-                rest = [chart.var_poly(stars[j]) for j in tup if j != ik]
-                wedge = chart.one()
-                for f in rest:
-                    wedge = wedge * f
-                h = _top_coefficient(spec, wedge * part)
-                val = apply_vector_field(basis_anchor(spec, ik), h) + h * gamma[ik]
-                terms.append(((-1) ** k) * val)
-            for k in range(len(tup)):
-                for l in range(k + 1, len(tup)):
-                    br = section_bracket(spec, basis_section(spec, tup[k]),
-                                         basis_section(spec, tup[l]))
-                    wedge = section_to_multivector(spec, br)
-                    for j in tup:
-                        if j != tup[k] and j != tup[l]:
-                            wedge = wedge * chart.var_poly(stars[j])
-                    h = _top_coefficient(spec, wedge * part)
-                    terms.append(((-1) ** (k + l)) * h)
-            values[tup] = spec.base.sum(terms)
-        # reconstruct the arity q-1 multivector from its wedge evaluations
-        for ktup in itertools.combinations(range(n), q - 1):
-            itup = tuple(j for j in range(n) if j not in ktup)
-            word = [(stars[j], 1) for j in itup] + [(stars[j], 1) for j in ktup]
-            sign, _ = mono_normalize(chart, word)
-            coeff = values[itup]
-            if coeff.is_zero():
-                continue
-            term = inject(coeff, chart) * Fraction(sign * side)
-            for j in ktup:
-                term = term * chart.var_poly(stars[j])
-            out.append(term)
+        rho_a = {name: inject(entry, chart)
+                 for name, entry in basis_anchor(spec, a).items()}
+        out.append(apply_vector_field(rho_a, d_a))
+        trace = conn.gamma[a][0][0] - spec.base.sum(
+            spec.structure_entry(a, c, c) for c in range(spec.rank))
+        if trace:
+            out.append(inject(trace, chart) * d_a)
+        for b, star_b in enumerate(stars):
+            row = spec.structure.get((a, b))
+            d_ba = partial_left(d_a, star_b) if row else None
+            if d_ba:
+                # C^c_ab e_c, the multivector of [e_a, e_b]
+                e_ab = section_to_multivector(
+                    spec, {spec.fiber_names[c]: p for c, p in row.items()})
+                out.append((half, e_ab * d_ba))
     return chart.sum(out)

@@ -1,4 +1,4 @@
-"""Bialgebroid Hamiltonians, the operator action, and morphism checking.
+"""Bialgebroid Hamiltonians, Taylor tables, and morphism checking.
 
 A compatible pair of algebroid structures on a bundle and its dual is
 encoded by the degree-three Hamiltonian chi = mu + L*(mu_dual) on T*[2]V[1],
@@ -6,13 +6,10 @@ where L is the Legendre exchange onto the dual-side chart; {chi, chi} = 0 is
 the compatibility condition, cross-checked against the derivation identity
 d([X,Y]) = [dX, Y] + [X, dY] on generator pairs.
 
-A degree-three Hamiltonian acts on functions of V[1] as a formal-parameter
-series of differential operators: each normal-ordered monomial U p_{j1}...
-p_{jk} contributes hbar^{k-1} U d_{j1}...d_{jk} (left derivatives, outermost
-factor first), which is the normal-ordered quantization of the vertical
-Taylor pairing.  The formal parameter has degree 2, so the action has
-operator degree one.  The action returns its series power by power; only a
-failing morphism record writes hbar out as a coordinate.
+The morphism checks compare the operator action of two Hamiltonians
+(`symplectic.hamiltonian_action`, imported here under its own name) power
+by power in the formal parameter; only a failing morphism record writes
+hbar out as a coordinate.
 
 Every structure here, an assembled chi, a homotopy table or the mu of a
 morphism endpoint, is a `symplectic.Hamiltonian`.
@@ -21,7 +18,7 @@ morphism endpoint, is a `symplectic.Hamiltonian`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
@@ -32,8 +29,8 @@ from .gpoly import (Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_FORMAL,
                     render_monomial, substitute)
 from .report import Report
 from .symplectic import (Hamiltonian, PolyMap, SymplecticChart,
-                         canonical_bracket, is_integrable, legendre,
-                         twin_chart)
+                         canonical_bracket, hamiltonian_action,
+                         is_integrable, legendre, twin_chart)
 
 HBAR = "hbar"
 
@@ -196,82 +193,6 @@ def legendre_quadratic_check(b: BialgebroidSpec) -> Report:
                "Legendre pullback of the dual Hamiltonian equals the direct "
                "quadratic assembly", via_legendre - C.sum(terms))
     return report
-
-
-# -- the operator action --------------------------------------------------------
-
-
-def _word_split(ham: Hamiltonian, cap: Optional[int]):
-    """The body of `ham` split by momentum word for the action under the
-    hbar cap `cap`: for each word p_{j1}...p_{jk} of at most cap + 1
-    momenta, (k - 1, the coordinate names of d_{jk}, ..., d_{j1} in the
-    order they are taken, U_w on the V[1] chart).
-
-    The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
-    chart and body cannot change under it."""
-    made = ham._word_splits.get(cap)
-    if made is not None:
-        return made
-    sc = ham.chart
-    ce = sc.base_chart
-    chart = sc.chart
-    npairs = sc.npairs
-    # the coordinates are the first fields of the symplectic chart and keep
-    # their place on the V[1] chart; only the weight field moves down, less
-    # the weight k of the momenta
-    coords = ce.var_bits
-    momenta = chart.var_bits ^ coords
-    wshift, ce_wshift = chart.wshift, ce.wshift
-    words = {}   # momentum key -> (k - 1, path, terms of U_w), or None
-    for mono, coeff in ham.body.terms.items():
-        word = mono & momenta
-        if word not in words:
-            momentum_part = chart.fields(word)
-            k = sum(e for _, e in momentum_part)
-            if k == 0 or (cap is not None and k - 1 > cap):
-                words[word] = None
-                continue
-            # strip the momentum tail right to left: zero extra Koszul signs
-            path = tuple(ce.names[i - npairs]
-                         for i, e in reversed(momentum_part) for _ in range(e))
-            words[word] = (k - 1, path, {})
-        entry = words[word]
-        if entry is not None:
-            u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
-                                   << ce_wshift)
-            entry[2][u] = coeff
-    parts = ((power, path, GPoly(ce, terms))
-             for power, path, terms in filter(None, words.values()))
-    split = ham._word_splits[cap] = [w for w in parts if w[2]]
-    return split
-
-
-def hamiltonian_action(ham: Hamiltonian, g: GPoly,
-                       hbar_cap: Optional[int] = None) -> dict:
-    """Act on a function of V[1] by normal-ordered operator substitution.
-
-    Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
-    c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
-    Hamiltonians this is exactly {H, g}.  The terms that share a momentum
-    word w share its derivative: the action is the sum over words of
-    hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
-    hbar^k}: nonzero polynomials on the V[1] chart.  Powers of hbar above
-    `hbar_cap` are dropped; None keeps them all.
-    """
-    ce = ham.chart.base_chart
-    if g.chart != ce:
-        raise ChartMismatch("the action takes momentum-free arguments")
-    by_power = {}   # k - 1 -> the terms of that power of hbar
-    for power, path, u in _word_split(ham, hbar_cap):
-        deriv = g
-        for name in path:
-            deriv = partial_left(deriv, name)
-            if not deriv:
-                break
-        else:
-            by_power.setdefault(power, []).append(u * deriv)
-    series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
-    return {k: coeff for k, coeff in series.items() if coeff}
 
 
 def base_chart(chart: Chart) -> Chart:

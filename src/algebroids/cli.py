@@ -20,10 +20,10 @@ from .constructions import (action_algebroid, linfty_bialgebra,
                             nijenhuis_check, poisson_bialgebroid,
                             tangent_algebroid, triangular)
 from .errors import AlgebroidsError, MissingSection
-from .gpoly import MOMENTUM_KINDS, render_poly
+from .gpoly import KIND_FIBER, MOMENTUM_KINDS, render_poly
 from .report import Report, verdict_json
 from .specfile import Section, SpecFile, parse_spec, serialize
-from .symplectic import (canonical_bracket, canonical_context,
+from .symplectic import (PolyMap, canonical_bracket, canonical_context,
                          check_poisson_map, hamiltonian_lift, is_integrable,
                          legendre, shifted_cotangent, twin_chart)
 
@@ -47,8 +47,16 @@ def _legendre_report(spec: AlgebroidSpec) -> Report:
     for v in lmap.target.vars:
         report.add(f"assign({v.name})", "coordinate image", passed=True,
                    detail=render_poly(lmap.image_of(v.name)))
-    report.add("involution", "the exchange composed with itself is the identity",
-               passed=lmap.then(legendre(twin)).is_identity())
+    # each exchange signs the momentum leg of an even fiber coordinate, so
+    # the composite is -1 on such a coordinate and on its momentum
+    chart = sc.chart
+    signs = PolyMap(chart, chart, {
+        name: -chart.var_poly(name) for v in sc.coords()
+        if v.kind == KIND_FIBER and not v.parity
+        for name in (v.name, sc.momentum_of(v.name).name)})
+    report.add("involution", "the exchange composed with itself is the "
+               "identity, but -1 on an even fiber coordinate and its momentum",
+               passed=lmap.then(legendre(twin)).then(signs).is_identity())
     report.extend(check_poisson_map(lmap, canonical_context(sc),
                                     canonical_context(twin)))
     return report

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebroid import (AlgebroidSpec, basis_section, bivector_matrix,
-                        bivector_multivector, check_algebroid,
-                        hamiltonian_of_algebroid, koszul_algebroid,
-                        schouten_bracket, section_add, section_bracket,
-                        section_is_zero, section_to_multivector, tangent_spec,
+                        check_algebroid, hamiltonian_of_algebroid,
+                        koszul_algebroid, schouten_bracket, section_add,
+                        section_bracket, section_is_zero,
+                        section_to_multivector, tangent_spec,
                         vector_field_commutator, _coerce)
 from .bialgebroid import BialgebroidSpec, assemble_hamiltonian
 from .errors import (AlgebroidsError, ChartMismatch, DegreeError,
@@ -61,10 +61,7 @@ def poisson_bialgebroid(base: Chart,
     with the tangent structure on its dual; chi is linear-quadratic and
     integrable."""
     primal = koszul_algebroid(base, pi)
-    dual_names = primal.starred_names()
-    anchor = {(fn, xv.name): 1 for fn, xv in zip(dual_names, base.vars)}
-    dual = AlgebroidSpec(base, [(fn, 0) for fn in dual_names], anchor, {})
-    b = BialgebroidSpec(primal, dual)
+    b = BialgebroidSpec(primal, tangent_spec(base, primal.starred_names()))
     return b, assemble_hamiltonian(b)
 
 
@@ -124,17 +121,19 @@ class NijenhuisData:
         return out
 
 
-def _apply_endo(base: Chart, n_matrix, x: Mapping[str, GPoly]) -> dict:
+def _matrix_action(base: Chart, rows, names, x: Mapping[str, GPoly]) -> dict:
+    """The i-th name of the result is sum_j rows[i][j] x_j, where x_j is the
+    entry of x under the j-th name: a matrix of base polynomials acting on
+    vector fields (keyed by base names) or on forms (keyed by fiber names)."""
     out = {}
-    for j, xn in enumerate(base.names):
+    for j, xn in enumerate(names):
         comp = x.get(xn)
         if comp is None or comp.is_zero():
             continue
-        for i in range(len(base.vars)):
-            entry = n_matrix[i][j]
+        for i, key in enumerate(names):
+            entry = rows[i][j]
             if entry.is_zero():
                 continue
-            key = base.names[i]
             out[key] = out.get(key, base.zero()) + entry * comp
     return {k: v for k, v in out.items() if v}
 
@@ -144,17 +143,15 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     compatibility identities with the Poisson structure."""
     base = data.base
     nmat = data.matrix()
+    kspec_pi = koszul_algebroid(base, data.pi)   # raises NotPoisson
     full = bivector_matrix(base, data.pi)
     t = tangent_spec(base)
-    pi_mv = bivector_multivector(t, full)
-    if not schouten_bracket(t, pi_mv, pi_mv).is_zero():
-        raise NotPoisson("[pi, pi] != 0")
     report = Report("nijenhuis")
     nb = len(base.vars)
     coords = [{base.names[i]: base.one()} for i in range(nb)]
 
     def nof(x):
-        return _apply_endo(base, nmat, x)
+        return _matrix_action(base, nmat, base.names, x)
 
     # vector fields add componentwise like sections of the tangent algebroid
     for i in range(nb):
@@ -220,11 +217,14 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
                                  for b_ in range(nb))
                 if entry:
                     npi_in[(k, a)] = entry
+        # N-transpose on coordinate forms: the a-th form maps to
+        # sum_j N^a_j times the j-th form
+        nmat_t = [list(col) for col in zip(*nmat)]
+
+        def nstar(form):
+            return _matrix_action(base, nmat_t, kspec_pi.fiber_names, form)
+
         try:
-            kspec_pi = koszul_algebroid(base, {(i, j): full[(i, j)]
-                                               for i in range(nb)
-                                               for j in range(i + 1, nb)
-                                               if (i, j) in full and full[(i, j)]})
             kspec_npi = koszul_algebroid(base, npi_in)
         except NotPoisson:
             report.add("deformed-forms-bracket",
@@ -235,15 +235,12 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
                     ei = basis_section(kspec_pi, i)
                     ej = basis_section(kspec_pi, j)
                     lhs = section_bracket(kspec_npi, ei, ej)
-                    nstar_ei = _endo_transpose_on_forms(kspec_pi, nmat, ei)
-                    nstar_ej = _endo_transpose_on_forms(kspec_pi, nmat, ej)
                     rhs = section_add(
                         kspec_pi,
                         section_add(kspec_pi,
-                                    section_bracket(kspec_pi, nstar_ei, ej),
-                                    section_bracket(kspec_pi, ei, nstar_ej)),
-                        _endo_transpose_on_forms(
-                            kspec_pi, nmat, section_bracket(kspec_pi, ei, ej)),
+                                    section_bracket(kspec_pi, nstar(ei), ej),
+                                    section_bracket(kspec_pi, ei, nstar(ej))),
+                        nstar(section_bracket(kspec_pi, ei, ej)),
                         scale=-1)
                     res = section_add(kspec_pi, lhs, rhs, scale=-1)
                     ok = section_is_zero(res)
@@ -256,24 +253,6 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
                    "skipped: the endomorphism-bivector identity fails",
                    passed=True, detail="skipped")
     return report
-
-
-def _endo_transpose_on_forms(kspec: AlgebroidSpec, nmat, form: Mapping) -> dict:
-    """N-transpose on coordinate forms: the a-th form maps to sum_j N^a_j
-    times the j-th form.  Form sections are keyed by the fiber names of the
-    cotangent algebroid `kspec`."""
-    names = kspec.fiber_names
-    out = {}
-    for a, name in enumerate(names):
-        comp = form.get(name)
-        if comp is None or comp.is_zero():
-            continue
-        for j, key in enumerate(names):
-            entry = nmat[a][j]
-            if entry.is_zero():
-                continue
-            out[key] = out.get(key, kspec.base.zero()) + comp * entry
-    return {k: v for k, v in out.items() if v}
 
 
 def linfty_bialgebra(fiber, components: Mapping) -> Hamiltonian:

@@ -15,6 +15,15 @@ package (Schouten, Lie-Poisson), each from its own generator table.
 Lie algebroids, Lie bialgebroids and their homotopy versions are all a
 degree-three H on T*[2]V[1] with {H, H} = 0; `Hamiltonian` is the one
 frozen value for every one of them, from spec file to operator action.
+
+A Hamiltonian acts on functions of V[1] as a formal-parameter series of
+differential operators: each normal-ordered monomial U p_{j1}...p_{jk}
+contributes hbar^{k-1} U d_{j1}...d_{jk} (left derivatives, outermost
+factor first), the normal-ordered quantization of the vertical Taylor
+pairing.  The formal parameter has degree 2, so the action has operator
+degree one.  Its hbar^0 term is {H, -} on a momentum-weight-one H, which
+is how `algebroid.ce_differential` computes d = {mu, -}; the morphism
+checks of `bialgebroid` compare the whole series.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
     KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, mul_monomial,
-    pull_legs,
+    partial_left, pull_legs,
 )
 from .report import Report
 
@@ -237,7 +246,6 @@ class BracketContext:
 
     label: str
     chart: Chart
-    shift: int
     bracket: Callable[[GPoly, GPoly], GPoly]
 
 
@@ -262,8 +270,8 @@ def canonical_bracket(f: GPoly, g: GPoly, sc: SymplecticChart) -> GPoly:
     return biderivation_bracket(f, g, n, pair)
 
 
-def canonical_context(sc: SymplecticChart, label: str = "canonical") -> BracketContext:
-    return BracketContext(label, sc.chart, sc.shift,
+def canonical_context(sc: SymplecticChart) -> BracketContext:
+    return BracketContext("canonical", sc.chart,
                           lambda f, g: canonical_bracket(f, g, sc))
 
 
@@ -280,8 +288,8 @@ class Hamiltonian:
 
     chart: SymplecticChart
     body: GPoly
-    # the operator action's split of the body, per hbar cap
-    # (`bialgebroid._word_split`)
+    # the body split by momentum word, per hbar cap: filled by `_word_split`
+    # for `hamiltonian_action`, the operator action below
     _word_splits: dict = field(default_factory=dict, init=False,
                                compare=False, repr=False)
 
@@ -316,6 +324,82 @@ def is_integrable(ham: Hamiltonian):
     scaled = ham.body * d
     residual = canonical_bracket(scaled, scaled, ham.chart) / (d * d)
     return residual, residual.is_zero()
+
+
+# -- the operator action ------------------------------------------------------
+
+
+def _word_split(ham: Hamiltonian, cap: Optional[int]):
+    """The body of `ham` split by momentum word for the action under the
+    hbar cap `cap`: for each word p_{j1}...p_{jk} of at most cap + 1
+    momenta, (k - 1, the coordinate names of d_{jk}, ..., d_{j1} in the
+    order they are taken, U_w on the V[1] chart).
+
+    The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
+    chart and body cannot change under it."""
+    made = ham._word_splits.get(cap)
+    if made is not None:
+        return made
+    sc = ham.chart
+    ce = sc.base_chart
+    chart = sc.chart
+    npairs = sc.npairs
+    # the coordinates are the first fields of the symplectic chart and keep
+    # their place on the V[1] chart; only the weight field moves down, less
+    # the weight k of the momenta
+    coords = ce.var_bits
+    momenta = chart.var_bits ^ coords
+    wshift, ce_wshift = chart.wshift, ce.wshift
+    words = {}   # momentum key -> (k - 1, path, terms of U_w), or None
+    for mono, coeff in ham.body.terms.items():
+        word = mono & momenta
+        if word not in words:
+            momentum_part = chart.fields(word)
+            k = sum(e for _, e in momentum_part)
+            if k == 0 or (cap is not None and k - 1 > cap):
+                words[word] = None
+                continue
+            # strip the momentum tail right to left: zero extra Koszul signs
+            path = tuple(ce.names[i - npairs]
+                         for i, e in reversed(momentum_part) for _ in range(e))
+            words[word] = (k - 1, path, {})
+        entry = words[word]
+        if entry is not None:
+            u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
+                                   << ce_wshift)
+            entry[2][u] = coeff
+    parts = ((power, path, GPoly(ce, terms))
+             for power, path, terms in filter(None, words.values()))
+    split = ham._word_splits[cap] = [w for w in parts if w[2]]
+    return split
+
+
+def hamiltonian_action(ham: Hamiltonian, g: GPoly,
+                       hbar_cap: Optional[int] = None) -> dict:
+    """Act on a function of V[1] by normal-ordered operator substitution.
+
+    Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
+    c * hbar^{k-1} * U * (d_{j1} ... d_{jk} g); for momentum-weight-one
+    Hamiltonians this is exactly {H, g}.  The terms that share a momentum
+    word w share its derivative: the action is the sum over words of
+    hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
+    hbar^k}: nonzero polynomials on the V[1] chart.  Powers of hbar above
+    `hbar_cap` are dropped; None keeps them all.
+    """
+    ce = ham.chart.base_chart
+    if g.chart != ce:
+        raise ChartMismatch("the action takes momentum-free arguments")
+    by_power = {}   # k - 1 -> the terms of that power of hbar
+    for power, path, u in _word_split(ham, hbar_cap):
+        deriv = g
+        for name in path:
+            deriv = partial_left(deriv, name)
+            if not deriv:
+                break
+        else:
+            by_power.setdefault(power, []).append(u * deriv)
+    series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
+    return {k: coeff for k, coeff in series.items() if coeff}
 
 
 # -- polynomial maps ----------------------------------------------------------

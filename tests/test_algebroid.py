@@ -13,7 +13,8 @@ from corpus import (FAILING, LINE, PASSING, PLANE, POINT, abelian,
 
 from algebroids.algebroid import (AlgebroidSpec, _close,
                                   adjoint_line_connection, anchor_of,
-                                  basis_section, bv_operator, ce_differential,
+                                  basis_anchor, basis_section, bv_operator,
+                                  ce_differential,
                                   check_algebroid, contraction, curvature,
                                   hamiltonian_of_algebroid, koszul_algebroid,
                                   lie_derivative, lie_poisson, line_connection,
@@ -21,13 +22,14 @@ from algebroids.algebroid import (AlgebroidSpec, _close,
                                   section_add, section_bracket,
                                   section_to_multivector, tangent_spec,
                                   torsion)
-from algebroids.errors import DegreeError, NotPoisson
+from algebroids.errors import DegreeError, DegreeMismatch, NotPoisson
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (Chart, apply_vector_field, inject, partial_left,
-                             random_poly)
+from algebroids.gpoly import (Chart, GPoly, apply_vector_field, inject,
+                             mono_normalize, partial_left, random_poly,
+                             restrict_to)
 from algebroids.specfile import parse_spec
 from algebroids.symplectic import (canonical_bracket, check_poisson_map,
-                                   shifted_cotangent)
+                                   shifted_cotangent, twin_chart)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -123,7 +125,12 @@ def _graded_spec(rng):
                  + ([("y", 1)] if odd else []))
     fiber = [(f"e{a + 1}", rng.randint(-1, 2))
              for a in range(rng.randint(2, 4))]
-    entries = (0, 1) if odd else (0,)
+    return _graded_structure(rng, base, fiber)
+
+
+def _graded_structure(rng, base, fiber):
+    """A random spec on `base` and `fiber` as `_graded_spec` draws it."""
+    entries = (0, 1) if base.has("y") else (0,)
     anchor = {}
     bracket = {}
     for a, (fa, da) in enumerate(fiber):
@@ -413,6 +420,44 @@ class TestCEDifferential:
         ce = spec.ce_chart()
         d = ce_differential(spec, pe("x1 * xi1", ce))
         assert d.is_homogeneous(2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_bracket_route(self, seed):
+        rng = random.Random(seed)
+        spec = _graded_spec(rng)
+        ce = spec.ce_chart()
+        for _ in range(3):
+            phi = random_poly(ce, rng, max_weight=3, max_base_degree=2,
+                              max_terms=4)
+            assert ce_differential(spec, phi) == ce_by_bracket(spec, phi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_bracket_route_on_a_twin_chart(self, seed):
+        # d* of a dual structure acts on the primal multivectors, the
+        # function chart of the Legendre twin, as check_bialgebroid runs it
+        rng = random.Random(seed)
+        spec = _graded_spec(rng)
+        dual = _graded_structure(rng, spec.base, [
+            (n, -d) for n, d in zip(spec.starred_names(), spec.fiber_degrees)])
+        twin = twin_chart(spec.symplectic_chart())
+        mv = spec.multivector_chart()
+        assert twin.base_chart == mv
+        for _ in range(3):
+            p = random_poly(mv, rng, max_weight=3, max_base_degree=2,
+                            max_terms=4)
+            assert ce_differential(dual, p, twin) == \
+                ce_by_bracket(dual, p, twin)
+
+
+def ce_by_bracket(spec, phi, sc=None):
+    """d(phi) as ce_differential computed it before it read mu's word
+    split: {mu, phi} on the symplectic chart, restricted to V[1]."""
+    sc = sc if sc is not None else spec.symplectic_chart()
+    mu = hamiltonian_of_algebroid(spec, sc).body
+    out = canonical_bracket(mu, inject(phi, sc.chart), sc)
+    return restrict_to(out, sc.base_chart)
 
 
 def _evaluate_form(spec, phi, sections):
@@ -743,6 +788,143 @@ class TestBVOperator:
                 w = random_poly(mv, rng, 3, 0, 3)
                 assert bv_operator(spec, conn,
                                    bv_operator(spec, conn, w)).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_evaluation_on_top_forms(self, seed):
+        rng = random.Random(seed)
+        spec, conn = _bv_spec(rng)
+        mv = spec.multivector_chart()
+        for _ in range(3):
+            w = random_poly(mv, rng, 4, 2, 5)
+            assert bv_operator(spec, conn, w) == bv_by_evaluation(spec, conn, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_generates_the_bracket(self, seed):
+        # [a,b] = (-1)^{|a|}(D(ab) - D(a)b - (-1)^{|a|} a D(b)) on drawn
+        # homogeneous multivectors, not only on generators
+        rng = random.Random(seed)
+        spec, conn = _bv_spec(rng)
+        mv = spec.multivector_chart()
+
+        def delta(p):
+            return bv_operator(spec, conn, p)
+
+        for _ in range(3):
+            a = random_poly(mv, rng, 3, 2, 3, homogeneous=True)
+            b = random_poly(mv, rng, 3, 2, 3, homogeneous=True)
+            s = -1 if (a.degree() or 0) % 2 else 1
+            rhs = s * (delta(a * b) - delta(a) * b - s * (a * delta(b)))
+            assert schouten_bracket(spec, a, b) == rhs
+
+
+def _bv_spec(rng):
+    """A random spec with even section degrees (-2, 0 or 2) over a base of
+    0-2 degree-0 variables x_i and perhaps one degree-2 variable t, with
+    polynomial anchor and structure entries drawn without regard to the
+    Jacobi identity, and a zero, adjoint or random polynomial line
+    connection."""
+    nbase = rng.choice((0, 1, 2))
+    graded = rng.random() < 0.5
+    base = Chart([(f"x{i + 1}", 0) for i in range(nbase)]
+                 + ([("t", 2)] if graded else []))
+    fiber = [(f"e{a + 1}", rng.choice((-2, 0, 0, 2)))
+             for a in range(rng.randint(1, 4))]
+
+    def poly(degree):
+        p = base.const(rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(0, 2) if nbase else 0):
+            p = p + rng.choice((-1, 1, 3)) * random_poly(base, rng, 2, 2, 2,
+                                                         degree=0)
+        return p * base.var_poly("t") if degree else p
+
+    entries = (0, 2) if graded else (0,)
+    anchor, bracket = {}, {}
+    for a, (fa, da) in enumerate(fiber):
+        for v in base.vars:
+            if da + v.degree in entries and rng.random() < 0.5:
+                anchor[(fa, v.name)] = poly(da + v.degree)
+        for fb, db in fiber[a + 1:]:
+            for fc, dc in fiber:
+                if da + db - dc in entries and rng.random() < 0.5:
+                    bracket[(fa, fb, fc)] = poly(da + db - dc)
+    spec = AlgebroidSpec(base, fiber, anchor, bracket)
+    kind = rng.choice(("zero", "adjoint", "polynomial"))
+    if kind == "adjoint" and not anchor:
+        return spec, adjoint_line_connection(spec)
+    gammas = {} if kind == "zero" else {
+        n: poly(0) for n in spec.fiber_names if rng.random() < 0.7}
+    return spec, line_connection(spec, gammas)
+
+
+def bv_by_evaluation(spec, conn, omega):
+    """D(omega) as bv_operator computed it before the left-derivative
+    formula: identify multivectors with top-valued forms, evaluate the
+    connection's alternating formula on every ascending tuple of basis
+    sections, and rebuild the arity q - 1 part from those values."""
+    chart = spec.multivector_chart()
+    n = spec.rank
+    nbase = len(spec.base.vars)
+    stars = spec.starred_names()
+    gamma = [conn.gamma[a][0][0] for a in range(n)]
+
+    def top_coefficient(p):
+        # the base coefficient of the top multivector monomial e_1...e_n
+        out = {}
+        for m, c in p.terms.items():
+            exps = p.chart.unpack(m)
+            fiber_part = exps[nbase:]
+            if all(e == 1 for e in fiber_part):
+                out[spec.base.pack(exps[:nbase])] = c
+            elif any(fiber_part):
+                raise DegreeMismatch("not a top-power section")
+        return GPoly(spec.base, out)
+
+    by_arity = omega.split_by(lambda m: sum(m[nbase:]))
+    out = []
+    for q, part in by_arity.items():
+        if q == 0:
+            continue
+        p = n - q
+        # wedging the arguments on the left costs (-1)^{p q} per evaluation;
+        # relative to the reconstruction side the mismatch is (-1)^p
+        side = (-1) ** p
+        values = {}
+        for tup in itertools.combinations(range(n), p + 1):
+            terms = []
+            for k, ik in enumerate(tup):
+                wedge = chart.one()
+                for j in tup:
+                    if j != ik:
+                        wedge = wedge * chart.var_poly(stars[j])
+                h = top_coefficient(wedge * part)
+                val = (apply_vector_field(basis_anchor(spec, ik), h)
+                       + h * gamma[ik])
+                terms.append(((-1) ** k) * val)
+            for k in range(len(tup)):
+                for l in range(k + 1, len(tup)):
+                    br = section_bracket(spec, basis_section(spec, tup[k]),
+                                         basis_section(spec, tup[l]))
+                    wedge = section_to_multivector(spec, br)
+                    for j in tup:
+                        if j != tup[k] and j != tup[l]:
+                            wedge = wedge * chart.var_poly(stars[j])
+                    h = top_coefficient(wedge * part)
+                    terms.append(((-1) ** (k + l)) * h)
+            values[tup] = spec.base.sum(terms)
+        for ktup in itertools.combinations(range(n), q - 1):
+            itup = tuple(j for j in range(n) if j not in ktup)
+            word = [(stars[j], 1) for j in itup + ktup]
+            sign, _ = mono_normalize(chart, word)
+            coeff = values[itup]
+            if coeff.is_zero():
+                continue
+            term = inject(coeff, chart) * Fraction(sign * side)
+            for j in ktup:
+                term = term * chart.var_poly(stars[j])
+            out.append(term)
+    return chart.sum(out)
 
 
 class TestSectionBracket:

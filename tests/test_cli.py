@@ -154,15 +154,18 @@ def test_name_filter():
 
 
 def test_legendre_checks_every_generator_pair(tmp_path):
+    # b has degree 0 on V[1]: both exchanges sign its momentum leg, so the
+    # composite is b -> -b, b* -> -b*, which the involution record expects
     spec = tmp_path / "graded.alg"
     spec.write_text("chart M\n  var x 0\n\nalgebroid V\n  base M\n"
                     "  fiber a 0\n  fiber b 1\n\nlegendre L\n  algebroid V\n")
-    _, out = run_cli(["legendre", str(spec), "--json"])
+    code, out = run_cli(["legendre", str(spec), "--json"])
     checks = json.loads(out)["sections"][0]["checks"]
     n = sum(c["name"].startswith("assign(") for c in checks)
     pairs = [c for c in checks if c["name"].startswith("pair(")]
     assert n == 6 and len(pairs) == n * (n + 1) // 2
-    assert all(c["passed"] for c in pairs)
+    assert all(c["passed"] for c in checks)
+    assert code == 0
 
 
 def test_seed_flag_is_refused(capsys):
