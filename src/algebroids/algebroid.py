@@ -356,14 +356,18 @@ def hamiltonian_of_algebroid(spec: AlgebroidSpec,
     return spec._cache.setdefault(("mu", C), Hamiltonian(sc, C.sum(terms)))
 
 
-def check_algebroid(spec: AlgebroidSpec) -> Report:
+def check_algebroid(spec: AlgebroidSpec, squared=None) -> Report:
     """Cross-validate {mu, mu} = 0 against the direct bracket axioms.
+
+    `squared` is `is_integrable` of mu on `spec.symplectic_chart()` when the
+    caller has it already, as `bialgebroid.check_bialgebroid` has from the
+    terms of momentum weight one of {chi, chi}.
 
     There is no Leibniz record: the Leibniz rule is how `section_bracket`
     extends the structure table to all sections, so it holds by definition.
     """
     report = Report("algebroid")
-    residual, mu_ok = is_integrable(hamiltonian_of_algebroid(spec))
+    residual, mu_ok = squared or is_integrable(hamiltonian_of_algebroid(spec))
     report.add("mu-squared", "{mu, mu} = 0", residual)
 
     names = spec.fiber_names
@@ -634,11 +638,16 @@ class Connection:
 
 def line_connection(spec: AlgebroidSpec,
                     gammas: Mapping[str, object]) -> Connection:
-    """A connection on a line bundle: one coefficient polynomial per e_a."""
+    """A connection on a line bundle: one coefficient polynomial per e_a,
+    homogeneous of the degree d_a of e_a, so that the operator
+    `bv_operator` builds from it has degree -1."""
     base = spec.base
     rows = []
-    for name in spec.fiber_names:
+    for name, degree in zip(spec.fiber_names, spec.fiber_degrees):
         g = _coerce(base, gammas.get(name, 0))
+        if g and not g.is_homogeneous(degree):
+            raise DegreeError(f"gamma entry {name} must be homogeneous of "
+                              f"degree {degree}", name)
         rows.append(((g,),))
     return Connection(spec, ("vol",), tuple(rows))
 

@@ -111,16 +111,23 @@ def check_bialgebroid(b: BialgebroidSpec, squared=None) -> Report:
     d([X,Y]) = [dX, Y] + [X, dY] on all generator pairs.
 
     `squared` is `is_integrable` of the assembled chi when the caller has it
-    already."""
+    already.  The primal check reads {mu, mu} off it: in Roytenberg's
+    bigrading of T*[2]A[1] (x (0,0), xi (1,0), xi* (0,1), x* (1,1), the
+    bracket (-1,-1)) mu has bidegree (2,1) and L*(mu_dual) (1,2), so the
+    part of {chi, chi} of momentum weight one, bidegree (3,1), is exactly
+    {mu, mu} on the same chart."""
     report = Report("bialgebroid")
-    rep_primal = check_algebroid(b.primal)
+    residual, bracket_ok = squared or is_integrable(assemble_hamiltonian(b))
+    kinds = b.chart.chart.kinds
+    mu_squared = residual.component(
+        lambda m: sum(e for e, kind in zip(m, kinds)
+                      if kind in MOMENTUM_KINDS) == 1)
+    rep_primal = check_algebroid(b.primal, (mu_squared, not mu_squared))
     rep_dual = check_algebroid(b.dual)
     report.add("primal-structure", "primal data passes the algebroid checks",
                passed=rep_primal.passed)
     report.add("dual-structure", "dual data passes the algebroid checks",
                passed=rep_dual.passed)
-
-    residual, bracket_ok = squared or is_integrable(assemble_hamiltonian(b))
     report.add("chi-squared", "{chi, chi} = 0", residual)
 
     # derivation identity on basis-section pairs; sections are the starred
@@ -313,22 +320,39 @@ class FullMorphism:
                       for word, img in words.items()}
         self.base = PolyMap(source, base_chart(target), base_map)
         self.source, self.target, self.cap = source, target, cap
+        # packed key of a target monomial with a word in `words`, or with
+        # no word -> its image on `source`, filled by `pull_taylor`
+        self._pulled = {}
 
     def pull_taylor(self, g: GPoly) -> GPoly:
-        """Apply f* after the Taylor expansion of g about the zero section."""
+        """Apply f* after the Taylor expansion of g about the zero section.
+
+        Each monomial of a word in the table is pulled back once per table
+        and kept.  A word missing from the table is an error only when its
+        whole pulled coefficient is non-zero, so its monomials are pulled
+        back together, as a coefficient, and not kept: their images may
+        cancel."""
         if g.chart != self.target:
             raise ChartMismatch("the table pulls back functions on its target")
+        pulled = self._pulled
         terms = []
         for word, coeff in taylor(g, self.cap, self.base.target).items():
-            pulled = self.base.pullback(coeff)
-            if pulled and word:
-                img = self.words.get(word)
-                if img is None:
+            img = self.words.get(word)
+            if word and img is None:
+                if self.base.pullback(coeff):
                     raise TruncationIncomplete(
                         f"missing word {self.target.unpack(word)} below the "
                         f"weight cap {self.cap}")
-                pulled = pulled * img
-            terms.append(pulled)
+                continue
+            for b, c in coeff.terms.items():
+                image = pulled.get(word + b)
+                if image is None:
+                    image = self.base.pullback(
+                        GPoly._raw(coeff.chart, {b: 1}))
+                    if image and word:
+                        image = image * img
+                    pulled[word + b] = image
+                terms.append((c, image))
         return self.source.sum(terms)
 
 

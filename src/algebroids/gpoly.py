@@ -534,13 +534,22 @@ def mul_monomial(p: GPoly, m: int, left: bool = False,
     return GPoly._raw(chart, res)
 
 
+def left_step(chart: Chart, k: int) -> tuple:
+    """(unit, shift, mask, below) of the left derivative by variable k: it
+    sends a key m whose exponent e = (m >> shift) & mask is non-zero to
+    e times m - unit, negated when (m & below) has an odd bit count.  That
+    is the sign rule of `partial_left`: moving an odd v_k to the front
+    crosses the odd variables before it."""
+    shift = chart.shifts[k]
+    below = chart.odd_bits & ((1 << shift) - 1) if chart.parities[k] else 0
+    return chart.units[k], shift, chart.exp_masks[k], below
+
+
 def partial_left(f: GPoly, v) -> GPoly:
     """Left derivative of f by the variable v (a GVar or name)."""
     chart = f.chart
-    k = chart.index_of(v if isinstance(v, str) else v.name)
-    unit, shift, mask = chart.units[k], chart.shifts[k], chart.exp_masks[k]
-    # moving an odd v_k to the front crosses the odd variables before it
-    below = chart.odd_bits & ((1 << shift) - 1) if chart.parities[k] else 0
+    unit, shift, mask, below = left_step(
+        chart, chart.index_of(v if isinstance(v, str) else v.name))
     res = {}
     for m, c in f.terms.items():
         e = (m >> shift) & mask
@@ -633,9 +642,16 @@ def restrict_to(f: GPoly, target: Chart) -> GPoly:
 
 
 def apply_vector_field(comps: Mapping[str, GPoly], f: GPoly) -> GPoly:
-    """Apply Q = sum_v Q^v d_v (left derivatives, coefficients on the left)."""
-    return f.chart.sum(q * partial_left(f, name)
-                       for name, q in comps.items() if q)
+    """Apply Q = sum_v Q^v d_v (left derivatives, coefficients on the left).
+
+    A component multiplies its derivative only when both are non-zero."""
+    parts = []
+    for name, q in comps.items():
+        if q:
+            deriv = partial_left(f, name)
+            if deriv:
+                parts.append(q * deriv)
+    return f.chart.sum(parts)
 
 
 def vector_field_commutator(chart: Chart, q1: Mapping[str, GPoly],

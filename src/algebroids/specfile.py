@@ -414,8 +414,12 @@ def _at_row(row, build, *args):
 
 def _resolve_connection(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    return line_connection(spec, _table(section, "gamma", spec.base,
-                                        spec.fiber_names))
+    gammas = _table(section, "gamma", spec.base, spec.fiber_names)
+    try:
+        return line_connection(spec, gammas)
+    except DegreeError as exc:
+        row = next(r for r in section.rows("gamma") if r[1][0] == exc.entry)
+        raise DegreeError(exc.message, exc.entry, row[3]) from None
 
 
 def _resolve_bracket(doc, section):

@@ -35,8 +35,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
-    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, mul_monomial,
-    partial_left, pull_legs,
+    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, left_step,
+    mul_monomial, pull_legs,
 )
 from .report import Report
 
@@ -332,8 +332,8 @@ def is_integrable(ham: Hamiltonian):
 def _word_split(ham: Hamiltonian, cap: Optional[int]):
     """The body of `ham` split by momentum word for the action under the
     hbar cap `cap`: for each word p_{j1}...p_{jk} of at most cap + 1
-    momenta, (k - 1, the coordinate names of d_{jk}, ..., d_{j1} in the
-    order they are taken, U_w on the V[1] chart).
+    momenta, (k - 1, the `left_step` of d_{jk}, ..., d_{j1} on the V[1]
+    chart in the order they are taken, U_w on the V[1] chart).
 
     The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
     chart and body cannot change under it."""
@@ -350,7 +350,7 @@ def _word_split(ham: Hamiltonian, cap: Optional[int]):
     coords = ce.var_bits
     momenta = chart.var_bits ^ coords
     wshift, ce_wshift = chart.wshift, ce.wshift
-    words = {}   # momentum key -> (k - 1, path, terms of U_w), or None
+    words = {}   # momentum key -> (k - 1, steps, terms of U_w), or None
     for mono, coeff in ham.body.terms.items():
         word = mono & momenta
         if word not in words:
@@ -360,16 +360,17 @@ def _word_split(ham: Hamiltonian, cap: Optional[int]):
                 words[word] = None
                 continue
             # strip the momentum tail right to left: zero extra Koszul signs
-            path = tuple(ce.names[i - npairs]
-                         for i, e in reversed(momentum_part) for _ in range(e))
-            words[word] = (k - 1, path, {})
+            steps = tuple(left_step(ce, i - npairs)
+                          for i, e in reversed(momentum_part)
+                          for _ in range(e))
+            words[word] = (k - 1, steps, {})
         entry = words[word]
         if entry is not None:
             u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
                                    << ce_wshift)
             entry[2][u] = coeff
-    parts = ((power, path, GPoly(ce, terms))
-             for power, path, terms in filter(None, words.values()))
+    parts = ((power, steps, GPoly(ce, terms))
+             for power, steps, terms in filter(None, words.values()))
     split = ham._word_splits[cap] = [w for w in parts if w[2]]
     return split
 
@@ -385,19 +386,29 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
     hbar^k}: nonzero polynomials on the V[1] chart.  Powers of hbar above
     `hbar_cap` are dropped; None keeps them all.
+
+    The action runs term by term on g: d_w of a monomial is one monomial or
+    zero, taken on its packed key by the `left_step`s of the word (the sign
+    rule of `partial_left`), and U_w multiplies it by a key shift
+    (`mul_monomial`).
     """
     ce = ham.chart.base_chart
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     by_power = {}   # k - 1 -> the terms of that power of hbar
-    for power, path, u in _word_split(ham, hbar_cap):
-        deriv = g
-        for name in path:
-            deriv = partial_left(deriv, name)
-            if not deriv:
-                break
-        else:
-            by_power.setdefault(power, []).append(u * deriv)
+    for power, steps, u in _word_split(ham, hbar_cap):
+        parts = by_power.setdefault(power, [])
+        for m, c in g.terms.items():
+            for unit, shift, mask, below in steps:
+                e = (m >> shift) & mask
+                if not e:
+                    break
+                c = -c * e if (m & below).bit_count() & 1 else c * e
+                m -= unit
+            else:
+                # mul_monomial stores u's coefficients times c in canonical
+                # form
+                parts.append(mul_monomial(u, m, coeff=c))
     series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
     return {k: coeff for k, coeff in series.items() if coeff}
 

@@ -733,6 +733,17 @@ class TestConnections:
         assert t == expected
 
 
+    def test_gamma_of_another_degree_is_refused(self):
+        # D has degree -1 only when each Gamma_a has the degree d_a of e_a
+        spec = AlgebroidSpec(LINE, [("e", 0), ("c", 2)])
+        line_connection(spec, {"e": "x + 1"})
+        with pytest.raises(DegreeError) as err:
+            line_connection(spec, {"c": 3})
+        assert err.value.entry == "c"
+        with pytest.raises(DegreeError):
+            line_connection(spec, {"e": "3 * x", "c": "x"})
+
+
 class TestBVOperator:
     def test_two_dim_top_power(self):
         spec = two_dim_algebra()
@@ -824,7 +835,7 @@ def _bv_spec(rng):
     0-2 degree-0 variables x_i and perhaps one degree-2 variable t, with
     polynomial anchor and structure entries drawn without regard to the
     Jacobi identity, and a zero, adjoint or random polynomial line
-    connection."""
+    connection with each Gamma_a of degree d_a."""
     nbase = rng.choice((0, 1, 2))
     graded = rng.random() < 0.5
     base = Chart([(f"x{i + 1}", 0) for i in range(nbase)]
@@ -853,8 +864,10 @@ def _bv_spec(rng):
     kind = rng.choice(("zero", "adjoint", "polynomial"))
     if kind == "adjoint" and not anchor:
         return spec, adjoint_line_connection(spec)
+    # Gamma_a has the degree d_a of e_a: zero when no entry has that degree
     gammas = {} if kind == "zero" else {
-        n: poly(0) for n in spec.fiber_names if rng.random() < 0.7}
+        n: poly(d) for n, d in zip(spec.fiber_names, spec.fiber_degrees)
+        if d in entries and rng.random() < 0.7}
     return spec, line_connection(spec, gammas)
 
 

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from corpus import (BIALGEBROID_FAILING, BIALGEBROID_PASSING, LINE, PLANE,
                     POINT, abelian, dual_tangent_type, koszul_linear,
                     two_dim_algebra, two_dim_triangular_pair)
+from test_algebroid import _graded_spec, _graded_structure
 
 from algebroids.algebroid import (AlgebroidSpec, ce_differential,
-                                  hamiltonian_of_algebroid, tangent_spec)
+                                  check_algebroid, hamiltonian_of_algebroid,
+                                  koszul_algebroid, tangent_spec)
 from algebroids.bialgebroid import (BialgebroidSpec, FullMorphism, HBAR,
                                     assemble_hamiltonian, base_chart,
                                     big_bracket,
@@ -27,7 +29,7 @@ from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, GPoly, inject, partial_left,
                               random_poly)
 from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
-                                   shifted_cotangent)
+                                   is_integrable, shifted_cotangent)
 
 
 def act_twice(lham, g, hbar_cap):
@@ -111,6 +113,65 @@ class TestCheckBialgebroid:
             chi = assemble_hamiltonian(pair)
             assert check_linfty(chi).passed == check_bialgebroid(pair).passed, \
                 name
+
+
+def _rescaled_bracket(spec, s):
+    """`spec` with every structure function times s."""
+    names = spec.fiber_names
+    anchor = {(names[a], v.name): p for a, row in enumerate(spec.anchor)
+              for v, p in zip(spec.base.vars, row) if p}
+    bracket = {(names[a], names[b], names[c]): s * p
+               for (a, b), row in spec.structure.items() if a <= b
+               for c, p in row.items()}
+    return AlgebroidSpec(spec.base, list(zip(names, spec.fiber_degrees)),
+                         anchor, bracket)
+
+
+def _drawn_pair(rng, kind):
+    """A bialgebroid pair: the Koszul algebroid of a drawn bivector on the
+    plane with its tangent-type dual ("koszul"); the same with a bivector
+    x1^i x2^j of positive degree and its structure functions rescaled, so
+    that the anchor is not a bracket morphism ("broken"); or two graded
+    structures drawn without regard to any identity ("graded")."""
+    if kind == "graded":
+        primal = _graded_spec(rng)
+        dual = _graded_structure(rng, primal.base, [
+            (n, -d) for n, d in zip(primal.starred_names(),
+                                    primal.fiber_degrees)])
+        return BialgebroidSpec(primal, dual)
+    if kind == "koszul":
+        pi = random_poly(PLANE, rng, 0, 2, 3) + PLANE.const(rng.randint(-2, 2))
+        primal = koszul_algebroid(PLANE, {(0, 1): pi})
+        return BialgebroidSpec(primal, dual_tangent_type(primal))
+    i, j = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (1, 2)])
+    pi = rng.choice([-2, -1, 1, 3]) * pe(f"x1^{i} * x2^{j}", PLANE)
+    primal = _rescaled_bracket(koszul_algebroid(PLANE, {(0, 1): pi}),
+                               rng.choice([-1, 2, 3, Fraction(1, 2)]))
+    return BialgebroidSpec(primal, dual_tangent_type(primal))
+
+
+class TestBidegreeReadOff:
+    # x (0,0), xi (1,0), xi* (0,1), x* (1,1) and a bracket of bidegree
+    # (-1,-1): mu is (2,1), L*(mu_dual) is (1,2), and the part (3,1) of
+    # {chi, chi}, its terms of momentum weight one, is {mu, mu}
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["koszul", "graded", "broken"]))
+    def test_momentum_weight_one_part_is_mu_squared(self, seed, kind):
+        b = _drawn_pair(random.Random(seed), kind)
+        sc = b.chart
+        chi_squared, _ = is_integrable(assemble_hamiltonian(b))
+        mu_squared, mu_ok = is_integrable(
+            hamiltonian_of_algebroid(b.primal, sc))
+        assert chi_squared.component(
+            lambda m: sum(m[sc.npairs:]) == 1) == mu_squared
+        if kind == "broken":
+            assert not mu_ok
+        # the record that reads {mu, mu} off {chi, chi} gives the primal
+        # check's own verdict
+        primal = next(r for r in check_bialgebroid(b).records
+                      if r.name == "primal-structure")
+        assert primal.passed == check_algebroid(b.primal).passed
 
 
 class TestLegendreQuadratic:
@@ -222,6 +283,32 @@ class TestHamiltonianAction:
             assert k1 == restrict_to(br0, ce)
 
 
+def action_by_derivatives(ham, g, hbar_cap):
+    """The operator action by a chain of `partial_left` calls per momentum
+    word, kept as a reference: the terms of the body that share a word
+    p_{j1}...p_{jk} share d_{j1} ... d_{jk} g (d_{jk} taken first), which
+    their sum U_w multiplies at hbar^{k-1}."""
+    sc = ham.chart
+    ce = sc.base_chart
+    words = {}
+    for key, coeff in ham.body.terms.items():
+        mono = sc.chart.unpack(key)
+        word = mono[sc.npairs:]
+        k = sum(word)
+        if k and (hbar_cap is None or k - 1 <= hbar_cap):
+            words.setdefault(word, []).append(
+                GPoly(ce, {ce.pack(mono[:sc.npairs]): coeff}))
+    by_power = {}
+    for word, us in words.items():
+        deriv = g
+        for j in reversed(range(sc.npairs)):
+            for _ in range(word[j]):
+                deriv = partial_left(deriv, ce.names[j])
+        by_power.setdefault(sum(word) - 1, []).append(ce.sum(us) * deriv)
+    series = {k: ce.sum(parts) for k, parts in by_power.items()}
+    return {k: p for k, p in series.items() if p}
+
+
 def action_by_injection(sc, body, g, hbar_cap):
     """The operator action by its first implementation, kept as a reference:
     each term built on the V[1] chart, injected next to hbar, multiplied by
@@ -287,6 +374,26 @@ class TestActionKernel:
             for cap in caps:
                 want = action_by_injection(sc, body, g, cap)
                 assert hamiltonian_action(ham, g, hbar_cap=cap) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           hbar_cap=st.sampled_from([None, 0, 1, 2]))
+    def test_matches_the_derivative_chain(self, seed, hbar_cap):
+        # odd base and fiber coordinates, an even fiber of degree 2,
+        # Fraction coefficients on both sides, several terms in g
+        rng = random.Random(seed)
+        ce = Chart([("x", 0), ("y", 1), ("xi1", 1, "fiber"),
+                    ("xi2", 1, "fiber"), ("c", 2, "fiber")])
+        sc = shifted_cotangent(ce, 2)
+        ham = Hamiltonian(sc, random_poly(sc.chart, rng, max_weight=3,
+                                          max_base_degree=2, max_terms=8))
+        g = random_poly(ce, rng, max_weight=3, max_base_degree=2,
+                        max_terms=6)
+        got = hamiltonian_action(ham, g, hbar_cap)
+        assert got == action_by_derivatives(ham, g, hbar_cap)
+        # canonical coefficients: an int whenever the value is integral
+        assert all(c.__class__ is int or c.denominator != 1
+                   for coeff in got.values() for c in coeff.terms.values())
 
     def test_split_follows_body_and_cap(self):
         # a Hamiltonian is frozen, so the split it keeps cannot go stale: a
@@ -533,6 +640,46 @@ class TestFullMorphism:
             table = FullMorphism(src, tgt, {}, {}, 0)
             with pytest.raises(ChartMismatch):
                 linfty_morphism_check(table, ham[src], ham[tgt])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_kept_images_match_a_fresh_table(self, seed):
+        # one table pulls back many arguments, keeping the image of each
+        # monomial; each result equals a fresh table's, and the pullback of
+        # the part of g up to the cap
+        rng = random.Random(seed)
+        ce = Chart([("x", 0), ("a", 1, "fiber"), ("b", 1, "fiber"),
+                    ("c", 2, "fiber")])
+        k = [rng.choice([-2, -1, 1, 2, Fraction(1, 2)]) for _ in range(4)]
+        x, a, b, c = (ce.var_poly(n) for n in ce.names)
+        f = PolyMap(ce, ce, {"x": k[0] * x + k[1] * x * x,
+                             "a": a + k[2] * x * a, "c": c + k[3] * a * b})
+        cap = rng.choice([1, 2, 3])
+        table = embed_semistrict(f, cap)
+        for _ in range(12):
+            g = random_poly(ce, rng, max_weight=4, max_base_degree=2,
+                            max_terms=5)
+            got = table.pull_taylor(g)
+            assert got == embed_semistrict(f, cap).pull_taylor(g)
+            # x has weight 0, each fiber coordinate weight 1
+            assert got == f.pullback(g.component(
+                lambda m: sum(m[1:]) <= cap))
+
+    def test_missing_word_with_a_cancelling_image(self):
+        # x1 and x2 both go to t: the coefficient x1 - x2 of the missing
+        # word xi pulls back to zero, so nothing is missing, although each
+        # of its monomials alone pulls back to t * xi, which needs the word
+        target = Chart([("x1", 0), ("x2", 0), ("xi", 1, "fiber")])
+        source = Chart([("t", 0), ("eta", 1, "fiber")])
+        table = FullMorphism(source, target, {"x1": pe("t", source),
+                                              "x2": pe("t", source)}, {}, 1)
+        cancelling = pe("x1 * xi - x2 * xi", target)
+        assert table.pull_taylor(pe("x1 + x2", target)) == pe("2 * t", source)
+        assert table.pull_taylor(cancelling).is_zero()
+        for g in ("x1 * xi", "x1 * xi + x2 * xi", "x1 * xi - 2 * x2 * xi"):
+            with pytest.raises(TruncationIncomplete):
+                table.pull_taylor(pe(g, target))
+        assert table.pull_taylor(cancelling).is_zero()
 
     def test_missing_word_raises(self):
         chi = assemble_hamiltonian(two_dim_triangular_pair())

@@ -235,6 +235,13 @@ BAD_INPUTS = {
                                     b"  bracket xi1 xi2 xi1 = x + y\n",
                                     "bracket entry (xi1,xi2,xi1) must be "
                                     "homogeneous of degree 0 at line 9"),
+    "wrong-degree-gamma-entry": (b"chart M\n  var x 0\n\nalgebroid V\n"
+                                 b"  base M\n  fiber c 2\n\nconnection C\n"
+                                 b"  algebroid V\n  gamma c = 3\n\nbv B\n"
+                                 b"  algebroid V\n  connection C\n"
+                                 b"  value = c*\n",
+                                 "gamma entry c must be homogeneous of "
+                                 "degree 2 at line 10"),
     "inhomogeneous-anchor-entry": (b"chart M\n  var x 0\n  var y 1\n\n"
                                    b"algebroid V\n  base M\n"
                                    b"  fiber xi1 0\n  anchor xi1 x = x + y\n",
@@ -555,6 +562,9 @@ def test_bracket_at_the_degree_budget(tmp_path):
 
 
 def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
+    # {mu, mu} is the part of momentum weight one of {chi, chi}, so the
+    # primal structure is not bracketed again: two Hamiltonians, mu_dual
+    # and chi, for the construction P and for the bialgebroid B alike
     from algebroids import algebroid, bialgebroid, symplectic
     from algebroids.constructions import poisson_bialgebroid
     from algebroids.specfile import parse_spec
@@ -568,14 +578,18 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
 
     for module in (symplectic, algebroid, bialgebroid, cli):
         monkeypatch.setattr(module, "is_integrable", counted)
-    code, _ = run_cli(["construct", "tests/data/poisson.alg"])
-    assert code == 0
     with open(os.path.join(DATA, "poisson.alg")) as fh:
         doc = parse_spec(fh.read())
-    b, chi = poisson_bialgebroid(*doc.lookup("P").resolved)
-    mu = algebroid.hamiltonian_of_algebroid(b.primal)
-    mu_dual = algebroid.hamiltonian_of_algebroid(b.dual)
-    assert sorted(bodies) == sorted(repr(h.body) for h in (mu, mu_dual, chi))
+    built = {"construct": poisson_bialgebroid(*doc.lookup("P").resolved)[0],
+             "check-bialgebroid": doc.lookup("B").resolved}
+    for sub, b in built.items():
+        bodies.clear()
+        code, _ = run_cli([sub, "tests/data/poisson.alg"])
+        assert code == 0
+        chi = bialgebroid.assemble_hamiltonian(b)
+        mu_dual = algebroid.hamiltonian_of_algebroid(b.dual)
+        want = sorted(repr(h.body) for h in (mu_dual, chi))
+        assert sorted(bodies) == want, sub
 
 
 # mu builds per subcommand on poisson.alg: one per algebroid section (V and

@@ -5,7 +5,8 @@ function would leave its coverage counter silently at zero.  The tracer
 module is imported read-only from its file; only the coverage test
 installs it, around one pass of each workload, and removes it again.
 The section and construction kinds `cli` dispatches on must be the ones
-`specfile` reads.
+`specfile` reads, and every committed `BENCH_*.json` must name the
+workloads and end-to-end metrics of `BENCHMARK.json`.
 """
 
 import contextlib
@@ -128,7 +129,28 @@ def bench_runner(monkeypatch):
 
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
-    WORKLOADS = [w["name"] for w in json.load(_fh)["workloads"]]
+    _BENCHMARK = json.load(_fh)
+WORKLOADS = [w["name"] for w in _BENCHMARK["workloads"]]
+END_TO_END = [m["name"] for m in _BENCHMARK["end_to_end"]]
+BENCH_FILES = sorted(f for f in os.listdir(ROOT)
+                     if f.startswith("BENCH_") and f.endswith(".json"))
+
+
+@pytest.mark.parametrize("fname", BENCH_FILES)
+def test_bench_file_names_benchmark_workloads_and_metrics(fname):
+    # a committed record of parent/change runs stays comparable only while
+    # its workloads and compared metrics are the ones BENCHMARK.json names;
+    # a summary metric compares the two sides by `ratio_of_medians`, the
+    # other summary entries (failed shares, correctness) are run facts
+    with open(os.path.join(ROOT, fname)) as fh:
+        bench = json.load(fh)
+    assert bench["workloads"]
+    for key, entry in bench["workloads"].items():
+        assert any(key.startswith(name) for name in WORKLOADS), key
+        metrics = [name for name, value in entry["summary"].items()
+                   if isinstance(value, dict) and "ratio_of_medians" in value]
+        assert metrics, key
+        assert set(metrics) <= set(END_TO_END), (key, metrics)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
