@@ -22,7 +22,8 @@ from typing import Mapping
 
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         check_algebroid, ce_differential, schouten_bracket)
-from .errors import ChartMismatch, DegreeError, TruncationIncomplete
+from .errors import (ChartMismatch, DegreeError, DegreeMismatch,
+                     TruncationIncomplete)
 from .gpoly import (Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_FORMAL,
                     KIND_MOMENTUM_BASE, FIBER_DIRECTION_KINDS, MOMENTUM_KINDS,
                     enumerate_monomials, inject, partial_left,
@@ -286,7 +287,9 @@ def table_entry(source: Chart, target: Chart, key, img: GPoly) -> int:
 
     `key` names a base coordinate of `target`, or is a word: an exponent
     tuple over its fiber coordinates, whose image `img` on `source` must
-    vanish on the zero section as a fiber coordinate's does."""
+    vanish on the zero section as a fiber coordinate's does, and have no
+    term of lower weight than the word (the table is filtered, as
+    `linfty_morphism_check` needs)."""
     if isinstance(key, str):
         v = target.var(key)
         if v.kind != KIND_BASE:
@@ -300,6 +303,11 @@ def table_entry(source: Chart, target: Chart, key, img: GPoly) -> int:
         packed = target.pack(key)
         v = GVar(render_monomial(target, key), target.monomial_degree(packed),
                  KIND_FIBER)
+        weight = target.monomial_weight(packed)
+        if any(m >> source.wshift < weight for m in img.terms):
+            raise DegreeMismatch(
+                f"image of the word {v.name!r} has a term of weight below "
+                f"its weight {weight}: the table must not lower weight")
     PolyMap(source, Chart([v]), {v.name: img})
     return packed
 
@@ -372,18 +380,41 @@ def embed_semistrict(f: PolyMap, cap: int) -> FullMorphism:
 def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
                           lham_target: Hamiltonian) -> Report:
     """Verify the operator identity (source action) o f* o T = f* o T o
-    (target action) power by power in the formal parameter, with words and
-    powers of hbar cut at the table's cap.
+    (target action) power by power in the formal parameter, on every target
+    argument of weight at most the table's cap, modulo weight above it.
 
-    The identity is evaluated on every monomial of the target function chart
-    up to the weight cap, not only on the coordinate generators: second
-    derivatives vanish on linear arguments, so generators alone cannot see
-    the higher operations.  Each base exponent runs up to r, the most base
-    momenta in one monomial of either body (at least 1).  The two sides
-    then differ by sum_a c_a * f*(d^a g) over base multi-indices a of order
-    at most r, and g = x^b gives a multiple of c_b plus terms in c_a for
-    a < b: where these arguments pass, every c_a is zero.  A failing
-    record shows its residual as a polynomial in hbar.
+    The weight cut.  Both actions keep every power of hbar: the bodies are
+    polynomials, so each series is finite.  Each power of the difference is
+    cut to the terms of fiber weight at most the cap on the V[1] chart, read
+    off the weight field of their keys, which holds no hbar.  The cut is
+    decided by the table alone when the table is filtered: no word image has
+    a term of lower weight than its word (`table_entry` refuses such a row;
+    a base image has weight >= 0, a base coordinate's).  Then f* o T of an
+    argument needs only words of the table, and a word above the cap that
+    the target action reaches pulls back to weight above the cap.  Terms of
+    weight above the cap form an ideal, so the cut is a ring map.
+
+    The arguments are b * w: each word w of weight at most the cap times
+    each base monomial b of total order at most R.  R is r, the most base
+    momenta in one monomial of either body (at least 1); when a base image
+    has a fiber term, R is K, the most momenta of any kind in one monomial.
+    Why these decide:
+    - f* o T is a module map over the base pullback:
+      f*(T(b * w)) = f*(b) * f*(T(w)).
+    - So for fixed w each power of the difference is an operator of order
+      at most R in b along the base map: D(b) = sum_a E_a * f*(d^a b) over
+      base multi-indices of total order |a| <= R, E_a free of b.  On the
+      target side each base momentum takes one derivative of b; on the
+      source side the Leibniz and chain rules let each momentum that can
+      reach f*(b) take one: only base momenta when the base images are
+      fiber-free (a fiber momentum kills f*(b)), any momentum otherwise.
+    - Such an operator is fixed by its values on b of total order at most
+      R (Grothendieck's order, EGA IV 16.8): D(x^c) is +-c! * E_c plus
+      terms E_a * f*(...) with a < c, so by induction on |c| the cut of
+      every E_a vanishes where the arguments pass, and then the cut of D(b)
+      vanishes for every b, because the cut is a ring map.
+
+    A failing record shows its residual as a polynomial in hbar.
     """
     report = Report("homotopy-morphism")
     ce_v = lham_source.chart.base_chart
@@ -394,23 +425,32 @@ def linfty_morphism_check(fm: FullMorphism, lham_source: Hamiltonian,
     out_chart = with_formal_parameter(ce_v)
     hbar = out_chart.var_poly(HBAR)
     zero = ce_v.zero()
-    base_momenta = (KIND_MOMENTUM_BASE,)
-    r = max({1} | lham_source.body.kind_weights(base_momenta)
-            | lham_target.body.kind_weights(base_momenta))
-    for mono in enumerate_monomials(ce_w, fm.cap, max_base_degree=r):
-        if not any(mono):
+    cap, wshift = fm.cap, ce_v.wshift
+    # a base image with fiber terms lets every momentum differentiate it
+    fibered = any(m >> wshift for v in fm.base.target.vars
+                  for m in fm.base.image_of(v.name).terms)
+    momenta = MOMENTUM_KINDS if fibered else (KIND_MOMENTUM_BASE,)
+    order = max({1} | lham_source.body.kind_weights(momenta)
+                | lham_target.body.kind_weights(momenta))
+    for mono in enumerate_monomials(ce_w, cap, max_base_degree=order):
+        key = ce_w.pack(mono)
+        if not key or ce_w.kind_weight(key, (KIND_BASE,)) > order:
             continue
         name = render_monomial(ce_w, mono)
-        g = GPoly(ce_w, {ce_w.pack(mono): 1})
+        g = GPoly._raw(ce_w, {key: 1})
         # left side: act downstairs after pulling back; right side: act
         # upstairs and pull back each power of hbar
-        lhs = hamiltonian_action(lham_source, fm.pull_taylor(g), fm.cap)
+        lhs = hamiltonian_action(lham_source, fm.pull_taylor(g))
         rhs = {k: fm.pull_taylor(c)
-               for k, c in hamiltonian_action(lham_target, g, fm.cap).items()}
-        diffs = {k: lhs.get(k, zero) - rhs.get(k, zero)
-                 for k in lhs.keys() | rhs.keys()}
-        residual = [inject(d, out_chart) * hbar ** k
-                    for k, d in diffs.items() if d]
+               for k, c in hamiltonian_action(lham_target, g).items()}
+        residual = []
+        for k in lhs.keys() | rhs.keys():
+            cut = {m: c for m, c in (lhs.get(k, zero)
+                                     - rhs.get(k, zero)).terms.items()
+                   if m >> wshift <= cap}
+            if cut:
+                residual.append(inject(GPoly._raw(ce_v, cut), out_chart)
+                                * hbar ** k)
         report.add(f"generator({name})", "operator identity on the generator",
                    out_chart.sum(residual))
     return report

@@ -1,12 +1,13 @@
 """Command-line interface: parse a spec file, run checks, report verdicts.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 parse/validation
-error, 3 internal error.
+error, 3 internal error or a verdict that could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from time import perf_counter
 from typing import List, Optional
@@ -256,14 +257,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
 
     passed = all(rep.passed for _, rep in results)
-    if args.as_json:
-        print(verdict_json(args.subcommand, results, args.residuals))
-    else:
-        for name, rep in results:
-            print(f"[{name}]")
-            print(rep.render(residuals=args.residuals, timings=args.timings))
-        print(f"result: {'PASS' if passed else 'FAIL'}")
+    # a verdict that cannot be written is no verdict: the flush is inside
+    # the guard, so that nothing is left to fail at interpreter exit
+    try:
+        if args.as_json:
+            print(verdict_json(args.subcommand, results, args.residuals))
+        else:
+            for name, rep in results:
+                print(f"[{name}]")
+                print(rep.render(residuals=args.residuals,
+                                 timings=args.timings))
+            print(f"result: {'PASS' if passed else 'FAIL'}")
+        sys.stdout.flush()
+    except OSError as exc:   # BrokenPipeError among them
+        _discard_stdout()
+        print(f"error: cannot write the verdict: {exc}", file=sys.stderr)
+        return 3
     return 0 if passed else 1
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the unwritten
+    rest of its buffer is dropped at interpreter exit instead of failing
+    again."""
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):
+        # io.UnsupportedOperation (no file descriptor) is both
+        pass
 
 
 def console_main() -> None:

@@ -23,11 +23,12 @@ from algebroids.bialgebroid import (BialgebroidSpec, FullMorphism, HBAR,
                                     linfty_morphism_check,
                                     semistrict_morphism_check, taylor,
                                     with_formal_parameter)
-from algebroids.errors import (ChartMismatch, DegreeError,
+from algebroids.errors import (ChartMismatch, DegreeError, DegreeMismatch,
                                TruncationIncomplete)
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (Chart, GPoly, inject, partial_left,
-                              random_poly)
+from algebroids.gpoly import (KIND_MOMENTUM_BASE, MOMENTUM_KINDS, Chart,
+                              GPoly, enumerate_monomials, inject, partial_left,
+                              random_poly, substitute)
 from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
                                    is_integrable, shifted_cotangent)
 
@@ -598,10 +599,11 @@ class TestFullMorphism:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_residual_matches_the_out_chart_route(self, seed):
-        # the check compares the coefficients of hbar^k; a record's residual
-        # is their difference written out with hbar as a coordinate.  The
-        # map c -> c + k * a * b raises weight, so the pulled-back side can
-        # exceed the cap less k.
+        # the check compares the coefficients of hbar^k, every power kept,
+        # modulo fiber weight above the cap; a record's residual is their
+        # difference written out with hbar as a coordinate, cut at weight
+        # counted without hbar.  The map c -> c + k * a * b raises weight,
+        # so the pulled-back side can exceed the cap.
         rng = random.Random(seed)
         ce = Chart([("a", 1, "fiber"), ("b", 1, "fiber"), ("c", 2, "fiber")])
         sc = shifted_cotangent(ce, 2)
@@ -621,10 +623,12 @@ class TestFullMorphism:
         assert len(rep.records) == 7
         for rec in rep.records:
             g = pe(rec.name[len("generator("):-1], ce)
-            lhs = hamiltonian_action(source, table.pull_taylor(g), 2)
+            lhs = hamiltonian_action(source, table.pull_taylor(g))
             rhs = {k: table.pull_taylor(p)
-                   for k, p in hamiltonian_action(target, g, 2).items()}
-            want = on_out_chart(lhs) - on_out_chart(rhs)
+                   for k, p in hamiltonian_action(target, g).items()}
+            # a, b, c: each of weight one; hbar, the last, is not counted
+            want = (on_out_chart(lhs) - on_out_chart(rhs)).component(
+                lambda m: sum(m[:3]) <= 2)
             assert rec.passed == want.is_zero()
             assert rec.residual == (repr(want) if want else None)
 
@@ -694,14 +698,40 @@ class TestFullMorphism:
 
 def residual_series(fm, source, target, g):
     """The two sides of the operator identity on the argument g, as in
-    `linfty_morphism_check`: {k: nonzero difference at hbar^k}."""
-    lhs = hamiltonian_action(source, fm.pull_taylor(g), fm.cap)
+    `linfty_morphism_check`: {k: nonzero difference at hbar^k}, every power
+    kept and each difference cut to fiber weight at most the cap."""
+    lhs = hamiltonian_action(source, fm.pull_taylor(g))
     rhs = {k: fm.pull_taylor(c)
-           for k, c in hamiltonian_action(target, g, fm.cap).items()}
-    zero = fm.source.zero()
-    diffs = {k: lhs.get(k, zero) - rhs.get(k, zero)
-             for k in lhs.keys() | rhs.keys()}
+           for k, c in hamiltonian_action(target, g).items()}
+    zero, weights = fm.source.zero(), fm.source.weights
+    diffs = {k: (lhs.get(k, zero) - rhs.get(k, zero)).component(
+        lambda m: sum(e * w for e, w in zip(m, weights)) <= fm.cap)
+        for k in lhs.keys() | rhs.keys()}
     return {k: d for k, d in diffs.items() if d}
+
+
+def argument_bound(fm, source, target):
+    """r, the most base momenta in one monomial of either body (at least
+    1); K, the most momenta of any kind, when a base image has a term of
+    positive fiber weight."""
+    weights = fm.source.weights
+    fibered = any(sum(e * w for e, w in zip(fm.source.unpack(m), weights))
+                  for v in fm.base.target.vars
+                  for m in fm.base.image_of(v.name).terms)
+    kinds = MOMENTUM_KINDS if fibered else (KIND_MOMENTUM_BASE,)
+    return max([1] + [h.chart.chart.kind_weight(m, kinds)
+                      for h in (source, target) for m in h.body.terms])
+
+
+def per_exponent_verdict(fm, source, target):
+    """The verdict on the argument set before the total-order bound: every
+    nonconstant target monomial of weight at most the cap whose each base
+    exponent is at most the bound."""
+    ce, bound = fm.target, argument_bound(fm, source, target)
+    return all(not residual_series(fm, source, target,
+                                   GPoly(ce, {ce.pack(m): 1}))
+               for m in enumerate_monomials(ce, fm.cap, max_base_degree=bound)
+               if any(m))
 
 
 # V[1] over an even base coordinate of degree 2: its momentum x* has degree
@@ -746,7 +776,9 @@ class TestArgumentSet:
                              {(0, 1): b * DEGREE_TWO.var_poly("xi1")}, cap)
         r = max([1] + [k for coeffs in (src_c, tgt_c)
                        for (_, k), c in coeffs.items() if c])
-        if not linfty_morphism_check(table, source, target).passed:
+        passed = linfty_morphism_check(table, source, target).passed
+        assert passed == per_exponent_verdict(table, source, target)
+        if not passed:
             return
         for n in (r + 1, r + 2):
             for g in (f"x^{n}", f"x^{n} * xi1"):
@@ -777,8 +809,10 @@ class TestSecondRoute:
             tgt)
         want = semistrict_morphism_check(f, mu_v, mu_w).passed
         for cap in (1, 2, 3):
-            full = linfty_morphism_check(embed_semistrict(f, cap), mu_v, mu_w)
+            table = embed_semistrict(f, cap)
+            full = linfty_morphism_check(table, mu_v, mu_w)
             assert full.passed == want, cap
+            assert per_exponent_verdict(table, mu_v, mu_w) == want, cap
 
     def test_zero_image_keeps_its_word(self):
         # a word whose image is zero is still an entry of the table: the
@@ -790,6 +824,133 @@ class TestSecondRoute:
         want = semistrict_morphism_check(f, ham, ham).passed
         assert linfty_morphism_check(embed_semistrict(f, 2), ham,
                                      ham).passed == want
+
+
+def conjugate_pair(rng, d, two, cross):
+    """A linear chart map f and two bodies with (source action) o f* =
+    f* o (target action), the target body written down without the check.
+
+    The target V[1] chart has a base coordinate x of degree d (odd for
+    d = 1), perhaps a second one y of degree 0, an odd fiber xi and a fiber
+    z of degree d; the source chart is the same or, for a cross-chart
+    table, a primed copy.  f* sends x -> a x' + c z' (a base image with a
+    fiber term when c != 0), y -> a2 y', xi -> b xi', z -> e z'.  For the
+    random source body S, the target body is T = (f*)^-1 S f*: S with each
+    source coordinate written in target ones (the inverse map) and each
+    source momentum as the transposed Jacobian on target momenta (z'* ->
+    c x* + e z*).  The substitution is linear with constant coefficients,
+    so it keeps normal order and the momentum count of every term."""
+    q = "'" if cross else ""
+
+    def chart(p):
+        return Chart([("x" + p, d)] + ([("y" + p, 0)] if two else [])
+                     + [("xi" + p, 1, "fiber"), ("z" + p, d, "fiber")])
+
+    src, tgt = chart(q), chart("")
+    a, a2, b, e = (rng.choice([1, -1, 2, Fraction(1, 2)]) for _ in range(4))
+    c = rng.choice([0, 1, -2])
+    v = {n: src.var_poly(n) for n in src.names}
+    images = {"x": a * v["x" + q] + c * v["z" + q], "xi": b * v["xi" + q],
+              "z": e * v["z" + q]}
+    ssc, tsc = shifted_cotangent(src, 2), shifted_cotangent(tgt, 2)
+    w = {n: tsc.chart.var_poly(n) for n in tsc.chart.names}
+    inverse = {"x" + q: (w["x"] - Fraction(c) / e * w["z"]) / a,
+               "xi" + q: w["xi"] / b, "z" + q: w["z"] / e,
+               f"x{q}*": a * w["x*"], f"xi{q}*": b * w["xi*"],
+               f"z{q}*": c * w["x*"] + e * w["z*"]}
+    if two:
+        images["y"] = a2 * v["y" + q]
+        inverse.update({"y" + q: w["y"] / a2, f"y{q}*": a2 * w["y*"]})
+    body = random_poly(ssc.chart, rng, max_weight=3, max_base_degree=2,
+                       max_terms=4)
+    return (PolyMap(src, tgt, images), Hamiltonian(ssc, body),
+            Hamiltonian(tsc, substitute(body, inverse, target=tsc.chart)))
+
+
+class TestArgumentBound:
+    # the check takes base parts of total order at most the bound; the
+    # reference takes each base exponent up to it
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([0, 1, 2]),
+           two=st.booleans(), cross=st.booleans(), cap=st.integers(0, 2),
+           slip=st.one_of(st.none(), st.tuples(st.booleans(),
+                                               st.sampled_from([-1, 1]))))
+    def test_total_order_agrees_with_each_exponent(self, seed, d, two, cross,
+                                                   cap, slip):
+        rng = random.Random(seed)
+        f, source, target = conjugate_pair(rng, d, two, cross)
+        table = embed_semistrict(f, cap)
+        passed = linfty_morphism_check(table, source, target).passed
+        if slip is None:
+            # an honest morphism passes under every cap
+            assert passed
+            return
+        # one coefficient moved, on either side: a near miss
+        on_source, delta = slip
+        ham = source if on_source else target
+        moved = Hamiltonian(ham.chart, ham.body + delta * random_poly(
+            ham.chart.chart, rng, max_weight=3, max_base_degree=2,
+            max_terms=1))
+        source, target = (moved, target) if on_source else (source, moved)
+        assert linfty_morphism_check(table, source, target).passed == \
+            per_exponent_verdict(table, source, target)
+
+    def test_a_top_order_slip_fails_only_at_top_order(self):
+        # x1 xi x1* x2* differentiates b twice: only x1 * x2 sees it, an
+        # argument of total order r = 2 that each exponent up to 1 also has
+        ce = Chart([("x1", 0), ("x2", 0), ("xi", 1, "fiber")])
+        sc = shifted_cotangent(ce, 2)
+        ham = Hamiltonian(sc, pe("x1 * xi * x1* + xi * x2*", sc.chart))
+        slipped = Hamiltonian(sc, ham.body + pe("x1 * xi * x1* * x2*",
+                                                sc.chart))
+        table = embed_semistrict(PolyMap(ce, ce, {}), 1)
+        rep = linfty_morphism_check(table, slipped, ham)
+        # words 1, xi times the 6 base parts of total order at most 2
+        assert len(rep.records) == 11
+        assert [r.name for r in rep.records if not r.passed] == \
+            ["generator(x1 * x2)"]
+
+    def test_a_fibered_base_image_raises_the_bound(self):
+        # x -> x + z: a fiber momentum differentiates f*(b), so z*^2 on the
+        # source differentiates b twice although no body has a base
+        # momentum; only x^2 (total order K = 2 > r = 1) sees it at cap 0
+        ce = Chart([("x", 0), ("z", 0, "fiber")])
+        sc = shifted_cotangent(ce, 2)
+        shift = embed_semistrict(PolyMap(ce, ce, {"x": pe("x + z", ce)}), 0)
+        zero = Hamiltonian(sc, sc.chart.zero())
+        rep = linfty_morphism_check(shift, Hamiltonian(sc, pe("z* * z*",
+                                                              sc.chart)),
+                                    zero)
+        assert [(r.name, r.residual) for r in rep.records] == \
+            [("generator(x)", None), ("generator(x^2)", "2 * hbar")]
+        # z*^2 on the source is (z* + x*)^2 on the target
+        for cap in (0, 1, 2):
+            table = embed_semistrict(PolyMap(ce, ce, {"x": pe("x + z", ce)}),
+                                     cap)
+            assert linfty_morphism_check(
+                table, Hamiltonian(sc, pe("z* * z*", sc.chart)),
+                Hamiltonian(sc, pe("(z* + x*)^2", sc.chart))).passed
+
+    def test_a_residual_at_the_cap_is_kept(self):
+        # the draw that rules out cutting at weight counted with hbar: the
+        # residual 8 * x * xi1 * hbar has fiber weight 1, at the cap
+        table = FullMorphism(DEGREE_TWO, DEGREE_TWO,
+                             {"x": -2 * DEGREE_TWO.var_poly("x")},
+                             {(0, 1): -2 * DEGREE_TWO.var_poly("xi1")}, 1)
+        sc = shifted_cotangent(DEGREE_TWO, 2)
+        rep = linfty_morphism_check(
+            table, Hamiltonian(sc, sc.chart.zero()),
+            Hamiltonian(sc, pe("-x * xi1 * x* * x*", sc.chart)))
+        assert [(r.name, r.residual) for r in rep.records if not r.passed] \
+            == [("generator(x^2)", "8 * x * xi1 * hbar")]
+
+    def test_a_weight_lowering_word_is_refused(self):
+        # a b has weight 2 and c weight 1: words above the cap would reach
+        # weights the comparison keeps
+        ce = Chart([("a", 1, "fiber"), ("b", 1, "fiber"), ("c", 2, "fiber")])
+        with pytest.raises(DegreeMismatch):
+            FullMorphism(ce, ce, {}, {(1, 1, 0): ce.var_poly("c")}, 2)
+        FullMorphism(ce, ce, {}, {(0, 0, 1): pe("c + a * b", ce)}, 2)
 
 
 class TestBigBracket:

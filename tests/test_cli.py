@@ -1,7 +1,10 @@
 import io
 import contextlib
+import glob
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -65,6 +68,7 @@ KERNEL_CASES = [
     ("check-morphism", "point_morphism.alg", ["--json", "--residuals"]),
     ("check-morphism", "base_degree_two.alg", ["--json", "--residuals"]),
     ("check-morphism", "cross_chart_morphism.alg", ["--json", "--residuals"]),
+    ("check-morphism", "hbar_above_cap.alg", ["--json", "--residuals"]),
     ("bv", "bv_polynomial.alg", ["--json"]),
 ]
 
@@ -78,6 +82,46 @@ def test_kernel_golden(sub, fname, flags):
     with open(os.path.join(DATA, "kernel", f"{stem}.{tag}.txt")) as fh:
         golden = fh.read()
     assert golden == f"# exit={code}\n" + out
+
+
+def test_every_kernel_file_has_a_golden_case():
+    listed = {fname for _, fname, _ in KERNEL_CASES}
+    on_disk = {os.path.basename(p) for p in
+               glob.glob(os.path.join(DATA, "kernel", "*.alg"))}
+    assert on_disk == listed
+
+
+def _write_verdict_to(stdout):
+    """Exit code and stderr of a passing check whose verdict goes to
+    `stdout`, in a child process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", "check-algebroid",
+         "tests/data/two_dim_algebra.alg"],
+        cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return child.returncode, child.stderr
+
+
+def test_a_verdict_to_a_closed_pipe_exits_3():
+    read, write = os.pipe()
+    os.close(read)   # every write to the pipe fails, however small
+    try:
+        code, err = _write_verdict_to(write)
+    finally:
+        os.close(write)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the full device")
+def test_a_verdict_to_a_full_device_exits_3():
+    with open("/dev/full", "w") as full:
+        code, err = _write_verdict_to(full)
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_json_deterministic():
@@ -351,6 +395,13 @@ BAD_INPUTS.update({
         b"  target W\n  cap 1\n  word dy = dx\n",
         "variable 'y' has no image and no same-degree counterpart on "
         "Chart(x:0, dx:1) at line 16"),
+    # a b has weight 2 and c weight 1: the table is not filtered
+    "weight-lowering-word": (
+        b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber a 0\n"
+        b"  fiber b 0\n  fiber c 1\n\nmorphism f\n  type full\n"
+        b"  source V\n  target V\n  cap 2\n  word a b = c\n",
+        "image of the word 'a * b' has a term of weight below its weight 2: "
+        "the table must not lower weight at line 15"),
     "word-names-a-base-variable": (
         TWO_ALGEBROIDS + b"morphism f\n  type full\n  source V\n"
         b"  target W\n  cap 1\n  word y = dx\n",

@@ -1,8 +1,9 @@
-"""check-algebroid against answers computed without `algebroids`.
+"""Verdicts against answers computed without `algebroids`.
 
 `verdictbench/workloads.py` builds matrix Lie algebras from commutators and
-judges a mutated one by an exact Jacobi check of its own.  The module is
-imported read-only from its file; nothing of the benchmark runs here.
+judges a mutated one by an exact Jacobi check of its own; an identity table
+on a log-canonical chi passes at every cap.  The module is imported
+read-only from its file; nothing of the benchmark runs here.
 """
 
 import contextlib
@@ -63,3 +64,23 @@ def test_verdicts_match_independent_jacobi(seed, tmp_path):
             answer = W.jacobi_holds(struct, rank)
             assert _verdict(W.lie_spec(struct, rank), tmp_path) is answer, \
                 (kind, n, answer)
+
+
+# (d, cap) -> the arguments of the identity table on a log-canonical chi:
+# each of the sum_{k <= cap} C(d, k) words of its odd fibers times the
+# d + 1 base parts of total order at most r = 1, less the constant
+IDENTITY_ARGUMENTS = {(3, 1): 15, (3, 2): 27, (4, 3): 74, (5, 5): 191,
+                      (6, 6): 447}
+
+
+@pytest.mark.parametrize("d,cap", sorted(IDENTITY_ARGUMENTS))
+def test_identity_tables_pass_on_total_order_arguments(d, cap, tmp_path):
+    path = tmp_path / "identity.alg"
+    upper = W.log_canonical(d, random.Random(d * 10 + cap))
+    path.write_text(W.identity_morphism_spec(d, upper, cap))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check-morphism", str(path), "--json"])
+    (section,) = json.loads(out.getvalue())["sections"]
+    assert code == 0 and section["passed"]
+    assert len(section["checks"]) == IDENTITY_ARGUMENTS[(d, cap)]
