@@ -7,10 +7,16 @@ A document is a sequence of sections.  A section header sits at column zero
 `type full` morphism table is the only one, and a top-level `trunc <k>`
 line is refused.
 
-One table, `_SECTIONS`, gives each section kind its keys and its resolver;
-`_CONSTRUCTS` does the same for each construction kind, so the keys of a
-`construct` section are checked against its own kind.  Unknown section
-kinds, construction kinds and keys are rejected with positions.  A section
+One table, `_SECTIONS`, gives each section kind its keys, each key's row
+shape, and its resolver; `_CONSTRUCTS` does the same for each construction
+kind, so the keys of a `construct` section are checked against its own kind.
+Unknown section kinds, construction kinds and keys are rejected with
+positions.  A row shape is the number of arguments its key takes (a fixed
+count, or one or more for `word`) and whether the row ends in `= expr`.
+`parse_spec` checks every row against its key's shape before any resolver
+runs: a row with an argument too few or too many, an `= expr` on a key that
+takes none, or no `=` on a key that takes one is a ParseError at its line,
+and so is an `=` on a line with no key or on a section header.  A section
 names earlier sections in reference rows (`base M`, `algebroid V`); `_ref`
 reads every one of them, and a name that no earlier section has, or one
 whose section is of the wrong kind, is a ParseError at the row's line.
@@ -111,9 +117,12 @@ def _scan(text: str) -> List[Section]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.rstrip()
         tokens, expr = _tokenize_line(stripped)
+        indented = stripped[:1].isspace()
+        if expr is not None and not (tokens and indented):
+            raise ParseError("an '=' expression outside an indented key row",
+                             lineno)
         if not tokens:
             continue
-        indented = stripped[:1].isspace()
         if not indented:
             if tokens[0] == "trunc":
                 raise ParseError("'trunc' lines are refused: charts carry no "
@@ -152,32 +161,10 @@ def _int(token, lineno, what):
         raise ParseError(f"bad {what} {token!r}", lineno) from None
 
 
-def _arg(row, i=0, n=None):
-    """Argument `i` of a `key arg ...` row that takes `n` arguments (any
-    number when `n` is None); without it, the first missing argument is a
-    ParseError at the row's line, and so is the first surplus one."""
-    key, args, _, lineno = row
-    if i >= len(args):
-        raise ParseError(f"{key!r} row is missing argument {len(args) + 1}",
-                         lineno)
-    if n is not None:
-        _no_surplus(row, n)
-    return args[i]
-
-
-def _no_surplus(row, n):
-    """Refuse the first argument past the `n` that a row takes, at the
-    row's line."""
-    key, args, _, lineno = row
-    if len(args) > n:
-        raise ParseError(f"{key!r} row has a surplus argument {args[n]!r}",
-                         lineno)
-
-
 def _name(row, i, names):
     """Argument `i` of a row, which must be one of `names`; another name is
     an UndeclaredVariable at the row's line."""
-    arg = _arg(row, i)
+    arg = row[1][i]
     if arg not in names:
         raise UndeclaredVariable(arg, row[3], 0)
     return arg
@@ -187,7 +174,7 @@ def _int_row(section, key, default):
     """The integer of the single `key` row, or `default` without one; a
     `None` default makes the row required."""
     row = section.single(key, required=default is None)
-    return default if row is None else _int(_arg(row, n=1), row[3], key)
+    return default if row is None else _int(row[1][0], row[3], key)
 
 
 def _cap_row(section, key, default):
@@ -202,28 +189,21 @@ def _cap_row(section, key, default):
 
 def _expr_row(row, chart):
     """The `= expr` of a row, parsed on `chart` at the row's line."""
-    _, _, text, lineno = row
-    if text is None:
-        raise ParseError("missing '=' expression", lineno)
-    return parse_expression(text, chart, line=lineno)
+    return parse_expression(row[2], chart, line=row[3])
 
 
 def _value(section, key, chart):
-    """The expression of the single `key` row, which takes no argument."""
-    row = section.single(key)
-    _no_surplus(row, 0)
-    return _expr_row(row, chart)
+    """The expression of the single `key` row."""
+    return _expr_row(section.single(key), chart)
 
 
 def _table(section, key, chart, *names):
     """The `key <a1> .. <an> = expr` rows as a table from the argument (for
     n = 1) or the argument tuple to the polynomial on `chart`.  Argument
-    `i` must be one of `names[i]`, and every argument is there before any
-    name is checked."""
+    `i` must be one of `names[i]`."""
     table = {}
     for row in section.rows(key):
         value = _expr_row(row, chart)
-        _arg(row, len(names) - 1, len(names))
         args = tuple(_name(row, i, n) for i, n in enumerate(names))
         table[args if len(names) > 1 else args[0]] = value
     return table
@@ -231,12 +211,8 @@ def _table(section, key, chart, *names):
 
 def _fibers(section):
     """The (name, degree) pairs of the `fiber` rows, in file order."""
-    fiber = []
-    for _, args, _, lineno in section.rows("fiber"):
-        if len(args) != 2:
-            raise ParseError("fiber rows read 'fiber <name> <degree>'", lineno)
-        fiber.append((args[0], _int(args[1], lineno, "degree")))
-    return fiber
+    return [(name, _int(degree, lineno, "degree"))
+            for _, (name, degree), _, lineno in section.rows("fiber")]
 
 
 def _ref(doc, section, key, *kinds):
@@ -244,7 +220,7 @@ def _ref(doc, section, key, *kinds):
     earlier section has, or one whose section is of none of `kinds`, is a
     ParseError at the row's line."""
     row = section.single(key)
-    target = doc.lookup(_arg(row, n=1), row[3])
+    target = doc.lookup(row[1][0], row[3])
     if target.label not in kinds:
         raise ParseError(f"{key!r} must name a section of kind "
                          f"{' or '.join(kinds)}, not {target.label} "
@@ -259,13 +235,26 @@ def parse_spec(text: str) -> SpecFile:
         if section.name in doc.registry:
             raise ParseError(f"duplicate section name {section.name!r}",
                              section.line)
-        keys, resolve = (_CONSTRUCTS[section.subtype] if section.subtype
-                         else _SECTIONS[section.kind])
-        for key, _, _, lineno in section.entries:
-            if key not in keys:
+        shapes, resolve = (_CONSTRUCTS[section.subtype] if section.subtype
+                           else _SECTIONS[section.kind])
+        for key, args, expr, lineno in section.entries:
+            if key not in shapes:
                 raise ParseError(
                     f"unknown key {key!r} in {section.label} section",
-                    lineno, expected=sorted(keys))
+                    lineno, expected=sorted(shapes))
+            n, takes_expr = shapes[key]
+            if len(args) < (1 if n is None else n):
+                raise ParseError(
+                    f"{key!r} row is missing argument {len(args) + 1}", lineno)
+            if n is not None and len(args) > n:
+                raise ParseError(
+                    f"{key!r} row has a surplus argument {args[n]!r}", lineno)
+            if takes_expr and expr is None:
+                raise ParseError(f"{key!r} row is missing its '=' expression",
+                                 lineno)
+            if expr is not None and not takes_expr:
+                raise ParseError(f"{key!r} row takes no '=' expression",
+                                 lineno)
         section.resolved = resolve(doc, section)
         doc.registry[section.name] = section
     return doc
@@ -277,10 +266,7 @@ def parse_spec(text: str) -> SpecFile:
 def _resolve_chart(doc, section):
     variables = []
     seen = set()
-    for key, args, expr, lineno in section.entries:
-        if len(args) != 2 or expr is not None:
-            raise ParseError("chart rows read 'var <name> <degree>'", lineno)
-        name, degree = args
+    for _, (name, degree), _, lineno in section.entries:
         if name in seen:
             raise ParseError(f"duplicate variable {name!r} in chart "
                              f"{section.name!r}", lineno)
@@ -295,37 +281,15 @@ def _resolve_algebroid(doc, section):
     if not fiber:
         raise ParseError(f"section {section.name!r} declares no fiber", section.line)
     index = {n: i for i, (n, _) in enumerate(fiber)}
-    lines = {}   # anchor or bracket key -> the line it was declared on
-    anchor = {}
-    for row in section.rows("anchor"):
-        _, args, _, lineno = row
-        if len(args) != 2:
-            raise ParseError("anchor rows read 'anchor <fiber> <base> = expr>'",
-                             lineno)
-        _name(row, 0, index)
-        _name(row, 1, base.names)
-        anchor[args] = _expr_row(row, base)
-        lines[args] = lineno
-    bracket = {}
-    for row in section.rows("bracket"):
-        _, args, _, lineno = row
-        if len(args) != 3:
-            raise ParseError(
-                "bracket rows read 'bracket <a> <b> <c> = expr'", lineno)
-        a, b, _ = (_name(row, i, index) for i in range(3))
+    anchor = _table(section, "anchor", base, index, base.names)
+    bracket = _table(section, "bracket", base, index, index, index)
+    for _, (a, b, _), _, lineno in section.rows("bracket"):
         if index[a] > index[b]:
             raise ParseError(
                 f"bracket pair ({a},{b}) must be in canonical order "
                 "(earlier fiber first)", lineno)
-        bracket[args] = _expr_row(row, base)
-        lines[args] = lineno
-    try:
-        return AlgebroidSpec(base, fiber, anchor, bracket)
-    except DegreeError as exc:
-        if exc.entry not in lines:
-            raise
-        raise DegreeError(exc.message, exc.entry,
-                          lines[exc.entry]) from None
+    return _at_entry(section, ("anchor", "bracket"), AlgebroidSpec, base,
+                     fiber, anchor, bracket)
 
 
 def _resolve_bialgebroid(doc, section):
@@ -350,9 +314,15 @@ def _endpoint(doc, section, key):
 
 def _resolve_morphism(doc, section):
     type_row = section.single("type")
-    mtype = _arg(type_row, n=1)
+    mtype = type_row[1][0]
     if mtype not in ("semistrict", "full"):
         raise ParseError("morphism type is 'semistrict' or 'full'", type_row[3])
+    # a row that only the other type reads would be read by nothing
+    foreign = ("map",) if mtype == "full" else ("base", "word", "cap")
+    for key, _, _, lineno in section.entries:
+        if key in foreign:
+            raise ParseError(f"a type {mtype} morphism takes no {key!r} row",
+                             lineno)
     source = _endpoint(doc, section, "source")
     target = _endpoint(doc, section, "target")
     src_ce, tgt_ce = source.chart.base_chart, target.chart.base_chart
@@ -360,13 +330,8 @@ def _resolve_morphism(doc, section):
     # names, so that its fault names its row; what only the whole table
     # lacks, such as a base row, names the type row
     if mtype == "semistrict":
-        assignment = {}
-        for row in section.rows("map"):
-            if len(row[1]) != 1:
-                raise ParseError("map rows read 'map <targetvar> = expr'",
-                                 row[3])
-            name = _name(row, 0, tgt_ce.names)
-            img = assignment[name] = _expr_row(row, src_ce)
+        assignment = _table(section, "map", src_ce, tgt_ce.names)
+        for row, (name, img) in zip(section.rows("map"), assignment.items()):
             _at_row(row, PolyMap, src_ce, Chart([tgt_ce.var(name)]),
                     {name: img})
         resolved = _at_row(type_row, PolyMap, src_ce, tgt_ce, assignment)
@@ -384,7 +349,6 @@ def _resolve_morphism(doc, section):
         words = {}
         # the same fibers in another order name the same word
         for row in section.rows("word", unordered=True):
-            _arg(row)
             exps = [0] * len(tgt_ce.vars)
             for i in range(len(row[1])):
                 exps[tgt_ce.index_of(_name(row, i, tgt_ce.names))] += 1
@@ -412,14 +376,24 @@ def _at_row(row, build, *args):
         raise ParseError(str(exc), row[3]) from None
 
 
+def _at_entry(section, keys, build, *args):
+    """build(*args), with a DegreeError about one table entry placed at the
+    line of the `keys` row that gives it, the entry keyed as `_table` keys
+    its rows."""
+    try:
+        return build(*args)
+    except DegreeError as exc:
+        lines = {(a if len(a) > 1 else a[0]): lineno
+                 for key in keys for _, a, _, lineno in section.rows(key)}
+        if exc.entry not in lines:
+            raise
+        raise DegreeError(exc.message, exc.entry, lines[exc.entry]) from None
+
+
 def _resolve_connection(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     gammas = _table(section, "gamma", spec.base, spec.fiber_names)
-    try:
-        return line_connection(spec, gammas)
-    except DegreeError as exc:
-        row = next(r for r in section.rows("gamma") if r[1][0] == exc.entry)
-        raise DegreeError(exc.message, exc.entry, row[3]) from None
+    return _at_entry(section, ("gamma",), line_connection, spec, gammas)
 
 
 def _resolve_bracket(doc, section):
@@ -471,15 +445,12 @@ def _construct_action(doc, section):
     base = _ref(doc, section, "base", "chart")
     fiber = _fibers(section)
     names = [n for n, _ in fiber]
-    brackets = {}
-    for row in section.rows("bracket"):
-        p = _expr_row(row, base)
+    brackets = _table(section, "bracket", base, names, names, names)
+    for row, p in zip(section.rows("bracket"), brackets.values()):
         if any(p.terms):   # a key other than 0 is not a constant
             raise DegreeError(
                 "action structure coefficients must be constants",
                 line=row[3])
-        _arg(row, 2, 3)
-        brackets[tuple(_name(row, i, names) for i in range(3))] = p
     return (base, fiber, brackets,
             _table(section, "act", base, names, base.names))
 
@@ -517,42 +488,58 @@ def _construct_linfty_bialgebra(doc, section):
     sc = shifted_cotangent(coords, 2)
     components = {}
     for row in section.rows("component"):
-        m, n = (_int(_arg(row, i, 2), row[3], "arity") for i in (0, 1))
+        m, n = (_int(arg, row[3], "arity") for arg in row[1])
         components[(m, n)] = _expr_row(row, sc.chart)
     _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
     return (sc, components)
 
 
-# section kind -> (the keys its rows may use, resolver from the document and
-# the section to the section's value).  A construct section takes both from
-# the `_CONSTRUCTS` entry of its construction kind instead.
+# row shapes: (the number of arguments the key takes, or None for one or
+# more; whether the row ends in `= expr`)
+_ONE = (1, False)     # `key <arg>`: a reference, an integer or a type
+_EXPR = (0, True)     # `key = expr`
+
+# section kind -> (its keys, each with its row shape; resolver from the
+# document and the section to the section's value).  A construct section
+# takes both from the `_CONSTRUCTS` entry of its construction kind instead.
 _SECTIONS = {
-    "chart": ({"var"}, _resolve_chart),
-    "algebroid": ({"base", "fiber", "anchor", "bracket"}, _resolve_algebroid),
-    "bialgebroid": ({"primal", "dual"}, _resolve_bialgebroid),
-    "hamiltonian": ({"algebroid", "value", "hbar-cap"}, _resolve_hamiltonian),
-    "morphism": ({"type", "source", "target", "map", "base", "word", "cap"},
-                 _resolve_morphism),
-    "connection": ({"algebroid", "gamma"}, _resolve_connection),
-    "bracket": ({"algebroid", "left", "right"}, _resolve_bracket),
-    "cediff": ({"algebroid", "value"}, _resolve_cediff),
-    "schouten": ({"algebroid", "left", "right"}, _resolve_schouten),
-    "bv": ({"algebroid", "connection", "value"}, _resolve_bv),
-    "lift": ({"chart", "shift", "component"}, _resolve_lift),
-    "legendre": ({"algebroid"}, _resolve_legendre),
+    "chart": ({"var": (2, False)}, _resolve_chart),
+    "algebroid": ({"base": _ONE, "fiber": (2, False), "anchor": (2, True),
+                   "bracket": (3, True)}, _resolve_algebroid),
+    "bialgebroid": ({"primal": _ONE, "dual": _ONE}, _resolve_bialgebroid),
+    "hamiltonian": ({"algebroid": _ONE, "value": _EXPR, "hbar-cap": _ONE},
+                    _resolve_hamiltonian),
+    "morphism": ({"type": _ONE, "source": _ONE, "target": _ONE,
+                  "map": (1, True), "base": (1, True), "word": (None, True),
+                  "cap": _ONE}, _resolve_morphism),
+    "connection": ({"algebroid": _ONE, "gamma": (1, True)},
+                   _resolve_connection),
+    "bracket": ({"algebroid": _ONE, "left": _EXPR, "right": _EXPR},
+                _resolve_bracket),
+    "cediff": ({"algebroid": _ONE, "value": _EXPR}, _resolve_cediff),
+    "schouten": ({"algebroid": _ONE, "left": _EXPR, "right": _EXPR},
+                 _resolve_schouten),
+    "bv": ({"algebroid": _ONE, "connection": _ONE, "value": _EXPR},
+           _resolve_bv),
+    "lift": ({"chart": _ONE, "shift": _ONE, "component": (1, True)},
+             _resolve_lift),
+    "legendre": ({"algebroid": _ONE}, _resolve_legendre),
     "construct": (None, None),   # keys and resolver per construction kind
 }
 
-# construction kind -> (the keys its rows may use, resolver to the argument
-# tuple of the catalog entry `cli._CONSTRUCTS` builds it with)
+# construction kind -> (its keys, each with its row shape; resolver to the
+# argument tuple of the catalog entry `cli._CONSTRUCTS` builds it with)
 _CONSTRUCTS = {
-    "tangent": ({"base"}, _construct_tangent),
-    "action": ({"base", "fiber", "bracket", "act"}, _construct_action),
-    "poisson": ({"base", "bivector", "hbar-cap"}, _construct_poisson),
-    "triangular": ({"algebroid", "r"}, _construct_triangular),
-    "nijenhuis": ({"base", "endo", "bivector"}, _construct_nijenhuis),
-    "linfty-bialgebra": ({"fiber", "component", "hbar-cap"},
-                         _construct_linfty_bialgebra),
+    "tangent": ({"base": _ONE}, _construct_tangent),
+    "action": ({"base": _ONE, "fiber": (2, False), "bracket": (3, True),
+                "act": (2, True)}, _construct_action),
+    "poisson": ({"base": _ONE, "bivector": (2, True), "hbar-cap": _ONE},
+                _construct_poisson),
+    "triangular": ({"algebroid": _ONE, "r": _EXPR}, _construct_triangular),
+    "nijenhuis": ({"base": _ONE, "endo": (2, True), "bivector": (2, True)},
+                  _construct_nijenhuis),
+    "linfty-bialgebra": ({"fiber": (2, False), "component": (2, True),
+                          "hbar-cap": _ONE}, _construct_linfty_bialgebra),
 }
 
 

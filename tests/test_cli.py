@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from algebroids import cli
+from algebroids import cli, specfile
 from algebroids.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -502,6 +502,57 @@ BAD_INPUTS.update(
      (b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber dx 0\n\n"
       + section, f"{key!r} row has a surplus argument 'junk' at line {line}"))
     for case, (key, section, line) in EXPRESSION_ROWS.items())
+# an `=` expression on a row that takes none, or on a line with no key: each
+# was once accepted and its expression dropped
+POINT_ALGEBROID = b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n\n"
+BAD_INPUTS.update({
+    "expression-on-base-reference": (
+        b"chart pt\n\nalgebroid V\n  base pt = 7 * nonsense\n  fiber xi1 0\n",
+        "'base' row takes no '=' expression at line 4"),
+    "expression-on-fiber-row": (
+        b"chart pt\n\nalgebroid V\n  base pt\n  fiber xi1 0 = 42\n",
+        "'fiber' row takes no '=' expression at line 5"),
+    "expression-on-type-row": (
+        POINT_ALGEBROID + b"morphism F\n  type full = 3\n  source G\n"
+        b"  target G\n  cap 1\n  word xi1 = xi1\n",
+        "'type' row takes no '=' expression at line 8"),
+    "expression-on-source-row": (
+        POINT_ALGEBROID + b"morphism F\n  type full\n  source G = 1\n"
+        b"  target G\n  cap 1\n  word xi1 = xi1\n",
+        "'source' row takes no '=' expression at line 9"),
+    "expression-on-cap-row": (
+        POINT_ALGEBROID + b"morphism F\n  type full\n  source G\n"
+        b"  target G\n  cap 2 = junk\n  word xi1 = xi1\n",
+        "'cap' row takes no '=' expression at line 11"),
+    "expression-on-algebroid-reference": (
+        POINT_ALGEBROID + b"hamiltonian H\n  algebroid G = 1\n"
+        b"  value = xi1 * xi1*\n",
+        "'algebroid' row takes no '=' expression at line 8"),
+    "expression-on-hbar-cap-row": (
+        POINT_ALGEBROID + b"hamiltonian H\n  algebroid G\n  hbar-cap 3 = 9\n"
+        b"  value = xi1 * xi1*\n",
+        "'hbar-cap' row takes no '=' expression at line 9"),
+    "expression-on-section-header": (
+        b"chart pt = 3\n\nalgebroid V\n  base pt\n  fiber xi1 0\n",
+        "an '=' expression outside an indented key row at line 1"),
+    "indented-expression-with-no-key": (
+        b"chart pt\n\nalgebroid V\n  base pt\n  fiber xi1 0\n"
+        b"  = 42 * junk\n",
+        "an '=' expression outside an indented key row at line 6"),
+    "expression-with-no-key-on-line-1": (
+        b"= 5\nchart pt\n\nalgebroid V\n  base pt\n  fiber xi1 0\n",
+        "an '=' expression outside an indented key row at line 1"),
+    # each morphism type reads its own rows: a cap on a semistrict map, or
+    # a map row in a full table, would be read by nothing
+    "cap-row-on-a-semistrict-morphism": (
+        POINT_ALGEBROID + b"morphism F\n  type semistrict\n  source G\n"
+        b"  target G\n  map xi1 = xi1\n  cap 3\n  word xi1 = junk\n",
+        "a type semistrict morphism takes no 'cap' row at line 12"),
+    "map-row-in-a-full-table": (
+        POINT_ALGEBROID + b"morphism F\n  type full\n  source G\n"
+        b"  target G\n  cap 1\n  word xi1 = xi1\n  map xi1 = junk\n",
+        "a type full morphism takes no 'map' row at line 13"),
+})
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -527,6 +578,49 @@ def test_undeclared_row_name_exits_2(case, tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err == \
             f"error: undeclared variable {where}:0\n"
+
+
+def malformed_rows():
+    """A header and one row that its key's shape refuses, for every key of
+    every section and construction kind: one argument short, one too many,
+    an `= expr` on a key that takes none, and no `=` on a key that takes
+    one.  Shapes are checked before any section is resolved, so no other
+    row is needed."""
+    kinds = [(kind, shapes) for kind, (shapes, _)
+             in specfile._SECTIONS.items() if shapes]
+    kinds += [(f"construct {kind}", shapes) for kind, (shapes, _)
+              in specfile._CONSTRUCTS.items()]
+    for label, shapes in kinds:
+        for key, (n, takes_expr) in shapes.items():
+            least = 1 if n is None else n
+            expr = " = 1" if takes_expr else ""
+            rows = []
+            if least:
+                rows.append(("short", " a" * (least - 1) + expr,
+                             f"is missing argument {least}"))
+            if n is not None:
+                rows.append(("surplus", " a" * (n + 1) + expr,
+                             "has a surplus argument 'a'"))
+            if takes_expr:
+                rows.append(("no-expression", " a" * least,
+                             "is missing its '=' expression"))
+            else:
+                rows.append(("stray-expression", " a" * least + " = 1",
+                             "takes no '=' expression"))
+            for what, rest, message in rows:
+                case = f"{label.replace(' ', '-')}-{key}-{what}"
+                yield pytest.param(f"{label} S\n  {key}{rest}\n",
+                                   f"{key!r} row {message} at line 2", id=case)
+
+
+@pytest.mark.parametrize("text,where", malformed_rows())
+def test_malformed_row_exits_2(text, where, tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    code, _ = run_cli(["check-algebroid", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {where}\n"
 
 
 TRUNC_WARNING = ("warning: --trunc is ignored: charts carry no weight cap; "

@@ -159,7 +159,7 @@ def test_expression_columns_count_from_line_start():
     ("chart pt\n\nconstruct action A\n  base\n",
      "'base' row is missing argument 1 at line 4"),
     ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1\n",
-     "fiber rows read 'fiber <name> <degree>' at line 5"),
+     "'fiber' row is missing argument 2 at line 5"),
     ("chart pt\n\nconstruct poisson P\n  base pt\n  bivector x = 1\n",
      "'bivector' row is missing argument 2 at line 5"),
     ("chart M\n  var x 0\n\nlift L\n  chart M\n  component = x\n",

@@ -5,7 +5,8 @@ function would leave its coverage counter silently at zero.  The tracer
 module is imported read-only from its file; only the coverage test
 installs it, around one pass of each workload, and removes it again.
 The section and construction kinds `cli` dispatches on must be the ones
-`specfile` reads, and every committed `BENCH_*.json` must name the
+`specfile` reads, the README's spec-file table must list the keys and row
+shapes that `specfile` checks, and every committed `BENCH_*.json` must name the
 workloads and end-to-end metrics of `BENCHMARK.json`.
 """
 
@@ -72,6 +73,37 @@ def test_section_tables_cover_the_commands():
     for kinds, _, _ in cli.COMMANDS.values():
         assert set(kinds) <= set(specfile._SECTIONS), kinds
     assert set(cli._CONSTRUCTS) == set(specfile._CONSTRUCTS)
+
+
+def _readme_shapes():
+    """Section label -> {key: (argument count, or None for one or more;
+    whether the row ends in `= expr`)}, as the README's spec-file table
+    shows them: `anchor <fiber> <var> = expr`, `word <fiber>... = expr`."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("\n## Spec files\n")[1].split("\n## ")[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        label, rows = (cell.strip(" `") for cell in line.split("|")[1:3])
+        shapes = table[label] = {}
+        for row in rows.split("`, `"):
+            key, *args = row.split()
+            takes_expr = args[-2:] == ["=", "expr"]
+            if takes_expr:
+                args = args[:-2]
+            many = len(args) == 1 and args[0].endswith("...")
+            shapes[key] = (None if many else len(args), takes_expr)
+    return table
+
+
+def test_readme_lists_each_key_with_its_row_shape():
+    want = {kind: shapes for kind, (shapes, _) in specfile._SECTIONS.items()
+            if shapes}
+    want.update((f"construct {kind}", shapes)
+                for kind, (shapes, _) in specfile._CONSTRUCTS.items())
+    assert _readme_shapes() == want
 
 
 def test_every_export_resolves():
