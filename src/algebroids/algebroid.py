@@ -24,9 +24,9 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .errors import (ChartMismatch, DegreeError, DegreeMismatch, NotPoisson,
                      NotSplit)
 from .expr import parse_expression
-from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, apply_vector_field,
-                    inject, mul_monomial, partial_left,
-                    vector_field_commutator)
+from .gpoly import (Chart, GPoly, KIND_BASE, KIND_FIBER, add_into,
+                    apply_vector_field, inject, mul_into, mul_monomial,
+                    partial_left, vector_field_commutator)
 from .report import Report
 from .symplectic import (BracketContext, Hamiltonian, SymplecticChart,
                          biderivation_bracket, hamiltonian_action,
@@ -64,14 +64,16 @@ class AlgebroidSpec:
         self.base = base
         self.fiber_names = tuple(str(n) for n, _ in fiber)
         self.fiber_degrees = tuple(int(d) for _, d in fiber)
-        if len(set(self.fiber_names)) != len(self.fiber_names):
-            raise DegreeError("fiber names must be unique")
+        seen = set()
         for fname in self.fiber_names:
+            if fname in seen:
+                raise DegreeError(f"fiber {fname!r} is declared twice", fname)
+            seen.add(fname)
             # derived charts hold the base variables beside e.g. xi and xi*
             for name in (fname, fname + "*"):
                 if base.has(name):
                     raise DegreeError(f"fiber {fname!r} clashes with the base "
-                                      f"variable {name!r}")
+                                      f"variable {name!r}", fname)
         self.rank = len(self.fiber_names)
         self._fidx = {n: i for i, n in enumerate(self.fiber_names)}
 
@@ -224,12 +226,12 @@ def basis_anchor(spec: AlgebroidSpec, b: int) -> dict:
         if entry})
 
 
-def _close(spec: AlgebroidSpec, parts: Mapping[str, list]) -> dict:
-    """The section whose coefficient of each fiber name is the sum of its
-    summands (polynomials or (scale, polynomial) pairs), in fiber order and
-    without zero coefficients."""
-    out = ((n, spec.base.sum(parts[n])) for n in spec.fiber_names if n in parts)
-    return {n: p for n, p in out if p}
+def _close(spec: AlgebroidSpec, parts: Mapping[str, dict]) -> dict:
+    """The section whose coefficient of each fiber name is its accumulated
+    terms, in fiber order and without zero coefficients."""
+    base = spec.base
+    return {n: GPoly._raw(base, parts[n]) for n in spec.fiber_names
+            if parts.get(n)}
 
 
 def _constant(p: GPoly):
@@ -248,9 +250,10 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section,
     constant has degree 0 and no odd variable, so k * p is p scaled by k
     with no Koszul sign, and rho(X)(k) = 0.
 
-    With `into`, the summands of sign * [X, Y] are appended to its
-    per-fiber lists and nothing is returned; `_close` of those lists is
-    then sign * [X, Y], or its sum with whatever else they hold.
+    With `into`, the terms of sign * [X, Y] are added into its per-fiber
+    dicts (`add_into`, `mul_into`) and nothing is returned; `_close` of
+    those dicts is then sign * [X, Y], or its sum with whatever else they
+    hold.
     """
     xs, dx = _graded_entries(spec, x)
     ys, dy = _graded_entries(spec, y)
@@ -267,8 +270,8 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section,
             if rho_x is None:
                 rho_x = anchor_of(spec, x)
             if rho_x:
-                parts.setdefault(bn, []).append(
-                    (sign, apply_vector_field(rho_x, g)))
+                add_into(parts.setdefault(bn, {}),
+                         apply_vector_field(rho_x, g), sign)
         # (-1)^{|X||g|} g * (f [e_a, e_b] - (-1)^{(|f|+d_a) d_b} rho_b(f) e_a)
         s1 = -sign if (dx * gdeg) % 2 else sign
         for an, a, f, fdeg, kf in xs:
@@ -282,15 +285,20 @@ def section_bracket(spec: AlgebroidSpec, x: Section, y: Section,
                 else:
                     scale, gf = s1 * k * kf, None
                 for c, centry in row.items():
-                    parts.setdefault(names[c], []).append(
-                        (scale, centry if gf is None else gf * centry))
+                    acc = parts.setdefault(names[c], {})
+                    if gf is None:
+                        add_into(acc, centry, scale)
+                    else:
+                        mul_into(acc, gf, centry, scale)
             if rho_b and kf is None:
                 rb = apply_vector_field(rho_b, f)
                 if rb:
                     s2 = -1 if ((fdeg + spec.fiber_degrees[a]) * db) % 2 else 1
-                    parts.setdefault(an, []).append(
-                        (-s1 * s2 * k, rb) if k is not None
-                        else (-s1 * s2, g * rb))
+                    acc = parts.setdefault(an, {})
+                    if k is not None:
+                        add_into(acc, rb, -s1 * s2 * k)
+                    else:
+                        mul_into(acc, g, rb, -s1 * s2)
     if into is None:
         return _close(spec, parts)
 

@@ -182,8 +182,8 @@ class Chart:
         """The sum of polynomials on this chart, built in one fresh dict.
 
         A summand is a polynomial or a pair (scalar, polynomial); a pair adds
-        the scaled polynomial without building it.  The summands are never
-        mutated: memoised bracket values share them.
+        the scaled polynomial without building it (`add_into`).  The summands
+        are never mutated.
         """
         res = {}
         for p in polys:
@@ -193,12 +193,7 @@ class Chart:
                 k = 1
             if p.chart is not self and p.chart != self:
                 raise ChartMismatch(f"{self!r} vs {p.chart!r}")
-            for m, c in p.terms.items():
-                s = res.get(m, 0) + (c if k == 1 else c * k)
-                if s:
-                    res[m] = _reduce(s)
-                else:
-                    del res[m]
+            add_into(res, p, k)
         return GPoly._raw(self, res)
 
     # -- packed monomial keys ---------------------------------------------
@@ -414,26 +409,8 @@ class GPoly:
         chart = self.chart
         if chart is not other.chart and chart != other.chart:
             raise ChartMismatch(f"{chart!r} vs {other.chart!r}")
-        odd, guard = chart.odd_bits, chart.guard_bits
-        right = [(m2, c2, m2 & odd, _sign_mask(m2 & odd, False))
-                 for m2, c2 in other.terms.items()]
         res = {}
-        for m1, c1 in self.terms.items():
-            o1 = m1 & odd
-            for m2, c2, o2, flips in right:
-                if o1 & o2:
-                    continue
-                m = m1 + m2
-                if m & guard:
-                    raise chart.carry_error(m)
-                c = c1 * c2
-                if (o1 & flips).bit_count() & 1:
-                    c = -c
-                s = res.get(m, 0) + c
-                if s:
-                    res[m] = _reduce(s)
-                else:
-                    del res[m]
+        mul_into(res, self, other)
         return GPoly._raw(chart, res)
 
     def __rmul__(self, other):
@@ -507,6 +484,50 @@ class GPoly:
         return render_poly(self)
 
 
+def add_into(acc: dict, p: GPoly, scale: Scalar = 1) -> None:
+    """Add scale * p to the terms `acc` in place; a term whose coefficient
+    sums to zero leaves `acc`, and every other is stored in canonical form.
+    This is the one accumulation rule: `Chart.sum`, `GPoly.__add__` and
+    every expansion that writes into one dict add their terms by it."""
+    if not scale:
+        return
+    for m, c in p.terms.items():
+        s = acc.get(m, 0) + (c if scale == 1 else c * scale)
+        if s:
+            acc[m] = _reduce(s)
+        else:
+            del acc[m]
+
+
+def mul_into(acc: dict, p: GPoly, q: GPoly, scale: Scalar = 1) -> None:
+    """Add scale * p * q to the terms `acc` in place, by the rule of
+    `add_into`.  A product of keys is their sum; two odd variables in common
+    give zero, and the Koszul sign is read off `_sign_mask` of the right
+    factor.  The charts of p and q are the caller's to check."""
+    if not scale:
+        return
+    chart = p.chart
+    odd, guard = chart.odd_bits, chart.guard_bits
+    right = [(m2, c2 if scale == 1 else c2 * scale, m2 & odd,
+              _sign_mask(m2 & odd, False)) for m2, c2 in q.terms.items()]
+    for m1, c1 in p.terms.items():
+        o1 = m1 & odd
+        for m2, c2, o2, flips in right:
+            if o1 & o2:
+                continue
+            m = m1 + m2
+            if m & guard:
+                raise chart.carry_error(m)
+            c = c1 * c2
+            if (o1 & flips).bit_count() & 1:
+                c = -c
+            s = acc.get(m, 0) + c
+            if s:
+                acc[m] = _reduce(s)
+            else:
+                del acc[m]
+
+
 def mul_monomial(p: GPoly, m: int, left: bool = False,
                  coeff: Scalar = 1) -> GPoly:
     """p times the term `coeff` * (the monomial with key `m`), or that term
@@ -532,6 +553,56 @@ def mul_monomial(p: GPoly, m: int, left: bool = False,
             c = _reduce(c * coeff)
         res[out] = -c if (oe & flips).bit_count() & 1 else c
     return GPoly._raw(chart, res)
+
+
+def splits(chart: Chart, m: int) -> list:
+    """The monomial `m` as prefix * v_i * rest at each of its variables v_i,
+    lowest field first: (field of v_i, i, exponent e of v_i, split, parity
+    of |prefix|, parity of |rest|), where rest keeps e - 1 factors v_i.
+
+    The prefix is the product of the variables below v_i in chart order,
+    which is its own normal form with sign +1; `split` is what `insert_into`
+    reads to put a polynomial in the place of v_i.  All e places of an even
+    v_i give the same split, since moving an even factor costs no sign."""
+    odd = chart.odd_bits
+    units, shifts, masks = chart.units, chart.shifts, chart.exp_masks
+    below = 0   # the odd bits of the prefix
+    out = []
+    for i, e in chart.fields(m):
+        own = masks[i] << shifts[i]
+        above = (m & odd) ^ below ^ (own & odd)
+        flips = (_sign_mask(below, True) ^ _sign_mask(above, False)) & odd
+        out.append((own, i, e, (m - units[i], below | above, flips),
+                    below.bit_count() & 1, above.bit_count() & 1))
+        below |= own & odd
+    return out
+
+
+def insert_into(acc: dict, p: GPoly, split: tuple, scale: Scalar) -> None:
+    """Add scale * prefix * p * rest to the terms `acc` by the rule of
+    `add_into`, for a `split` (prefix + rest as one key, the odd bits of
+    prefix and rest, the sign mask of p between them) from `splits`.
+
+    A term of p meets prefix and rest as keys that add: it is zero when it
+    shares an odd variable with them, and its Koszul sign counts the odd
+    bits of the prefix above and of the rest below each of its own."""
+    outside, taken, flips = split
+    chart = p.chart
+    guard = chart.guard_bits
+    for e, c in p.terms.items():
+        if e & taken:
+            continue
+        m = outside + e
+        if m & guard:
+            raise chart.carry_error(m)
+        c = c * scale
+        if (e & flips).bit_count() & 1:
+            c = -c
+        s = acc.get(m, 0) + c
+        if s:
+            acc[m] = _reduce(s)
+        else:
+            del acc[m]
 
 
 def left_step(chart: Chart, k: int) -> tuple:
@@ -644,14 +715,18 @@ def restrict_to(f: GPoly, target: Chart) -> GPoly:
 def apply_vector_field(comps: Mapping[str, GPoly], f: GPoly) -> GPoly:
     """Apply Q = sum_v Q^v d_v (left derivatives, coefficients on the left).
 
-    A component multiplies its derivative only when both are non-zero."""
-    parts = []
+    A component multiplies its derivative only when both are non-zero, and
+    each product is added into one dict (`mul_into`)."""
+    chart = f.chart
+    res = {}
     for name, q in comps.items():
         if q:
+            if q.chart is not chart and q.chart != chart:
+                raise ChartMismatch(f"{q.chart!r} vs {chart!r}")
             deriv = partial_left(f, name)
             if deriv:
-                parts.append(q * deriv)
-    return f.chart.sum(parts)
+                mul_into(res, q, deriv)
+    return GPoly._raw(chart, res)
 
 
 def vector_field_commutator(chart: Chart, q1: Mapping[str, GPoly],

@@ -288,8 +288,8 @@ def _resolve_algebroid(doc, section):
             raise ParseError(
                 f"bracket pair ({a},{b}) must be in canonical order "
                 "(earlier fiber first)", lineno)
-    return _at_entry(section, ("anchor", "bracket"), AlgebroidSpec, base,
-                     fiber, anchor, bracket)
+    return _at_entry(section, {"fiber": 1, "anchor": 2, "bracket": 3},
+                     AlgebroidSpec, base, fiber, anchor, bracket)
 
 
 def _resolve_bialgebroid(doc, section):
@@ -377,14 +377,17 @@ def _at_row(row, build, *args):
 
 
 def _at_entry(section, keys, build, *args):
-    """build(*args), with a DegreeError about one table entry placed at the
-    line of the `keys` row that gives it, the entry keyed as `_table` keys
-    its rows."""
+    """build(*args), with a DegreeError about one entry placed at the line
+    of the row that gives it.  `keys` maps each row key to the number of
+    leading arguments that name its entry, keyed as `_table` keys its rows:
+    the argument itself for one, their tuple for more.  Of two rows that
+    name one entry, the last is placed."""
     try:
         return build(*args)
     except DegreeError as exc:
-        lines = {(a if len(a) > 1 else a[0]): lineno
-                 for key in keys for _, a, _, lineno in section.rows(key)}
+        lines = {(a[:n] if n > 1 else a[0]): lineno
+                 for key, n in keys.items()
+                 for _, a, _, lineno in section.rows(key)}
         if exc.entry not in lines:
             raise
         raise DegreeError(exc.message, exc.entry, lines[exc.entry]) from None
@@ -393,7 +396,7 @@ def _at_entry(section, keys, build, *args):
 def _resolve_connection(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
     gammas = _table(section, "gamma", spec.base, spec.fiber_names)
-    return _at_entry(section, ("gamma",), line_connection, spec, gammas)
+    return _at_entry(section, {"gamma": 1}, line_connection, spec, gammas)
 
 
 def _resolve_bracket(doc, section):

@@ -35,8 +35,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
-    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, left_step,
-    mul_monomial, pull_legs,
+    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, insert_into,
+    left_step, mul_into, pull_legs, splits,
 )
 from .report import Report
 
@@ -138,28 +138,36 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
 
     `pair(k, l)` returns {v_k, v_l} for chart indices k, l (None for zero);
     it is called once per variable v_k of f and v_l of g.  The extension
-    applies the two Leibniz rules recursively; it never uses a closed sign
-    formula.  The first rule peels the right monomial m2 for {v_k, m2}; the
-    second peels the left monomial m1 against a whole part G of g, from the
-    sums {v_k, G} = sum c2 {v_k, m2}.  Its sign (-1)^{|rest|(|m2|-n)} reads
-    m2 only through the parity of |m2| - n, so with g split once by that
-    parity, one sign per part is exact.
+    applies the two Leibniz rules; it never uses a closed sign formula.
+
+    The first rule, {v_k, x*rest} = {v_k, x}*rest
+    + (-1)^{(|v_k|-n)|x|} x*{v_k, rest}, peels the right monomial m2 one
+    variable at a time, lowest field first.  Unrolled, it is a walk over
+    the variables of m2 (`gpoly.splits`): at each, m2 = prefix * v_l * rest
+    gives the term prefix * {v_k, v_l} * rest with the sign of the peels
+    so far, (-1)^{(|v_k|-n)|prefix|}.  The nested left products by the
+    peeled variables are one product by the prefix, by associativity, and
+    the e places of an even v_l give e equal terms.  The second rule,
+    {y*rest, h} = y*{rest, h} + (-1)^{|rest|(|h|-n)} {y, h}*rest, likewise
+    walks the left monomial m1 and gives prefix * {v_k, h} * rest with the
+    sign (-1)^{|rest|(|h|-n)}.  It runs against a whole part G of g, not
+    one m2, from the sums {v_k, G} = sum c2 {v_k, m2}: its sign reads m2
+    only through the parity of |m2| - n, so with g split once by that
+    parity, one sign per part is exact.  Every term is added straight into
+    one dict, {v_k, G} per k or the result (`gpoly.insert_into`).
 
     By those rules every term of {m1, m2} carries a factor {v_k, v_l} with
-    v_k in m1 and v_l in m2.  So a bracket at any level of the recursion is
-    zero, and is not computed, when no such value is non-zero: `hits[k]` is
-    the fields of the variables of g that v_k has a non-zero value with, and
-    `reach` the fields of the variables of f whose {v_k, G} is non-zero.
+    v_k in m1 and v_l in m2.  So a place of a walk gives nothing, and is
+    skipped, when that value is zero: `hits[k]` is the fields of the
+    variables of g that v_k has a non-zero value with, and `reach` the
+    fields of the variables of f whose {v_k, G} is non-zero.
     """
     chart = f.chart
     if g.chart != chart:
         raise ChartMismatch("bracket operands live on different charts")
     degs = chart.degrees
-    units = chart.units
     odd = chart.odd_bits
-    field_at = chart.field_at
     fields = [mask << at for mask, at in zip(chart.exp_masks, chart.shifts)]
-    zero = chart.zero()
 
     def variables(p):
         # the variables of p: or-ing keys never carries into another field
@@ -169,75 +177,47 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
         return [k for k, _ in chart.fields(bits)]
 
     g_vars = variables(g)
-    table = {}   # (k, l) -> {v_k, v_l}, or None when it is zero
+    table = {}   # (k, l) -> {v_k, v_l}, where it is non-zero
     hits = {}
     for k in variables(f):
         hits[k] = 0
         for l in g_vars:
-            value = table[k, l] = pair(k, l) or None
-            if value is not None:
+            value = pair(k, l)
+            if value:
+                table[k, l] = value
                 hits[k] |= fields[l]
 
-    vb_memo = {}
-
-    def vbracket(k, m2):
-        # {v_k, m2} by peeling the first variable of m2
-        if not m2 & hits[k]:
-            return zero
-        key = (k, m2)
-        if key in vb_memo:
-            return vb_memo[key]
-        first = field_at[(m2 & -m2).bit_length()]
-        rest = m2 - units[first]
-        parts = []
-        head = table[k, first]
-        if head is not None:
-            parts.append(mul_monomial(head, rest))
-        tail = vbracket(k, rest)
-        if tail:
-            s = (degs[k] - shift) * degs[first]
-            parts.append(mul_monomial(tail, units[first], left=True,
-                                      coeff=-1 if s % 2 else 1))
-        out = vb_memo[key] = parts[0] if len(parts) == 1 else chart.sum(parts)
-        return out
-
-    def left_terms(part, parity):
-        # (c1, {m1, G}) for the monomials m1 of f that reach the part G of g,
-        # whose monomials all have |m2| - n of the given parity
-        vg = {k: value for k, h in hits.items()
-              if h and (value := chart.sum((c2, vbracket(k, m2))
-                                           for m2, c2 in part.items()
-                                           if m2 & h))}
+    walks = {m: splits(chart, m) for m in g.terms}
+    res = {}
+    for parity in (0, 1):
+        # the part G of g whose monomials have |m2| - n of this parity
+        part = [(m2, c2, walks[m2]) for m2, c2 in g.terms.items()
+                if ((m2 & odd).bit_count() - shift) & 1 == parity]
+        vg = {}   # k -> {v_k, G}, where it is non-zero
+        for k, h in hits.items():
+            flip = (degs[k] - shift) & 1
+            acc = {}
+            for m2, c2, walk in part:
+                if m2 & h:
+                    for at, l, e, split, before, _ in walk:
+                        if at & h:
+                            insert_into(acc, table[k, l], split,
+                                        -c2 * e if flip & before else c2 * e)
+            if acc:
+                vg[k] = GPoly._raw(chart, acc)
         reach = sum(fields[k] for k in vg)
-        memo = {}
-
-        def mbracket(m1):
-            # {m1, G} by peeling the first variable of m1, which meets reach
-            if m1 in memo:
-                return memo[m1]
-            first = field_at[(m1 & -m1).bit_length()]
-            rest = m1 - units[first]
-            parts = []
-            if rest & reach:
-                t1 = mbracket(rest)
-                if t1:
-                    parts.append(mul_monomial(t1, units[first], left=True))
-            t2 = vg.get(first)
-            if t2 is not None:
-                # the degree parity of a monomial is that of its odd bits
-                s = (rest & odd).bit_count() & parity
-                parts.append(mul_monomial(t2, rest, coeff=-1 if s else 1))
-            out = memo[m1] = parts[0] if len(parts) == 1 else chart.sum(parts)
-            return out
-
-        return [(c1, mbracket(m1)) for m1, c1 in f.terms.items()
-                if m1 & reach]
-
-    split = ({}, {})
-    for m2, c2 in g.terms.items():
-        split[((m2 & odd).bit_count() - shift) & 1][m2] = c2
-    return chart.sum(term for parity, part in enumerate(split) if part
-                     for term in left_terms(part, parity))
+        if not reach:
+            continue
+        for m1, c1 in f.terms.items():
+            if m1 & reach:
+                walk = walks.get(m1)
+                if walk is None:
+                    walk = walks[m1] = splits(chart, m1)
+                for at, k, e, split, _, after in walk:
+                    if at & reach:
+                        insert_into(res, vg[k], split,
+                                    -c1 * e if after & parity else c1 * e)
+    return GPoly._raw(chart, res)
 
 
 @dataclass(frozen=True)
@@ -389,15 +369,16 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
 
     The action runs term by term on g: d_w of a monomial is one monomial or
     zero, taken on its packed key by the `left_step`s of the word (the sign
-    rule of `partial_left`), and U_w multiplies it by a key shift
-    (`mul_monomial`).
+    rule of `partial_left`).  Distinct monomials have distinct derivatives,
+    so d_w g is built with no sum, and U_w * d_w g is added into one dict
+    per power of hbar (`mul_into`).
     """
     ce = ham.chart.base_chart
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     by_power = {}   # k - 1 -> the terms of that power of hbar
     for power, steps, u in _word_split(ham, hbar_cap):
-        parts = by_power.setdefault(power, [])
+        dg = {}
         for m, c in g.terms.items():
             for unit, shift, mask, below in steps:
                 e = (m >> shift) & mask
@@ -406,11 +387,11 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
                 c = -c * e if (m & below).bit_count() & 1 else c * e
                 m -= unit
             else:
-                # mul_monomial stores u's coefficients times c in canonical
-                # form
-                parts.append(mul_monomial(u, m, coeff=c))
-    series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
-    return {k: coeff for k, coeff in series.items() if coeff}
+                dg[m] = c
+        if dg:
+            mul_into(by_power.setdefault(power, {}), u, GPoly._raw(ce, dg))
+    return {k: GPoly._raw(ce, terms)
+            for k, terms in sorted(by_power.items()) if terms}
 
 
 # -- polynomial maps ----------------------------------------------------------

@@ -27,10 +27,11 @@ from algebroids.errors import (ChartMismatch, DegreeError, DegreeMismatch,
                                TruncationIncomplete)
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (KIND_MOMENTUM_BASE, MOMENTUM_KINDS, Chart,
-                              GPoly, enumerate_monomials, inject, partial_left,
-                              random_poly, substitute)
-from algebroids.symplectic import (Hamiltonian, PolyMap, canonical_bracket,
-                                   is_integrable, shifted_cotangent)
+                              GPoly, enumerate_monomials, inject, mul_monomial,
+                              partial_left, random_poly, substitute)
+from algebroids.symplectic import (Hamiltonian, PolyMap, _word_split,
+                                   canonical_bracket, is_integrable,
+                                   shifted_cotangent)
 
 
 def act_twice(lham, g, hbar_cap):
@@ -310,6 +311,28 @@ def action_by_derivatives(ham, g, hbar_cap):
     return {k: p for k, p in series.items() if p}
 
 
+def action_by_shifts(ham, g, hbar_cap):
+    """The operator action as its previous implementation, kept as a
+    reference: d_w of each monomial of g by the `left_step`s of the word,
+    U_w times it as one `mul_monomial` per monomial, and one sum per power
+    of hbar."""
+    ce = ham.chart.base_chart
+    by_power = {}
+    for power, steps, u in _word_split(ham, hbar_cap):
+        parts = by_power.setdefault(power, [])
+        for m, c in g.terms.items():
+            for unit, shift, mask, below in steps:
+                e = (m >> shift) & mask
+                if not e:
+                    break
+                c = -c * e if (m & below).bit_count() & 1 else c * e
+                m -= unit
+            else:
+                parts.append(mul_monomial(u, m, coeff=c))
+    series = {k: ce.sum(parts) for k, parts in sorted(by_power.items())}
+    return {k: coeff for k, coeff in series.items() if coeff}
+
+
 def action_by_injection(sc, body, g, hbar_cap):
     """The operator action by its first implementation, kept as a reference:
     each term built on the V[1] chart, injected next to hbar, multiplied by
@@ -392,6 +415,7 @@ class TestActionKernel:
                         max_terms=6)
         got = hamiltonian_action(ham, g, hbar_cap)
         assert got == action_by_derivatives(ham, g, hbar_cap)
+        assert got == action_by_shifts(ham, g, hbar_cap)
         # canonical coefficients: an int whenever the value is integral
         assert all(c.__class__ is int or c.denominator != 1
                    for coeff in got.values() for c in coeff.terms.values())

@@ -227,7 +227,11 @@ BAD_INPUTS = {
     "non-utf8": (b"chart M\n  var x\xff 0\n", "utf-8"),
     "fiber-named-like-base": (b"chart M\n  var x 0\n\nalgebroid V\n"
                               b"  base M\n  fiber x 0\n",
-                              "fiber 'x' clashes with the base variable 'x'"),
+                              "fiber 'x' clashes with the base variable 'x' "
+                              "at line 6"),
+    "duplicate-fiber": (b"chart M\n  var x 0\n\nalgebroid V\n  base M\n"
+                        b"  fiber e 0\n  anchor e x = 1\n  fiber e 1\n",
+                        "fiber 'e' is declared twice at line 8"),
     "non-integer-degree": (b"chart pt\n\nalgebroid V\n  base pt\n"
                            b"  fiber e1 q\n", "bad degree 'q' at line 5"),
     "deep-nesting": (b"chart pt\n\nalgebroid V\n  base pt\n"

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from algebroids.errors import (ChartMismatch, DegreeMismatch,
                                ExponentOverflow, OddSquare)
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (MAX_EXPONENT, Chart, GPoly, Monomial,
-                              enumerate_monomials, inject, mono_normalize,
+from algebroids.gpoly import (MAX_EXPONENT, Chart, GPoly, Monomial, add_into,
+                              apply_vector_field, enumerate_monomials, inject,
+                              insert_into, mono_normalize, mul_into,
                               mul_monomial, partial_left, random_poly,
-                              render_poly, restrict_to, substitute,
-                              vector_field_commutator, apply_vector_field)
+                              render_poly, restrict_to, splits, substitute,
+                              vector_field_commutator)
 
 ODD2 = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
 MIXED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
@@ -369,6 +370,59 @@ class TestIntegerCoefficients:
             f, {n: ref(p) for n, p in images.items()}, TARGET)
         assert_canonical(got)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_accumulators_match_fraction_reference(self, data):
+        # into a dict that already holds terms, among them the negated
+        # product or sum, so that whole terms cancel; the scale may be 0
+        chart = data.draw(st.sampled_from([MIXED, SOURCE]))
+        f, g, h = (data.draw(mixed_poly(chart)) for _ in range(3))
+        s = data.draw(coefficient())
+        a, b = ref(f), ref(g)
+        start = data.draw(st.sampled_from(
+            [ref(h), ref_scale(chart, ref_mul(chart, a, b), -s),
+             ref_scale(chart, a, -s), {}]))
+        for kernel, operands, want in (
+                (mul_into, (f, g), ref_mul(chart, a, b)),
+                (add_into, (f,), a)):
+            acc = {chart.pack(m): _canonical(c) for m, c in start.items()}
+            kernel(acc, *operands, s)
+            got = GPoly._raw(chart, acc)
+            assert tuples(got) == ref_add(chart, start,
+                                          ref_scale(chart, want, s))
+            assert_canonical(got)
+            assert 0 not in acc.values()
+        # the operands are never mutated
+        assert (ref(f), ref(g)) == (a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_insert_into_is_prefix_times_p_times_rest(self, data):
+        # at each variable v_i of m, m = prefix * v_i * rest; inserting p
+        # there is the product of the three, which never has to reorder
+        # prefix or rest against each other
+        chart = data.draw(st.sampled_from([MIXED, SOURCE]))
+        m = data.draw(exponent_tuple(chart))
+        p = data.draw(mixed_poly(chart))
+        s = data.draw(coefficient().filter(bool))
+        walk = splits(chart, chart.pack(m))
+        assert [(i, e) for _, i, e, *_ in walk] == \
+            [(i, e) for i, e in enumerate(m) if e]
+        for at, i, e, split, before, after in walk:
+            assert at == chart.exp_masks[i] << chart.shifts[i]
+            prefix = tuple(m[j] if j < i else 0 for j in range(len(m)))
+            rest = tuple(0 if j < i else m[j] - (j == i)
+                         for j in range(len(m)))
+            assert (before, after) == tuple(
+                sum(x for x, par in zip(part, chart.parities) if par) % 2
+                for part in (prefix, rest))
+            acc = {}
+            insert_into(acc, p, split, s)
+            want = ref_mul(chart, ref_mul(chart, {prefix: Fraction(s)},
+                                          ref(p)), {rest: Fraction(1)})
+            assert tuples(GPoly._raw(chart, acc)) == want
+            assert_canonical(GPoly._raw(chart, acc))
+
     def test_halves_pair_up_to_int(self):
         half = poly("1/2 * x + 1/2 * xi1 * xi2")
         for total in (MIXED.sum([half, half]), half + half, half - (-half),
@@ -382,6 +436,10 @@ class TestIntegerCoefficients:
                   MIXED.const(Fraction(6, 3)), MIXED.var_poly("x"),
                   Monomial(MIXED, (1, 0, 0)).as_poly(), poly("4/2 * x")):
             assert [type(c) for c in p.terms.values()] == [int]
+
+
+def _canonical(c):
+    return c.numerator if c.denominator == 1 else c
 
 
 # packed keys against the tuple kernel they replaced, kept here as the
@@ -510,7 +568,31 @@ class TestPackedKeys:
             {MIXED.pack((MAX_EXPONENT, 1, 1)): 1}
 
 
+def apply_by_sum(comps, f):
+    """Q = sum_v Q^v d_v as its first implementation, kept as a reference:
+    one product per component, summed once."""
+    parts = []
+    for name, q in comps.items():
+        if q:
+            deriv = partial_left(f, name)
+            if deriv:
+                parts.append(q * deriv)
+    return f.chart.sum(parts)
+
+
 class TestVectorFields:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_the_sum_of_products(self, data):
+        chart = data.draw(st.sampled_from([MIXED, SOURCE]))
+        comps = {name: data.draw(mixed_poly(chart))
+                 for name in data.draw(st.lists(st.sampled_from(chart.names),
+                                                unique=True))}
+        f = data.draw(mixed_poly(chart))
+        got = apply_vector_field(comps, f)
+        assert got == apply_by_sum(comps, f)
+        assert_canonical(got)
+
     def test_commutator_classical(self):
         line = Chart([("x", 0)])
         q1 = {"x": line.one()}

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from algebroids.algebroid import (hamiltonian_of_algebroid, koszul_algebroid,
                                   schouten_bracket)
-from algebroids.errors import ChartMismatch, DegreeMismatch, NotSplit
+from algebroids.errors import (ChartMismatch, DegreeMismatch, ExponentOverflow,
+                               NotSplit)
 from algebroids.expr import parse_expression as pe
-from algebroids.gpoly import (KIND_BASE, Chart, GPoly, enumerate_monomials,
-                              inject, random_poly, vector_field_commutator)
+from algebroids.gpoly import (KIND_BASE, MAX_EXPONENT, Chart, GPoly,
+                              enumerate_monomials, inject, random_poly,
+                              vector_field_commutator)
 from algebroids.specfile import parse_spec
 from algebroids.symplectic import (Hamiltonian, PolyMap, biderivation_bracket,
                                    canonical_bracket, canonical_context,
@@ -398,6 +400,113 @@ class TestBracketReference:
         g = GPoly(chart, {chart.pack(e2): c2})
         got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
         assert got == canonical_bracket(f, g, sc)
+
+
+    # the charts with two even variables whose generator value is non-zero
+    EVEN_PAIRS = [sc for sc in SYMPLECTIC
+                  if any(not sc.chart.parities[i]
+                         and not sc.chart.parities[i + sc.npairs]
+                         for i in range(sc.npairs))]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_even_powers_on_both_sides(self, data):
+        # a coordinate of exponent 2-3 on one side and its momentum of
+        # exponent 2-3 on the other: the walk peels a variable that is
+        # still in its prefix, and each of its places gives the same term
+        sc = data.draw(st.sampled_from(self.EVEN_PAIRS))
+        chart = sc.chart
+        size, parities = len(chart.vars), chart.parities
+        even = [i for i in range(sc.npairs)
+                if not parities[i] and not parities[i + sc.npairs]]
+
+        def monomial(forced):
+            e = [data.draw(st.integers(0, 1 if parities[i] else 3))
+                 for i in range(size)]
+            for i in forced:
+                e[i] = data.draw(st.integers(2, 3))
+            return chart.pack(e)
+
+        def operand(forced):
+            terms = {monomial(forced): data.draw(st.integers(-3, 3).filter(
+                bool))}
+            for _ in range(data.draw(st.integers(0, 2))):
+                terms[monomial(())] = data.draw(st.integers(-3, 3))
+            return GPoly(chart, terms)
+
+        i = data.draw(st.sampled_from(even))
+        f, g = operand([i]), operand([i + sc.npairs])
+        if data.draw(st.booleans()):
+            f, g = g, f
+        got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
+        assert got == canonical_bracket(f, g, sc)
+
+    @staticmethod
+    def _fraction_poly(chart, rng, parity, shift):
+        """Up to four monomials with |m| - shift of the given parity, with
+        coefficients of numerator and denominator up to 6."""
+        pool = [chart.pack(m) for m in enumerate_monomials(chart, 4, 2)
+                if any(m) and (chart.monomial_degree(chart.pack(m)) - shift)
+                % 2 == parity]
+        return GPoly(chart, {m: Fraction(rng.choice((-1, 1))
+                                         * rng.randint(1, 6),
+                                         rng.randint(1, 6))
+                             for m in rng.sample(pool, min(4, len(pool)))})
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           at=st.integers(0, len(SYMPLECTIC) - 1))
+    def test_fraction_terms_cancel(self, seed, at):
+        # with |a| - n even and |b| - n odd, graded antisymmetry makes
+        # {a, a} = 0 and {a, b} = -{b, a}, so {a + b, a + b} = {b, b}: the
+        # engine adds Fraction terms that cancel exactly, and must leave no
+        # zero coefficient and no integral Fraction behind
+        rng = random.Random(seed)
+        sc = self.SYMPLECTIC[at]
+        a = self._fraction_poly(sc.chart, rng, 0, sc.shift)
+        b = self._fraction_poly(sc.chart, rng, 1, sc.shift)
+        pair = _canonical_pair(sc)
+        assert _engine_matches_reference(a, a, sc.shift, pair).is_zero()
+        both = _engine_matches_reference(a + b, a + b, sc.shift, pair)
+        assert both == _engine_matches_reference(b, b, sc.shift, pair)
+        assert all(c.__class__ is int or c.denominator != 1
+                   for c in both.terms.values())
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_log_canonical_with_fraction_coefficients(self, d):
+        # {chi, chi} = 0 for any log-canonical coefficients: every Fraction
+        # term of the self-bracket cancels
+        rng = random.Random(f"fractions{d}")
+        upper = {key: {m: c * Fraction(rng.randint(1, 9), rng.randint(2, 9))
+                       for m, c in p.items()}
+                 for key, p in W.log_canonical(d, rng).items()}
+        chi = _chi(d, upper)
+        assert any(c.__class__ is Fraction for c in chi.body.terms.values())
+        got = _engine_matches_reference(chi.body, chi.body, 2,
+                                        _canonical_pair(chi.chart))
+        assert got.is_zero()
+
+    def test_exponent_overflow_names_the_variable(self):
+        # a term of a bracket whose exponent leaves its field raises at the
+        # guard bit, naming the variable, in either rule
+        chart = self.PLANE.chart
+        top = chart.pack([MAX_EXPONENT, 0, 0, 0, 0, 0, 0, 0])
+        x, x_star = chart.var_poly("x"), chart.var_poly("x*")
+        pair = _canonical_pair(self.PLANE)
+        # the second rule: x^max * {x*, x^2} = -2 x^max * x
+        f = GPoly(chart, {top: 1}) * x_star
+        with pytest.raises(ExponentOverflow, match="'x'"):
+            biderivation_bracket(f, x * x, 2, pair)
+        # the first rule: {v_k, v_l} = x^max, times the rest x of m2
+        y, y_star = chart.index_of("y"), chart.index_of("y*")
+        value = GPoly(chart, {top: 1})
+
+        def pair_to_top(k, l):
+            return value if (k, l) == (y_star, y) else None
+
+        with pytest.raises(ExponentOverflow, match="'x'"):
+            biderivation_bracket(chart.var_poly("y*"),
+                                 chart.var_poly("y") * x, 2, pair_to_top)
 
 
 class TestHamiltonianLift:

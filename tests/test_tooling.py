@@ -21,7 +21,7 @@ import sys
 import pytest
 
 import algebroids
-from algebroids import algebroid, bialgebroid, cli, specfile
+from algebroids import algebroid, bialgebroid, cli, gpoly, specfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -126,6 +126,23 @@ def test_axiom_route_calls_section_bracket(monkeypatch):
     with open(os.path.join(ROOT, "tests", "data", "two_dim_algebra.alg")) as fh:
         spec = specfile.parse_spec(fh.read()).lookup("V").resolved
     assert algebroid.check_algebroid(spec).passed
+    assert calls
+
+
+def test_vector_field_calls_partial_left(monkeypatch):
+    # the tracer counts derivatives at the module binding of partial_left; a
+    # vector field that took them inline would read 0 on broken-ladder
+    calls = []
+    derivative = gpoly.partial_left
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(gpoly, "partial_left", counted)
+    line = gpoly.Chart([("x", 0)])
+    x = line.var_poly("x")
+    assert gpoly.apply_vector_field({"x": x * x}, x * x) == x * x * x * 2
     assert calls
 
 
