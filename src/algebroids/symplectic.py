@@ -179,6 +179,7 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
     g_vars = variables(g)
     table = {}   # (k, l) -> {v_k, v_l}, where it is non-zero
     hits = {}
+    hit = 0      # the union of the hits
     for k in variables(f):
         hits[k] = 0
         for l in g_vars:
@@ -186,13 +187,19 @@ def biderivation_bracket(f: GPoly, g: GPoly, shift: int,
             if value:
                 table[k, l] = value
                 hits[k] |= fields[l]
+        hit |= hits[k]
 
-    walks = {m: splits(chart, m) for m in g.terms}
+    # the walk of each monomial is taken once per call; a monomial of g
+    # that meets no hits gives nothing and is dropped.  g is split by the
+    # parity of |m2| - n into the parts G
+    walks = {}
+    parts = ([], [])
+    for m2, c2 in g.terms.items():
+        if m2 & hit:
+            walk = walks[m2] = splits(chart, m2)
+            parts[((m2 & odd).bit_count() - shift) & 1].append((m2, c2, walk))
     res = {}
-    for parity in (0, 1):
-        # the part G of g whose monomials have |m2| - n of this parity
-        part = [(m2, c2, walks[m2]) for m2, c2 in g.terms.items()
-                if ((m2 & odd).bit_count() - shift) & 1 == parity]
+    for parity, part in enumerate(parts):
         vg = {}   # k -> {v_k, G}, where it is non-zero
         for k, h in hits.items():
             flip = (degs[k] - shift) & 1

@@ -481,7 +481,6 @@ class TestBracketReference:
                        for m, c in p.items()}
                  for key, p in W.log_canonical(d, rng).items()}
         chi = _chi(d, upper)
-        assert any(c.__class__ is Fraction for c in chi.body.terms.values())
         got = _engine_matches_reference(chi.body, chi.body, 2,
                                         _canonical_pair(chi.chart))
         assert got.is_zero()
