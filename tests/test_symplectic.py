@@ -401,7 +401,6 @@ class TestBracketReference:
         got = _engine_matches_reference(f, g, sc.shift, _canonical_pair(sc))
         assert got == canonical_bracket(f, g, sc)
 
-
     # the charts with two even variables whose generator value is non-zero
     EVEN_PAIRS = [sc for sc in SYMPLECTIC
                   if any(not sc.chart.parities[i]
@@ -492,7 +491,7 @@ class TestBracketReference:
         top = chart.pack([MAX_EXPONENT, 0, 0, 0, 0, 0, 0, 0])
         x, x_star = chart.var_poly("x"), chart.var_poly("x*")
         pair = _canonical_pair(self.PLANE)
-        # the second rule: x^max * {x*, x^2} = -2 x^max * x
+        # the second rule: x^max * {x*, x^2}, a multiple of x^max * x
         f = GPoly(chart, {top: 1}) * x_star
         with pytest.raises(ExponentOverflow, match="'x'"):
             biderivation_bracket(f, x * x, 2, pair)
