@@ -348,9 +348,10 @@ class FullMorphism:
             img = self.words.get(word)
             if word and img is None:
                 if self.base.pullback(coeff):
+                    name = render_monomial(self.target,
+                                           self.target.unpack(word))
                     raise TruncationIncomplete(
-                        f"missing word {self.target.unpack(word)} below the "
-                        f"weight cap {self.cap}")
+                        f"missing word {name} below the weight cap {self.cap}")
                 continue
             for b, c in coeff.terms.items():
                 image = pulled.get(word + b)

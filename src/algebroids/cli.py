@@ -20,7 +20,8 @@ from .bialgebroid import (check_bialgebroid, check_linfty,
 from .constructions import (action_algebroid, linfty_bialgebra,
                             nijenhuis_check, poisson_bialgebroid,
                             tangent_algebroid, triangular)
-from .errors import AlgebroidsError, MissingSection
+from .errors import (AlgebroidsError, MissingSection, ParseError,
+                     TruncationIncomplete)
 from .gpoly import KIND_FIBER, MOMENTUM_KINDS, render_poly
 from .report import Report, verdict_json
 from .specfile import Section, SpecFile, parse_spec, serialize
@@ -107,24 +108,38 @@ _CONSTRUCTS = {
 }
 
 
+def _build(section):
+    """The value a construct section builds; a construction that fails, such
+    as a bivector with [pi, pi] != 0, is placed at the section's header."""
+    build = _CONSTRUCTS[section.subtype][0]
+    try:
+        return build(section.resolved)
+    except AlgebroidsError as exc:
+        raise ParseError(str(exc), section.line) from None
+
+
 def _construct_report(section) -> Report:
-    build, _, report = _CONSTRUCTS[section.subtype]
-    return report(build(section.resolved))
+    _, _, report = _CONSTRUCTS[section.subtype]
+    return report(_build(section))
 
 
 def _check_linfty(section) -> Optional[Report]:
     if section.kind == "hamiltonian":
         return check_linfty(section.resolved)
-    build, linfty, _ = _CONSTRUCTS[section.subtype]
-    built = build(section.resolved)
+    _, linfty, _ = _CONSTRUCTS[section.subtype]
+    built = _build(section)
     return None if linfty is None else check_linfty(linfty(built))
 
 
 def _check_morphism(section) -> Report:
     mtype, source, target, data = section.resolved
-    check = (semistrict_morphism_check if mtype == "semistrict"
-             else linfty_morphism_check)
-    return check(data, source, target)
+    if mtype == "semistrict":
+        return semistrict_morphism_check(data, source, target)
+    try:
+        return linfty_morphism_check(data, source, target)
+    except TruncationIncomplete as exc:
+        # only the check finds a word the table lacks: place it at the cap
+        raise ParseError(str(exc), section.single("cap")[3]) from None
 
 
 def _check_bialgebroid(section) -> Report:

@@ -36,8 +36,9 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 MAX_DEPTH = 100   # parenthesis nesting; each level costs four parser frames
-MAX_DEGREE = 200  # total degree of a monomial; each factor of a bracket
-#                   operand costs a frame of the Leibniz recursion
+MAX_DEGREE = 200  # total degree of a monomial; it keeps the Leibniz
+#                   recursion the tests check the bracket engine against,
+#                   one frame per factor, within Python's stack
 MAX_TERMS = 10_000  # terms a product or power may expand to
 
 

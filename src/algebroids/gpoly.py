@@ -487,8 +487,8 @@ class GPoly:
 def add_into(acc: dict, p: GPoly, scale: Scalar = 1) -> None:
     """Add scale * p to the terms `acc` in place; a term whose coefficient
     sums to zero leaves `acc`, and every other is stored in canonical form.
-    This is the one accumulation rule: `Chart.sum`, `GPoly.__add__` and
-    every expansion that writes into one dict add their terms by it."""
+    This loop and the one of `insert_into` hold that rule: `Chart.sum` and
+    `GPoly.__add__` add by this one, and every product by that one."""
     if not scale:
         return
     for m, c in p.terms.items():
@@ -500,59 +500,38 @@ def add_into(acc: dict, p: GPoly, scale: Scalar = 1) -> None:
 
 
 def mul_into(acc: dict, p: GPoly, q: GPoly, scale: Scalar = 1) -> None:
-    """Add scale * p * q to the terms `acc` in place, by the rule of
-    `add_into`.  A product of keys is their sum; two odd variables in common
-    give zero, and the Koszul sign is read off `_sign_mask` of the right
-    factor.  The charts of p and q are the caller's to check."""
+    """Add scale * p * q to the terms `acc` in place: one `insert_into` per
+    term of the operand with fewer terms, the other operand placed beside
+    it.  The charts of p and q are the caller's to check."""
     if not scale:
         return
-    chart = p.chart
-    odd, guard = chart.odd_bits, chart.guard_bits
-    right = [(m2, c2 if scale == 1 else c2 * scale, m2 & odd,
-              _sign_mask(m2 & odd, False)) for m2, c2 in q.terms.items()]
-    for m1, c1 in p.terms.items():
-        o1 = m1 & odd
-        for m2, c2, o2, flips in right:
-            if o1 & o2:
-                continue
-            m = m1 + m2
-            if m & guard:
-                raise chart.carry_error(m)
-            c = c1 * c2
-            if (o1 & flips).bit_count() & 1:
-                c = -c
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = _reduce(s)
-            else:
-                del acc[m]
+    odd = p.chart.odd_bits
+    if len(p.terms) < len(q.terms):
+        for m1, c1 in p.terms.items():
+            insert_into(acc, q, _split(odd, m1, m1 & odd, 0), c1 * scale)
+    else:
+        for m2, c2 in q.terms.items():
+            insert_into(acc, p, _split(odd, m2, 0, m2 & odd), c2 * scale)
 
 
 def mul_monomial(p: GPoly, m: int, left: bool = False,
                  coeff: Scalar = 1) -> GPoly:
     """p times the term `coeff` * (the monomial with key `m`), or that term
-    times p when `left`.
-
-    The product is a shift of every key by `m`, with the Koszul sign of the
-    crossings.  Shifting by one monomial maps distinct
-    monomials to distinct monomials, so no two terms collide.
-    """
-    chart = p.chart
-    odd, guard = chart.odd_bits, chart.guard_bits
-    om = m & odd
-    flips = _sign_mask(om, left)
+    times p when `left` (`insert_into`)."""
+    odd = p.chart.odd_bits
+    below, above = (m & odd, 0) if left else (0, m & odd)
     res = {}
-    for e, c in p.terms.items():
-        oe = e & odd
-        if oe & om:
-            continue
-        out = e + m
-        if out & guard:
-            raise chart.carry_error(out)
-        if coeff != 1:
-            c = _reduce(c * coeff)
-        res[out] = -c if (oe & flips).bit_count() & 1 else c
-    return GPoly._raw(chart, res)
+    if coeff:
+        insert_into(res, p, _split(odd, m, below, above), coeff)
+    return GPoly._raw(p.chart, res)
+
+
+def _split(odd: int, outside: int, below: int, above: int) -> tuple:
+    """The split that `insert_into` reads to put a polynomial between a
+    prefix and a rest with odd bits `below` and `above` whose keys sum to
+    `outside`: that key, the odd bits taken, and the Koszul sign mask."""
+    return (outside, below | above,
+            (_sign_mask(below, True) ^ _sign_mask(above, False)) & odd)
 
 
 def splits(chart: Chart, m: int) -> list:
@@ -571,8 +550,7 @@ def splits(chart: Chart, m: int) -> list:
     for i, e in chart.fields(m):
         own = masks[i] << shifts[i]
         above = (m & odd) ^ below ^ (own & odd)
-        flips = (_sign_mask(below, True) ^ _sign_mask(above, False)) & odd
-        out.append((own, i, e, (m - units[i], below | above, flips),
+        out.append((own, i, e, _split(odd, m - units[i], below, above),
                     below.bit_count() & 1, above.bit_count() & 1))
         below |= own & odd
     return out
@@ -581,11 +559,10 @@ def splits(chart: Chart, m: int) -> list:
 def insert_into(acc: dict, p: GPoly, split: tuple, scale: Scalar) -> None:
     """Add scale * prefix * p * rest to the terms `acc` by the rule of
     `add_into`, for a `split` (prefix + rest as one key, the odd bits of
-    prefix and rest, the sign mask of p between them) from `splits`.
-
-    A term of p meets prefix and rest as keys that add: it is zero when it
-    shares an odd variable with them, and its Koszul sign counts the odd
-    bits of the prefix above and of the rest below each of its own."""
+    prefix and rest, the sign mask of p between them) from `_split`.  It is
+    the one loop that writes a signed product: a term of p that shares an
+    odd variable with prefix or rest gives zero, and the Koszul sign counts
+    the odd bits of the prefix above and of the rest below each of its own."""
     outside, taken, flips = split
     chart = p.chart
     guard = chart.guard_bits

@@ -557,6 +557,40 @@ BAD_INPUTS.update({
         b"  target G\n  cap 1\n  word xi1 = xi1\n  map xi1 = junk\n",
         "a type full morphism takes no 'map' row at line 13"),
 })
+# faults that only running a section finds: a word the table lacks below
+# its cap names the cap row, and a construction that fails its header
+BAD_INPUTS.update({
+    # the identity table of tests/data/kernel/point_morphism.alg without
+    # its quadratic word
+    "missing-word-below-the-cap": (
+        b"chart pt\n\nalgebroid G\n  base pt\n  fiber xi1 0\n  fiber xi2 0\n"
+        b"  bracket xi1 xi2 xi1 = 1\n\nhamiltonian HG\n  algebroid G\n"
+        b"  hbar-cap 3\n  value = -xi1 * xi2 * xi1* - xi2 * xi1* * xi2*\n\n"
+        b"morphism Id\n  type full\n  source HG\n  target HG\n  cap 2\n"
+        b"  word xi1 = xi1\n  word xi2 = xi2\n",
+        "missing word xi1 * xi2 below the weight cap 2 at line 18"),
+    "bivector-not-poisson": (
+        b"chart M\n  var x1 0\n  var x2 0\n  var x3 0\n\n"
+        b"construct poisson P\n  base M\n  bivector x1 x2 = x3\n"
+        b"  bivector x2 x3 = x1\n  bivector x1 x3 = x1\n",
+        "[pi, pi] != 0 at line 6"),
+    # r = e1 ^ e2 in the Heisenberg algebra
+    "r-not-triangular": (
+        b"chart pt\n\nalgebroid H\n  base pt\n  fiber xi1 0\n  fiber xi2 0\n"
+        b"  fiber xi3 0\n  bracket xi1 xi2 xi3 = 1\n\n"
+        b"construct triangular T\n  algebroid H\n  r = xi1* * xi2*\n",
+        "[r, r] != 0 at line 10"),
+    "component-of-the-wrong-bidegree": (
+        b"construct linfty-bialgebra LB\n  fiber xi1 0\n  fiber xi2 0\n"
+        b"  component 2 1 = -xi2 * xi1* * xi2*\n",
+        "component (2,1) has a term of bidegree (1,2) at line 1"),
+})
+# the subcommands that read each case's faulty section, where that is not
+# check-algebroid
+READ_BY = {"missing-word-below-the-cap": ("check-morphism",),
+           **{case: ("construct", "check-linfty") for case in (
+               "bivector-not-poisson", "r-not-triangular",
+               "component-of-the-wrong-bidegree")}}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -564,12 +598,14 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     data, where, *flags = BAD_INPUTS[case]
     path = tmp_path / "bad.alg"
     path.write_bytes(data)
-    code, _ = run_cli(["check-algebroid", str(path), *flags])
-    err = capsys.readouterr().err
-    assert code == 2
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert errors and where in errors[0]
-    assert "Traceback" not in err
+    for sub in READ_BY.get(case, ("check-algebroid",)):
+        code, _ = run_cli([sub, str(path), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert errors and where in errors[0]
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(UNDECLARED_NAMES))
@@ -698,7 +734,9 @@ def test_exponent_overflow_exits_2(tmp_path, capsys):
 
 
 def test_bracket_at_the_degree_budget(tmp_path):
-    # the Leibniz recursion takes one frame per factor of each operand
+    # operands at the degree bound: the engine walks their variables, and
+    # the bound keeps the reference recursion, one frame per factor, within
+    # Python's stack
     from algebroids.expr import MAX_DEGREE
     path = tmp_path / "deep.alg"
     path.write_text("chart M\n  var x 0\n\nalgebroid V\n  base M\n"

@@ -269,6 +269,15 @@ def mixed_poly(draw, chart=MIXED, degree=None):
     return GPoly(chart, terms)
 
 
+@st.composite
+def sized_poly(draw, chart, n):
+    """A polynomial of exactly n terms from the monomials of `mixed_poly`."""
+    pool = [chart.pack(m) for m in enumerate_monomials(chart, 2, max_base_degree=2)]
+    keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n,
+                         unique=True))
+    return GPoly(chart, {m: draw(coefficient().filter(bool)) for m in keys})
+
+
 def assert_canonical(p):
     for c in p.terms.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
@@ -374,9 +383,15 @@ class TestIntegerCoefficients:
     @given(data=st.data())
     def test_accumulators_match_fraction_reference(self, data):
         # into a dict that already holds terms, among them the negated
-        # product or sum, so that whole terms cancel; the scale may be 0
+        # product or sum, so that whole terms cancel; the scale may be 0.
+        # mul_into loops over the operand with fewer terms: lopsided
+        # operands take each orientation
         chart = data.draw(st.sampled_from([MIXED, SOURCE]))
-        f, g, h = (data.draw(mixed_poly(chart)) for _ in range(3))
+        f, g = data.draw(st.one_of(
+            st.tuples(mixed_poly(chart), mixed_poly(chart)),
+            st.tuples(sized_poly(chart, 1), sized_poly(chart, 4)),
+            st.tuples(sized_poly(chart, 4), sized_poly(chart, 1))))
+        h = data.draw(mixed_poly(chart))
         s = data.draw(coefficient())
         a, b = ref(f), ref(g)
         start = data.draw(st.sampled_from(
@@ -566,6 +581,15 @@ class TestPackedKeys:
             half * half
         assert (top * MIXED.var_poly("xi2")).terms == \
             {MIXED.pack((MAX_EXPONENT, 1, 1)): 1}
+        # a product loops over the operand with fewer terms and places the
+        # other beside each of its terms: a 2-term operand on either side
+        pair = top + MIXED.var_poly("xi2")
+        for product in (lambda: pair * x, lambda: x * pair):
+            with pytest.raises(ExponentOverflow, match="'x'"):
+                product()
+        # on either side, a shared odd variable still gives zero
+        assert pair * poly("xi1") == poly("-xi1 * xi2")
+        assert poly("xi1") * pair == poly("xi1 * xi2")
 
 
 def apply_by_sum(comps, f):
