@@ -74,6 +74,13 @@ class AlgebroidSpec:
                 if base.has(name):
                     raise DegreeError(f"fiber {fname!r} clashes with the base "
                                       f"variable {name!r}", fname)
+            # T*[2]V[1] names the momentum of each coordinate q as q*
+            owner = fname[:-1]
+            if fname.endswith("*") and (base.has(owner)
+                                        or owner in self.fiber_names):
+                what = "base variable" if base.has(owner) else "fiber"
+                raise DegreeError(f"fiber {fname!r} is the momentum name of "
+                                  f"the {what} {owner!r}", fname)
         self.rank = len(self.fiber_names)
         self._fidx = {n: i for i, n in enumerate(self.fiber_names)}
 
@@ -438,15 +445,15 @@ def check_algebroid(spec: AlgebroidSpec, squared=None) -> Report:
 
 def ce_differential(spec: AlgebroidSpec, phi: GPoly,
                     sympl: Optional[SymplecticChart] = None) -> GPoly:
-    """d(phi) = {mu, phi}, a degree +1 derivation of functions on V[1]: the
-    hbar^0 term of mu's operator action, which is {mu, -} since mu has
-    momentum weight one."""
+    """d(phi) = {mu, phi}, a degree +1 derivation of functions on V[1]:
+    mu's operator action, which is {mu, -} with no higher power of hbar,
+    since every term of mu carries exactly one momentum."""
     sc = sympl if sympl is not None else spec.symplectic_chart()
     ce = sc.base_chart
     if phi.chart != ce:
         raise ChartMismatch("ce_differential input must be momentum-free")
     mu = hamiltonian_of_algebroid(spec, sc)
-    return hamiltonian_action(mu, phi, 0).get(0, ce.zero())
+    return hamiltonian_action(mu, phi).get(0, ce.zero())
 
 
 def contraction(spec: AlgebroidSpec, x: Section, phi: GPoly) -> GPoly:

@@ -16,9 +16,8 @@ from .errors import (AlgebroidsError, ChartMismatch, DegreeError,
                      NotLieAlgebra, NotPoisson, NotTriangular)
 from .gpoly import Chart, GPoly, KIND_FIBER, MOMENTUM_KINDS, inject
 from .report import Report
-from .symplectic import (Hamiltonian, SymplecticChart, canonical_bracket,
-                         hamiltonian_lift, legendre, shifted_cotangent,
-                         twin_chart)
+from .symplectic import (Hamiltonian, canonical_bracket, hamiltonian_lift,
+                         legendre, twin_chart)
 
 
 def tangent_algebroid(base: Chart,
@@ -255,19 +254,17 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     return report
 
 
-def linfty_bialgebra(fiber, components: Mapping) -> Hamiltonian:
+def linfty_bialgebra(fiber: Sequence[Tuple[str, int]],
+                     components: Mapping) -> Hamiltonian:
     """A point-case homotopy structure from weighted components.
 
-    `fiber` is either the double chart T*[2]V[1] over a point or the
-    (name, section degree) pairs of V to build it from.  `components` maps
-    (m, n) with m, n >= 1 to a polynomial on the double chart with m fiber
-    factors, n momentum factors, and total degree 3.
+    `fiber` lists the (name, section degree) pairs of V; the double chart
+    T*[2]V[1] over a point is the symplectic chart of the algebroid spec
+    they declare, which checks their names.  `components` maps (m, n) with
+    m, n >= 1 to a polynomial on the double chart with m fiber factors, n
+    momentum factors, and total degree 3.
     """
-    if isinstance(fiber, SymplecticChart):
-        sc = fiber
-    else:
-        sc = shifted_cotangent(Chart(
-            [(str(nm), 1 - int(d), KIND_FIBER) for nm, d in fiber]), 2)
+    sc = AlgebroidSpec(Chart([]), fiber).symplectic_chart()
     chart = sc.chart
     parts = []
     for (m, n), val in sorted(components.items()):

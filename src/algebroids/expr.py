@@ -89,10 +89,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def error(self, message, expected=()):
-        kind, value, line, col = self.peek()
-        raise ParseError(message, line, col, expected)
-
     def parse(self) -> GPoly:
         out = self.expr()
         kind, value, line, col = self.peek()

@@ -295,9 +295,6 @@ class Monomial:
     def weight(self) -> int:
         return self.chart.monomial_weight(self.key)
 
-    def as_poly(self) -> "GPoly":
-        return GPoly(self.chart, {self.key: 1})
-
     def __repr__(self):
         return render_monomial(self.chart, self.exps) or "1"
 
@@ -468,14 +465,6 @@ class GPoly:
         unpack = self.chart.unpack
         return GPoly._raw(self.chart, {m: c for m, c in self.terms.items()
                                        if keep(unpack(m))})
-
-    def split_by(self, key) -> dict:
-        """The terms grouped by `key` of their exponent tuples."""
-        unpack = self.chart.unpack
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(key(unpack(m)), {})[m] = c
-        return {k: GPoly._raw(self.chart, v) for k, v in sorted(out.items())}
 
     def kind_weights(self, kinds) -> frozenset:
         return frozenset(self.chart.kind_weight(m, kinds) for m in self.terms)
@@ -673,19 +662,6 @@ def inject(f: GPoly, target: Chart) -> GPoly:
     return substitute(f, {}, target=target)
 
 
-def restrict_to(f: GPoly, target: Chart) -> GPoly:
-    """Re-express f on a chart that holds every variable f uses, by name;
-    the namesake legs carry the Koszul sign of a reordering."""
-    legs = [target.index_of(v.name) if target.has(v.name) else None
-            for v in f.chart.vars]
-    used = 0
-    for m in f.terms:
-        used |= m   # a field is non-zero here exactly when a term uses it
-    if any(legs[i] is None for i, _ in f.chart.fields(used)):
-        raise ChartMismatch("polynomial uses variables outside the target chart")
-    return pull_legs(f, legs, target)
-
-
 # -- vector fields ---------------------------------------------------------
 
 
@@ -736,7 +712,7 @@ def vector_field_commutator(chart: Chart, q1: Mapping[str, GPoly],
     return {n: p for n, p in out.items() if p}
 
 
-# -- monomial enumeration and random generation -----------------------------
+# -- monomial enumeration --------------------------------------------------
 
 
 def enumerate_monomials(chart: Chart, max_weight: int, max_base_degree: int = 2):
@@ -758,32 +734,6 @@ def enumerate_monomials(chart: Chart, max_weight: int, max_base_degree: int = 2)
                 new.append((exps + (e,), w2))
         outs = new
     return [e for e, _ in outs]
-
-
-def random_poly(chart: Chart, rng, max_weight: int = 4, max_base_degree: int = 2,
-                max_terms: int = 3, degree: Optional[int] = None,
-                homogeneous: bool = False) -> GPoly:
-    """A small random polynomial, optionally homogeneous (of a given degree)."""
-    pool = [chart.pack(m)
-            for m in enumerate_monomials(chart, max_weight, max_base_degree)
-            if any(m)]
-    if homogeneous or degree is not None:
-        by_degree = {}
-        for m in pool:
-            by_degree.setdefault(chart.monomial_degree(m), []).append(m)
-        if degree is None:
-            degree = rng.choice(sorted(by_degree))
-        pool = by_degree.get(degree, [])
-        if not pool:
-            return chart.zero()
-    n = rng.randint(1, max_terms)
-    terms = {}
-    for _ in range(n):
-        m = rng.choice(pool)
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if c:
-            terms[m] = terms.get(m, 0) + c
-    return GPoly(chart, terms)
 
 
 # -- rendering ---------------------------------------------------------------

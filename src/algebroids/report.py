@@ -53,9 +53,6 @@ class Report:
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)
 
-    def failures(self) -> List[CheckRecord]:
-        return [r for r in self.records if not r.passed]
-
     def to_dict(self, residuals: bool = False) -> dict:
         return {
             "title": self.title,

@@ -38,7 +38,7 @@ from .errors import (AlgebroidsError, DegreeError, ParseError,
                      UndeclaredVariable)
 from .expr import parse_expression
 from .gpoly import Chart, KIND_BASE
-from .symplectic import Hamiltonian, PolyMap, shifted_cotangent
+from .symplectic import Hamiltonian, PolyMap
 
 
 @dataclass
@@ -266,11 +266,16 @@ def parse_spec(text: str) -> SpecFile:
 def _resolve_chart(doc, section):
     variables = []
     seen = set()
+    names = {args[0] for _, args, _, _ in section.entries}
     for _, (name, degree), _, lineno in section.entries:
         if name in seen:
             raise ParseError(f"duplicate variable {name!r} in chart "
                              f"{section.name!r}", lineno)
         seen.add(name)
+        # every cotangent chart over this one names the momentum of v as v*
+        if name.endswith("*") and name[:-1] in names:
+            raise ParseError(f"variable {name!r} is the momentum name of the "
+                             f"variable {name[:-1]!r}", lineno)
         variables.append((name, _int(degree, lineno, "degree"), KIND_BASE))
     return Chart(variables)
 
@@ -487,14 +492,16 @@ def _construct_nijenhuis(doc, section):
 
 
 def _construct_linfty_bialgebra(doc, section):
-    coords = Chart([(n, 1 - d, "fiber") for n, d in _fibers(section)])
-    sc = shifted_cotangent(coords, 2)
+    fiber = _fibers(section)
+    # the double chart over a point, as `linfty_bialgebra` builds it
+    chart = _at_entry(section, {"fiber": 1}, AlgebroidSpec, Chart([]),
+                      fiber).symplectic_chart().chart
     components = {}
     for row in section.rows("component"):
         m, n = (_int(arg, row[3], "arity") for arg in row[1])
-        components[(m, n)] = _expr_row(row, sc.chart)
+        components[(m, n)] = _expr_row(row, chart)
     _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
-    return (sc, components)
+    return (fiber, components)
 
 
 # row shapes: (the number of arguments the key takes, or None for one or

@@ -29,13 +29,14 @@ checks of `bialgebroid` compare the whole series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ChartMismatch, DegreeMismatch, NotSplit
 from .gpoly import (
     Chart, GPoly, GVar, KIND_BASE, KIND_FIBER, KIND_MOMENTUM_BASE,
-    KIND_MOMENTUM_FIBER, MOMENTUM_KINDS, image_legs, inject, insert_into,
+    KIND_MOMENTUM_FIBER, image_legs, inject, insert_into,
     left_step, mul_into, pull_legs, splits,
 )
 from .report import Report
@@ -267,29 +268,62 @@ def canonical_context(sc: SymplecticChart) -> BracketContext:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """A polynomial on a shifted cotangent chart with derived classification.
+    """A polynomial on a shifted cotangent chart.
 
     `bialgebroid.check_linfty`, not construction, checks the
-    homotopy-structure conditions.
+    homotopy-structure conditions.  A Hamiltonian is frozen, so the word
+    split its operator action reads is computed once and kept on it.
     """
 
     chart: SymplecticChart
     body: GPoly
-    # the body split by momentum word, per hbar cap: filled by `_word_split`
-    # for `hamiltonian_action`, the operator action below
-    _word_splits: dict = field(default_factory=dict, init=False,
-                               compare=False, repr=False)
 
     def __post_init__(self):
         if self.body.chart != self.chart.chart:
             raise ChartMismatch("body must live on the symplectic chart")
 
-    def classification(self):
-        """(total degree or None, momentum weights, fiber weights): always
-        recomputed from the body."""
-        return (self.body.degree(),
-                self.body.kind_weights(MOMENTUM_KINDS),
-                self.body.kind_weights((KIND_FIBER,)))
+    @cached_property
+    def _word_split(self):
+        """The body split by momentum word for `hamiltonian_action`: for
+        each word p_{j1}...p_{jk} with k >= 1, (k - 1, the `left_step` of
+        d_{jk}, ..., d_{j1} on the V[1] chart in the order they are taken,
+        U_w on the V[1] chart).
+
+        It is not a dataclass field, so `==`, `repr` and
+        `dataclasses.replace` ignore it: a replaced Hamiltonian builds its
+        own."""
+        sc = self.chart
+        ce = sc.base_chart
+        chart = sc.chart
+        npairs = sc.npairs
+        # the coordinates are the first fields of the symplectic chart and
+        # keep their place on the V[1] chart; only the weight field moves
+        # down, less the weight k of the momenta
+        coords = ce.var_bits
+        momenta = chart.var_bits ^ coords
+        wshift, ce_wshift = chart.wshift, ce.wshift
+        words = {}   # momentum key -> (k - 1, steps, terms of U_w), or None
+        for mono, coeff in self.body.terms.items():
+            word = mono & momenta
+            if word not in words:
+                momentum_part = chart.fields(word)
+                k = sum(e for _, e in momentum_part)
+                if k == 0:
+                    words[word] = None
+                    continue
+                # strip the momentum tail right to left: zero extra Koszul
+                # signs
+                steps = tuple(left_step(ce, i - npairs)
+                              for i, e in reversed(momentum_part)
+                              for _ in range(e))
+                words[word] = (k - 1, steps, {})
+            entry = words[word]
+            if entry is not None:
+                u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
+                                       << ce_wshift)
+                entry[2][u] = coeff
+        return [(power, steps, GPoly(ce, terms))
+                for power, steps, terms in filter(None, words.values())]
 
 
 def hamiltonian_lift(sc: SymplecticChart, components: Mapping[str, GPoly]) -> GPoly:
@@ -316,54 +350,7 @@ def is_integrable(ham: Hamiltonian):
 # -- the operator action ------------------------------------------------------
 
 
-def _word_split(ham: Hamiltonian, cap: Optional[int]):
-    """The body of `ham` split by momentum word for the action under the
-    hbar cap `cap`: for each word p_{j1}...p_{jk} of at most cap + 1
-    momenta, (k - 1, the `left_step` of d_{jk}, ..., d_{j1} on the V[1]
-    chart in the order they are taken, U_w on the V[1] chart).
-
-    The split is kept on `ham` per cap: a Hamiltonian is frozen, so its
-    chart and body cannot change under it."""
-    made = ham._word_splits.get(cap)
-    if made is not None:
-        return made
-    sc = ham.chart
-    ce = sc.base_chart
-    chart = sc.chart
-    npairs = sc.npairs
-    # the coordinates are the first fields of the symplectic chart and keep
-    # their place on the V[1] chart; only the weight field moves down, less
-    # the weight k of the momenta
-    coords = ce.var_bits
-    momenta = chart.var_bits ^ coords
-    wshift, ce_wshift = chart.wshift, ce.wshift
-    words = {}   # momentum key -> (k - 1, steps, terms of U_w), or None
-    for mono, coeff in ham.body.terms.items():
-        word = mono & momenta
-        if word not in words:
-            momentum_part = chart.fields(word)
-            k = sum(e for _, e in momentum_part)
-            if k == 0 or (cap is not None and k - 1 > cap):
-                words[word] = None
-                continue
-            # strip the momentum tail right to left: zero extra Koszul signs
-            steps = tuple(left_step(ce, i - npairs)
-                          for i, e in reversed(momentum_part)
-                          for _ in range(e))
-            words[word] = (k - 1, steps, {})
-        entry = words[word]
-        if entry is not None:
-            u = (mono & coords) + (((mono >> wshift) - entry[0] - 1)
-                                   << ce_wshift)
-            entry[2][u] = coeff
-    parts = ((power, steps, GPoly(ce, terms))
-             for power, steps, terms in filter(None, words.values()))
-    split = ham._word_splits[cap] = [w for w in parts if w[2]]
-    return split
-
-
-def hamiltonian_action(ham: Hamiltonian, g: GPoly,
-                       hbar_cap: Optional[int] = None) -> dict:
+def hamiltonian_action(ham: Hamiltonian, g: GPoly) -> dict:
     """Act on a function of V[1] by normal-ordered operator substitution.
 
     Each monomial c * U * p_{j1}...p_{jk} of the Hamiltonian contributes
@@ -371,8 +358,8 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     Hamiltonians this is exactly {H, g}.  The terms that share a momentum
     word w share its derivative: the action is the sum over words of
     hbar^{k-1} * U_w * d_w g.  The result is the series {k: coefficient of
-    hbar^k}: nonzero polynomials on the V[1] chart.  Powers of hbar above
-    `hbar_cap` are dropped; None keeps them all.
+    hbar^k}: nonzero polynomials on the V[1] chart, every power of hbar
+    kept.  The words and their U_w are the Hamiltonian's `_word_split`.
 
     The action runs term by term on g: d_w of a monomial is one monomial or
     zero, taken on its packed key by the `left_step`s of the word (the sign
@@ -384,7 +371,7 @@ def hamiltonian_action(ham: Hamiltonian, g: GPoly,
     if g.chart != ce:
         raise ChartMismatch("the action takes momentum-free arguments")
     by_power = {}   # k - 1 -> the terms of that power of hbar
-    for power, steps, u in _word_split(ham, hbar_cap):
+    for power, steps, u in ham._word_split:
         dg = {}
         for m, c in g.terms.items():
             for unit, shift, mask, below in steps:

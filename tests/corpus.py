@@ -1,13 +1,19 @@
-"""Shared example structures used across the test modules.
+"""Shared example structures used across the test modules, and the
+polynomial helpers that only the tests need.
 
 The corpus deliberately mixes points and polynomial bases, constant and
 x-dependent anchors, and includes deliberately broken variants for the
 route-equivalence checks.
 """
 
+from fractions import Fraction
+
 from algebroids.algebroid import AlgebroidSpec, koszul_algebroid, tangent_spec
 from algebroids.bialgebroid import BialgebroidSpec
-from algebroids.gpoly import Chart
+from algebroids.errors import ChartMismatch
+from algebroids.gpoly import (KIND_FIBER, MOMENTUM_KINDS, Chart, GPoly,
+                              enumerate_monomials, pull_legs)
+from algebroids.symplectic import hamiltonian_action
 
 POINT = Chart([])
 LINE = Chart([("x", 0)])
@@ -186,3 +192,75 @@ BIALGEBROID_PASSING = {
 BIALGEBROID_FAILING = {
     "heisenberg-bad-cobracket": heisenberg_self_dual_pair,
 }
+
+
+# -- helpers that only the tests need ------------------------------------------
+
+
+def random_poly(chart, rng, max_weight=4, max_base_degree=2, max_terms=3,
+                degree=None, homogeneous=False):
+    """A small random polynomial, optionally homogeneous (of a given degree)."""
+    pool = [chart.pack(m)
+            for m in enumerate_monomials(chart, max_weight, max_base_degree)
+            if any(m)]
+    if homogeneous or degree is not None:
+        by_degree = {}
+        for m in pool:
+            by_degree.setdefault(chart.monomial_degree(m), []).append(m)
+        if degree is None:
+            degree = rng.choice(sorted(by_degree))
+        pool = by_degree.get(degree, [])
+        if not pool:
+            return chart.zero()
+    n = rng.randint(1, max_terms)
+    terms = {}
+    for _ in range(n):
+        m = rng.choice(pool)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if c:
+            terms[m] = terms.get(m, 0) + c
+    return GPoly(chart, terms)
+
+
+def restrict_to(f, target):
+    """Re-express f on a chart that holds every variable f uses, by name;
+    the namesake legs carry the Koszul sign of a reordering."""
+    legs = [target.index_of(v.name) if target.has(v.name) else None
+            for v in f.chart.vars]
+    used = 0
+    for m in f.terms:
+        used |= m   # a field is non-zero here exactly when a term uses it
+    if any(legs[i] is None for i, _ in f.chart.fields(used)):
+        raise ChartMismatch("polynomial uses variables outside the target chart")
+    return pull_legs(f, legs, target)
+
+
+def split_by(p, key):
+    """The terms of p grouped by `key` of their exponent tuples."""
+    out = {}
+    for m, c in p.terms.items():
+        out.setdefault(key(p.chart.unpack(m)), {})[m] = c
+    return {k: GPoly(p.chart, v) for k, v in sorted(out.items())}
+
+
+def failures(report):
+    """The records of a report that did not pass."""
+    return [r for r in report.records if not r.passed]
+
+
+def classification(ham):
+    """(total degree or None, momentum weights, fiber weights) of a
+    Hamiltonian's body."""
+    return (ham.body.degree(), ham.body.kind_weights(MOMENTUM_KINDS),
+            ham.body.kind_weights((KIND_FIBER,)))
+
+
+def act_twice(lham, g):
+    """chi(chi(g)) as an hbar series: the powers of the two actions add."""
+    by_power = {}
+    for p1, first in hamiltonian_action(lham, g).items():
+        for p2, second in hamiltonian_action(lham, first).items():
+            by_power.setdefault(p1 + p2, []).append(second)
+    ce = lham.chart.base_chart
+    total = {k: ce.sum(parts) for k, parts in by_power.items()}
+    return {k: v for k, v in total.items() if v}

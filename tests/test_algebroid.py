@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (FAILING, LINE, PASSING, PLANE, POINT, abelian,
-                    action_on_line, heisenberg, koszul_constant,
-                    koszul_linear, two_dim_algebra)
+                    action_on_line, classification, failures, heisenberg,
+                    koszul_constant, koszul_linear, random_poly, restrict_to,
+                    split_by, two_dim_algebra)
 
 from algebroids.algebroid import (AlgebroidSpec, _close,
                                   adjoint_line_connection, anchor_of,
@@ -25,8 +26,7 @@ from algebroids.algebroid import (AlgebroidSpec, _close,
 from algebroids.errors import DegreeError, DegreeMismatch, NotPoisson
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (Chart, GPoly, apply_vector_field, inject,
-                             mono_normalize, partial_left, random_poly,
-                             restrict_to)
+                             mono_normalize, partial_left)
 from algebroids.specfile import parse_spec
 from algebroids.symplectic import (canonical_bracket, check_poisson_map,
                                    shifted_cotangent, twin_chart)
@@ -63,7 +63,7 @@ class TestHamiltonianOfAlgebroid:
     def test_tangent_line(self):
         mu = hamiltonian_of_algebroid(tangent_spec(LINE))
         assert mu.body == pe("dx * x*", mu.chart.chart)
-        degree, mom, fib = mu.classification()
+        degree, mom, fib = classification(mu)
         assert degree == 3 and mom == frozenset({1})
 
     def test_two_dim_algebra_frozen_sign(self):
@@ -82,7 +82,7 @@ class TestHamiltonianOfAlgebroid:
             mu = hamiltonian_of_algebroid(build())
             if mu.body.is_zero():
                 continue
-            degree, mom, _ = mu.classification()
+            degree, mom, _ = classification(mu)
             assert degree == 3
             assert mom == frozenset({1})
 
@@ -106,7 +106,7 @@ class TestCheckAlgebroid:
 
     def test_broken_constants_jacobiator(self):
         report = check_algebroid(FAILING["broken-constants"]())
-        failing = {r.name for r in report.failures()}
+        failing = {r.name for r in failures(report)}
         assert "jacobi(xi1,xi2,xi3)" in failing
         rec = next(r for r in report.records
                    if r.name == "jacobi(xi1,xi2,xi3)")
@@ -470,7 +470,6 @@ def _evaluate_form(spec, phi, sections):
 
 def _eq1_oracle(spec, phi, sections):
     """The alternating-sum coboundary formula on decomposable arguments."""
-    from algebroids.gpoly import restrict_to
     base = spec.base
     total = base.zero()
     k = len(sections)
@@ -492,7 +491,6 @@ class TestEq1Agreement:
     def test_classical_cross_check(self):
         # the bracket route {mu, -} agrees with the multilinear coboundary
         # formula on decomposable arguments for classical specs
-        from algebroids.gpoly import restrict_to
         rng = random.Random(23)
         for build in (two_dim_algebra, heisenberg, action_on_line,
                       koszul_linear):
@@ -894,7 +892,7 @@ def bv_by_evaluation(spec, conn, omega):
                 raise DegreeMismatch("not a top-power section")
         return GPoly(spec.base, out)
 
-    by_arity = omega.split_by(lambda m: sum(m[nbase:]))
+    by_arity = split_by(omega, lambda m: sum(m[nbase:]))
     out = []
     for q, part in by_arity.items():
         if q == 0:

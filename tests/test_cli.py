@@ -585,12 +585,46 @@ BAD_INPUTS.update({
         b"  component 2 1 = -xi2 * xi1* * xi2*\n",
         "component (2,1) has a term of bidegree (1,2) at line 1"),
 })
+# a name that another name's momentum takes on T*[2]V[1], or a fiber
+# declared twice over a point: each is refused at its row when parsed
+BAD_INPUTS.update({
+    "linfty-fiber-declared-twice": (
+        b"construct linfty-bialgebra LB\n  fiber xi1 0\n  fiber xi1 1\n"
+        b"  component 2 1 = 0\n",
+        "fiber 'xi1' is declared twice at line 3"),
+    "linfty-fiber-named-as-a-momentum": (
+        b"construct linfty-bialgebra LB\n  fiber xi1 0\n  fiber xi1* 0\n"
+        b"  component 2 1 = 0\n",
+        "fiber 'xi1*' is the momentum name of the fiber 'xi1' at line 3"),
+    "fiber-named-as-a-fiber-momentum": (
+        POINT_ALGEBROID[:-1] + b"  fiber xi1* 0\n",
+        "fiber 'xi1*' is the momentum name of the fiber 'xi1' at line 6"),
+    "fiber-named-as-a-base-momentum": (
+        b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber x* 0\n",
+        "fiber 'x*' is the momentum name of the base variable 'x' at line 6"),
+    "chart-variable-named-as-a-momentum": (
+        b"chart M\n  var x 0\n  var x* 0\n\nalgebroid V\n  base M\n"
+        b"  fiber xi1 0\n",
+        "variable 'x*' is the momentum name of the variable 'x' at line 3"),
+    "lift-chart-variable-named-as-a-momentum": (
+        b"chart M\n  var x* 0\n  var x 0\n\nlift L\n  chart M\n"
+        b"  component x = x\n",
+        "variable 'x*' is the momentum name of the variable 'x' at line 2"),
+})
 # the subcommands that read each case's faulty section, where that is not
 # check-algebroid
 READ_BY = {"missing-word-below-the-cap": ("check-morphism",),
            **{case: ("construct", "check-linfty") for case in (
                "bivector-not-poisson", "r-not-triangular",
-               "component-of-the-wrong-bidegree")}}
+               "component-of-the-wrong-bidegree")},
+           **{case: ("round-trip", "construct", "check-linfty")
+              for case in ("linfty-fiber-declared-twice",
+                           "linfty-fiber-named-as-a-momentum")},
+           **{case: ("round-trip", "check-algebroid") for case in (
+               "fiber-named-as-a-fiber-momentum",
+               "fiber-named-as-a-base-momentum",
+               "chart-variable-named-as-a-momentum")},
+           "lift-chart-variable-named-as-a-momentum": ("round-trip", "lift")}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

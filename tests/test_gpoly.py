@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import random_poly, restrict_to
+
 from algebroids.errors import (ChartMismatch, DegreeMismatch,
                                ExponentOverflow, OddSquare)
 from algebroids.expr import parse_expression as pe
 from algebroids.gpoly import (MAX_EXPONENT, Chart, GPoly, Monomial, add_into,
                               apply_vector_field, enumerate_monomials, inject,
                               insert_into, mono_normalize, mul_into,
-                              mul_monomial, partial_left, random_poly,
-                              render_poly, restrict_to, splits, substitute,
-                              vector_field_commutator)
+                              mul_monomial, partial_left, render_poly,
+                              splits, substitute, vector_field_commutator)
 
 ODD2 = Chart([("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
 MIXED = Chart([("x", 0), ("xi1", 1, "fiber"), ("xi2", 1, "fiber")])
@@ -449,7 +450,7 @@ class TestIntegerCoefficients:
     def test_constructors_store_ints(self):
         for p in (GPoly(MIXED, {MIXED.pack((1, 0, 0)): Fraction(4, 2)}),
                   MIXED.const(Fraction(6, 3)), MIXED.var_poly("x"),
-                  Monomial(MIXED, (1, 0, 0)).as_poly(), poly("4/2 * x")):
+                  poly("4/2 * x")):
             assert [type(c) for c in p.terms.values()] == [int]
 
 

@@ -7,9 +7,12 @@ installs it, around one pass of each workload, and removes it again.
 The section and construction kinds `cli` dispatches on must be the ones
 `specfile` reads, the README's spec-file table must list the keys and row
 shapes that `specfile` checks, and every committed `BENCH_*.json` must name the
-workloads and end-to-end metrics of `BENCHMARK.json`.
+workloads and end-to-end metrics of `BENCHMARK.json`.  Every function of the
+package must have a caller that is not a test.
 """
 
+import ast
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -110,6 +113,49 @@ def test_every_export_resolves():
     # a deleted name left in __all__ breaks only `from algebroids import *`
     missing = [n for n in algebroids.__all__ if not hasattr(algebroids, n)]
     assert not missing
+
+
+def _used_names(node):
+    """How often each identifier is read under `node`: a name, an attribute,
+    or a dotted part of a string such as `"FullMorphism.pull_taylor"`."""
+    used = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            used.update(n.value.split("."))
+    return used
+
+
+def test_every_function_has_a_caller():
+    # a helper that only tests call belongs in tests/: each module-level
+    # function and public method is read somewhere in src/ outside its own
+    # body, is exported, or is a name the benchmark tracer wraps
+    src = os.path.join(ROOT, "src", "algebroids")
+    trees = {}
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py"):
+            with open(os.path.join(src, fname)) as fh:
+                trees[fname] = ast.parse(fh.read())
+    used = sum((_used_names(t) for t in trees.values()), collections.Counter())
+    with open(os.path.join(ROOT, "verdictbench", "tracer.py")) as fh:
+        traced = _used_names(ast.parse(fh.read()))
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    uncalled = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            found = [(node.name, node)] if isinstance(node, defs) else []
+            if isinstance(node, ast.ClassDef):
+                found = [(f"{node.name}.{d.name}", d) for d in node.body
+                         if isinstance(d, defs) and not d.name.startswith("_")]
+            for qualname, d in found:
+                if (used[d.name] > _used_names(d)[d.name]
+                        or d.name in algebroids.__all__ or traced[d.name]):
+                    continue
+                uncalled.append(f"{fname}:{qualname}")
+    assert not uncalled, uncalled
 
 
 def test_axiom_route_calls_section_bracket(monkeypatch):
