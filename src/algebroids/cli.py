@@ -17,9 +17,7 @@ from .algebroid import (AlgebroidSpec, bv_operator, ce_differential,
 from .bialgebroid import (check_bialgebroid, check_linfty,
                           legendre_quadratic_check, linfty_morphism_check,
                           semistrict_morphism_check)
-from .constructions import (action_algebroid, linfty_bialgebra,
-                            nijenhuis_check, poisson_bialgebroid,
-                            tangent_algebroid, triangular)
+from .constructions import nijenhuis_check
 from .errors import (AlgebroidsError, MissingSection, ParseError,
                      TruncationIncomplete)
 from .gpoly import KIND_FIBER, MOMENTUM_KINDS, render_poly
@@ -86,49 +84,34 @@ def _triangular_report(lham) -> Report:
     return rep
 
 
-# construction kind -> (build function of the resolved arguments, the homotopy
-# Hamiltonian of the built value or None, report on the built value).  The
-# lambdas look the catalog functions up by name on each call, so a wrapper
+# construction kind -> (the homotopy Hamiltonian of the section's value or
+# None, report on the section's value).  A construct section resolves to
+# what its catalog entry builds when the file is parsed (`specfile`).  The
+# lambda looks `nijenhuis_check` up by name on each call, so a wrapper
 # rebound over a module name (verdictbench/tracer.py) sees every call.
 _CONSTRUCTS = {
-    "tangent": (lambda args: tangent_algebroid(*args), None,
-                lambda spec: _titled(check_algebroid(spec), "construct tangent")),
-    "action": (lambda args: action_algebroid(*args), None,
-               lambda spec: _titled(check_algebroid(spec), "construct action")),
-    "poisson": (lambda args: poisson_bialgebroid(*args),
-                lambda built: built[1], _poisson_report),
-    "triangular": (lambda args: triangular(*args), lambda lham: lham,
-                   _triangular_report),
-    "nijenhuis": (lambda args: args[0], None,
-                  lambda data: nijenhuis_check(data)),
-    "linfty-bialgebra": (lambda args: linfty_bialgebra(*args),
-                         lambda lham: lham,
+    "tangent": (None, lambda spec: _titled(check_algebroid(spec),
+                                           "construct tangent")),
+    "action": (None, lambda spec: _titled(check_algebroid(spec),
+                                          "construct action")),
+    "poisson": (lambda built: built[1], _poisson_report),
+    "triangular": (lambda lham: lham, _triangular_report),
+    "nijenhuis": (None, lambda data: nijenhuis_check(data)),
+    "linfty-bialgebra": (lambda lham: lham,
                          lambda lham: _titled(check_linfty(lham),
                                               "construct linfty-bialgebra")),
 }
 
 
-def _build(section):
-    """The value a construct section builds; a construction that fails, such
-    as a bivector with [pi, pi] != 0, is placed at the section's header."""
-    build = _CONSTRUCTS[section.subtype][0]
-    try:
-        return build(section.resolved)
-    except AlgebroidsError as exc:
-        raise ParseError(str(exc), section.line) from None
-
-
 def _construct_report(section) -> Report:
-    _, _, report = _CONSTRUCTS[section.subtype]
-    return report(_build(section))
+    return _CONSTRUCTS[section.subtype][1](section.resolved)
 
 
 def _check_linfty(section) -> Optional[Report]:
     if section.kind == "hamiltonian":
         return check_linfty(section.resolved)
-    _, linfty, _ = _CONSTRUCTS[section.subtype]
-    built = _build(section)
-    return None if linfty is None else check_linfty(linfty(built))
+    linfty, _ = _CONSTRUCTS[section.subtype]
+    return None if linfty is None else check_linfty(linfty(section.resolved))
 
 
 def _check_morphism(section) -> Report:

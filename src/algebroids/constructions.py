@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebroid import (AlgebroidSpec, basis_section, bivector_matrix,
@@ -31,8 +31,10 @@ def action_algebroid(base: Chart, fiber: Sequence[Tuple[str, int]],
     """The transformation algebroid of a Lie algebra action.
 
     `brackets` maps (a, b, c) fiber-name triples to constant structure
-    coefficients (validated against Jacobi); `action` maps (fiber name,
-    base name) to the vector-field components of the acting generators.
+    coefficients (validated against Jacobi; a coefficient that is not a
+    constant is a DegreeError naming its triple); `action` maps (fiber
+    name, base name) to the vector-field components of the acting
+    generators.
     Whether the action map is a morphism is detected downstream by
     check_algebroid.
     """
@@ -41,7 +43,8 @@ def action_algebroid(base: Chart, fiber: Sequence[Tuple[str, int]],
     for key, v in brackets.items():
         if isinstance(v, GPoly):
             if any(v.terms):   # a key other than 0 is not a constant
-                raise DegreeError("structure coefficients must be constants")
+                raise DegreeError("structure coefficients must be constants",
+                                  key)
             constants[key] = v.constant_term()
         else:
             constants[key] = _coerce(point, v).constant_term()
@@ -102,12 +105,17 @@ class NijenhuisData:
 
     `endo` maps (i, j) index pairs (or base-name pairs) to N^i_j, the
     d_i-component of N(d_j); `pi` is a bivector entry table as in
-    koszul_algebroid.
+    koszul_algebroid.  `koszul` is the cotangent algebroid of `pi`, built
+    with the pair, so that a bivector with [pi, pi] != 0 raises NotPoisson.
     """
 
     base: Chart
     endo: Mapping
     pi: Mapping
+    koszul: AlgebroidSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "koszul", koszul_algebroid(self.base, self.pi))
 
     def matrix(self):
         n = len(self.base.vars)
@@ -142,7 +150,7 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     compatibility identities with the Poisson structure."""
     base = data.base
     nmat = data.matrix()
-    kspec_pi = koszul_algebroid(base, data.pi)   # raises NotPoisson
+    kspec_pi = data.koszul
     full = bivector_matrix(base, data.pi)
     t = tangent_spec(base)
     report = Report("nijenhuis")
@@ -254,17 +262,18 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
     return report
 
 
-def linfty_bialgebra(fiber: Sequence[Tuple[str, int]],
-                     components: Mapping) -> Hamiltonian:
+def linfty_bialgebra(fiber, components: Mapping) -> Hamiltonian:
     """A point-case homotopy structure from weighted components.
 
-    `fiber` lists the (name, section degree) pairs of V; the double chart
-    T*[2]V[1] over a point is the symplectic chart of the algebroid spec
-    they declare, which checks their names.  `components` maps (m, n) with
-    m, n >= 1 to a polynomial on the double chart with m fiber factors, n
-    momentum factors, and total degree 3.
+    `fiber` is an algebroid spec over a point, or the (name, section
+    degree) pairs of V that declare one, which checks their names; the
+    double chart T*[2]V[1] is its symplectic chart.  `components` maps
+    (m, n) with m, n >= 1 to a polynomial on the double chart with m fiber
+    factors, n momentum factors, and total degree 3.
     """
-    sc = AlgebroidSpec(Chart([]), fiber).symplectic_chart()
+    if not isinstance(fiber, AlgebroidSpec):
+        fiber = AlgebroidSpec(Chart([]), fiber)
+    sc = fiber.symplectic_chart()
     chart = sc.chart
     parts = []
     for (m, n), val in sorted(components.items()):

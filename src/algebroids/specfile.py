@@ -10,16 +10,20 @@ line is refused.
 One table, `_SECTIONS`, gives each section kind its keys, each key's row
 shape, and its resolver; `_CONSTRUCTS` does the same for each construction
 kind, so the keys of a `construct` section are checked against its own kind.
-Unknown section kinds, construction kinds and keys are rejected with
-positions.  A row shape is the number of arguments its key takes (a fixed
-count, or one or more for `word`) and whether the row ends in `= expr`.
+Every section resolves to its value when the file is parsed, a
+`construct` section to what its catalog entry builds.  Unknown section
+kinds, construction kinds and keys are rejected with positions.  A row
+shape is the number of arguments its key takes (a fixed count, or one or
+more for `word`) and whether the row ends in `= expr`.
 `parse_spec` checks every row against its key's shape before any resolver
 runs: a row with an argument too few or too many, an `= expr` on a key that
 takes none, or no `=` on a key that takes one is a ParseError at its line,
 and so is an `=` on a line with no key or on a section header.  A section
 names earlier sections in reference rows (`base M`, `algebroid V`); `_ref`
 reads every one of them, and a name that no earlier section has, or one
-whose section is of the wrong kind, is a ParseError at the row's line.
+whose section is of the wrong kind, is a ParseError at the row's line.  A
+construction that fails with no line of its own, such as a bivector with
+[pi, pi] != 0, is a ParseError at its section's header line.
 
 Expressions follow the core grammar; momentum names end in `*`, so products
 must be written with spaced `*` operators (`xi1* * xi2*`).
@@ -33,7 +37,8 @@ from typing import List, Optional
 from .algebroid import (AlgebroidSpec, hamiltonian_of_algebroid,
                         line_connection)
 from .bialgebroid import BialgebroidSpec, FullMorphism, table_entry
-from .constructions import NijenhuisData
+from .constructions import (NijenhuisData, action_algebroid, linfty_bialgebra,
+                            poisson_bialgebroid, tangent_algebroid, triangular)
 from .errors import (AlgebroidsError, DegreeError, ParseError,
                      UndeclaredVariable)
 from .expr import parse_expression
@@ -255,7 +260,12 @@ def parse_spec(text: str) -> SpecFile:
             if expr is not None and not takes_expr:
                 raise ParseError(f"{key!r} row takes no '=' expression",
                                  lineno)
-        section.resolved = resolve(doc, section)
+        try:
+            section.resolved = resolve(doc, section)
+        except AlgebroidsError as exc:
+            if section.subtype and getattr(exc, "line", None) is None:
+                raise ParseError(str(exc), section.line) from None
+            raise
         doc.registry[section.name] = section
     return doc
 
@@ -310,9 +320,10 @@ def _resolve_hamiltonian(doc, section):
 
 
 def _endpoint(doc, section, key):
-    """The Hamiltonian of the algebroid or hamiltonian section that the
-    single `key` row names: an algebroid stands for its mu."""
-    value = _ref(doc, section, key, "algebroid", "hamiltonian")
+    """The Hamiltonian of the section that the single `key` row names: an
+    algebroid stands for its mu."""
+    value = _ref(doc, section, key, "algebroid", "hamiltonian",
+                 "construct linfty-bialgebra", "construct triangular")
     return (hamiltonian_of_algebroid(value)
             if isinstance(value, AlgebroidSpec) else value)
 
@@ -442,25 +453,21 @@ def _resolve_legendre(doc, section):
     return _ref(doc, section, "algebroid", "algebroid")
 
 
-# -- construct sections: each resolves to the arguments of its catalog entry -
+# -- construct sections: each resolves to what its catalog entry builds -----
 
 
 def _construct_tangent(doc, section):
-    return (_ref(doc, section, "base", "chart"),)
+    return tangent_algebroid(_ref(doc, section, "base", "chart"))
 
 
 def _construct_action(doc, section):
     base = _ref(doc, section, "base", "chart")
     fiber = _fibers(section)
     names = [n for n, _ in fiber]
-    brackets = _table(section, "bracket", base, names, names, names)
-    for row, p in zip(section.rows("bracket"), brackets.values()):
-        if any(p.terms):   # a key other than 0 is not a constant
-            raise DegreeError(
-                "action structure coefficients must be constants",
-                line=row[3])
-    return (base, fiber, brackets,
-            _table(section, "act", base, names, base.names))
+    return _at_entry(section, {"fiber": 1, "bracket": 3, "act": 2},
+                     action_algebroid, base, fiber,
+                     _table(section, "bracket", base, names, names, names),
+                     _table(section, "act", base, names, base.names))
 
 
 def _bivector(section, base):
@@ -477,31 +484,31 @@ def _construct_poisson(doc, section):
     base = _ref(doc, section, "base", "chart")
     pi = _bivector(section, base)
     _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
-    return (base, pi)
+    return poisson_bialgebroid(base, pi)
 
 
 def _construct_triangular(doc, section):
     spec = _ref(doc, section, "algebroid", "algebroid")
-    return (spec, _value(section, "r", spec.multivector_chart()))
+    return triangular(spec, _value(section, "r", spec.multivector_chart()))
 
 
 def _construct_nijenhuis(doc, section):
     base = _ref(doc, section, "base", "chart")
     endo = _table(section, "endo", base, base.names, base.names)
-    return (NijenhuisData(base, endo, _bivector(section, base)),)
+    return NijenhuisData(base, endo, _bivector(section, base))
 
 
 def _construct_linfty_bialgebra(doc, section):
-    fiber = _fibers(section)
-    # the double chart over a point, as `linfty_bialgebra` builds it
-    chart = _at_entry(section, {"fiber": 1}, AlgebroidSpec, Chart([]),
-                      fiber).symplectic_chart().chart
+    # the algebroid over a point whose double chart holds the components
+    point = _at_entry(section, {"fiber": 1}, AlgebroidSpec, Chart([]),
+                      _fibers(section))
+    chart = point.symplectic_chart().chart
     components = {}
     for row in section.rows("component"):
         m, n = (_int(arg, row[3], "arity") for arg in row[1])
         components[(m, n)] = _expr_row(row, chart)
     _cap_row(section, "hbar-cap", 0)   # checked, sets nothing
-    return (fiber, components)
+    return linfty_bialgebra(point, components)
 
 
 # row shapes: (the number of arguments the key takes, or None for one or
@@ -538,7 +545,7 @@ _SECTIONS = {
 }
 
 # construction kind -> (its keys, each with its row shape; resolver to the
-# argument tuple of the catalog entry `cli._CONSTRUCTS` builds it with)
+# value its catalog entry builds)
 _CONSTRUCTS = {
     "tangent": ({"base": _ONE}, _construct_tangent),
     "action": ({"base": _ONE, "fiber": (2, False), "bracket": (3, True),

@@ -557,8 +557,9 @@ BAD_INPUTS.update({
         b"  target G\n  cap 1\n  word xi1 = xi1\n  map xi1 = junk\n",
         "a type full morphism takes no 'map' row at line 13"),
 })
-# faults that only running a section finds: a word the table lacks below
-# its cap names the cap row, and a construction that fails its header
+# a word the table lacks below its cap, which only the check finds, names
+# the cap row; a construction that fails with no row of its own fails when
+# the file is parsed, at its header
 BAD_INPUTS.update({
     # the identity table of tests/data/kernel/point_morphism.alg without
     # its quadratic word
@@ -584,6 +585,34 @@ BAD_INPUTS.update({
         b"construct linfty-bialgebra LB\n  fiber xi1 0\n  fiber xi2 0\n"
         b"  component 2 1 = -xi2 * xi1* * xi2*\n",
         "component (2,1) has a term of bidegree (1,2) at line 1"),
+    "nijenhuis-bivector-not-poisson": (
+        b"chart M\n  var x1 0\n  var x2 0\n  var x3 0\n\n"
+        b"construct nijenhuis N\n  base M\n  bivector x1 x2 = x3\n"
+        b"  bivector x2 x3 = x1\n  bivector x1 x3 = x1\n",
+        "[pi, pi] != 0 at line 6"),
+    # [[e1, e2], e3] + cyclic = [e1, e2] = e3
+    "action-not-jacobi": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e1 0\n  fiber e2 0\n  fiber e3 0\n"
+        b"  bracket e1 e2 e3 = 1\n  bracket e2 e3 e1 = 1\n"
+        b"  bracket e1 e3 e1 = 1\n",
+        "structure constants violate the Jacobi identity at line 4"),
+})
+# an action's faults that name one row are placed at that row
+BAD_INPUTS.update({
+    "action-fiber-named-as-a-momentum": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e 0\n  fiber e* 0\n",
+        "fiber 'e*' is the momentum name of the fiber 'e' at line 7"),
+    "action-fiber-declared-twice": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e 0\n  fiber e 1\n",
+        "fiber 'e' is declared twice at line 7"),
+    "action-coefficient-not-constant": (
+        b"chart M\n  var x 0\n\nconstruct action A\n  base M\n"
+        b"  fiber e1 0\n  fiber e2 0\n  bracket e1 e2 e1 = x\n"
+        b"  act e1 x = 1\n",
+        "structure coefficients must be constants at line 8"),
 })
 # a name that another name's momentum takes on T*[2]V[1], or a fiber
 # declared twice over a point: each is refused at its row when parsed
@@ -614,9 +643,14 @@ BAD_INPUTS.update({
 # the subcommands that read each case's faulty section, where that is not
 # check-algebroid
 READ_BY = {"missing-word-below-the-cap": ("check-morphism",),
-           **{case: ("construct", "check-linfty") for case in (
+           **{case: ("round-trip", "construct", "check-linfty") for case in (
                "bivector-not-poisson", "r-not-triangular",
                "component-of-the-wrong-bidegree")},
+           **{case: ("round-trip", "construct") for case in (
+               "nijenhuis-bivector-not-poisson", "action-not-jacobi",
+               "action-fiber-named-as-a-momentum",
+               "action-fiber-declared-twice",
+               "action-coefficient-not-constant")},
            **{case: ("round-trip", "construct", "check-linfty")
               for case in ("linfty-fiber-declared-twice",
                            "linfty-fiber-named-as-a-momentum")},
@@ -782,12 +816,28 @@ def test_bracket_at_the_degree_budget(tmp_path):
     assert f"[-{n * n} * x^{n - 1} * x*^{n - 1}]" in out
 
 
+def test_a_linfty_bialgebra_section_is_a_morphism_endpoint(tmp_path):
+    # point_morphism.alg with its algebroid G and hamiltonian HG replaced by
+    # a construction of the same Hamiltonian: the same verdict, byte for byte
+    golden = os.path.join(DATA, "kernel", "point_morphism.alg")
+    with open(golden) as fh:
+        head, _, rest = fh.read().partition("\nalgebroid G\n")
+    path = tmp_path / "construct.alg"
+    path.write_text(
+        head + "\nconstruct linfty-bialgebra HG\n  fiber xi1 0\n"
+        "  fiber xi2 0\n  component 2 1 = -xi1 * xi2 * xi1*\n"
+        "  component 1 2 = -xi2 * xi1* * xi2*\n\nmorphism Id\n"
+        + rest.partition("\nmorphism Id\n")[2])
+    want = run_cli(["check-morphism", golden, "--json"])
+    assert want[0] == 1
+    assert run_cli(["check-morphism", str(path), "--json"]) == want
+
+
 def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
     # {mu, mu} is the part of momentum weight one of {chi, chi}, so the
     # primal structure is not bracketed again: two Hamiltonians, mu_dual
     # and chi, for the construction P and for the bialgebroid B alike
     from algebroids import algebroid, bialgebroid, symplectic
-    from algebroids.constructions import poisson_bialgebroid
     from algebroids.specfile import parse_spec
 
     bodies = []
@@ -801,7 +851,7 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
         monkeypatch.setattr(module, "is_integrable", counted)
     with open(os.path.join(DATA, "poisson.alg")) as fh:
         doc = parse_spec(fh.read())
-    built = {"construct": poisson_bialgebroid(*doc.lookup("P").resolved)[0],
+    built = {"construct": doc.lookup("P").resolved[0],
              "check-bialgebroid": doc.lookup("B").resolved}
     for sub, b in built.items():
         bodies.clear()
@@ -815,9 +865,11 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
 
 # mu builds per subcommand on poisson.alg: one per algebroid section (V and
 # Vd); one per spec and chart (V, Vd, Vd on the Legendre twin chart) for
-# the bialgebroid B and for the construction P
-@pytest.mark.parametrize("sub, builds", [("check-algebroid", 2),
-                                         ("check-bialgebroid", 3),
+# the bialgebroid B and for the construction P.  Every construct section is
+# built when the file is parsed, so P's chi (its primal, and its dual on the
+# twin chart) adds two builds to every subcommand; `construct` adds the third
+@pytest.mark.parametrize("sub, builds", [("check-algebroid", 4),
+                                         ("check-bialgebroid", 5),
                                          ("construct", 3)])
 def test_mu_is_built_once_per_spec_and_chart(sub, builds, monkeypatch):
     # the builder's binding in every module that calls it, wrapped: a memo

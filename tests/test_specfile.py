@@ -132,6 +132,46 @@ def test_morphism_endpoints_are_hamiltonians():
     assert doc.lookup("F").resolved[1] is doc.lookup("HG").resolved
 
 
+def test_a_construction_of_a_hamiltonian_is_a_morphism_endpoint():
+    # a construct section resolves to what it builds: the Hamiltonian of a
+    # triangular structure is the endpoint itself
+    doc = parse_spec(TWO_DIM + """
+construct triangular T
+  algebroid V
+  r = xi1* * xi2*
+
+morphism F
+  type full
+  source T
+  target T
+  cap 2
+  word xi1 = xi1
+  word xi2 = xi2
+  word xi1 xi2 = xi1 * xi2
+""")
+    lham = doc.lookup("T").resolved
+    assert isinstance(lham, Hamiltonian)
+    _, source, target, _ = doc.lookup("F").resolved
+    assert source is lham and target is lham
+
+
+def test_a_linfty_bialgebra_section_builds_one_double_chart(monkeypatch):
+    from algebroids.symplectic import SymplecticChart
+    original = SymplecticChart.__init__
+    built = []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SymplecticChart, "__init__", counted)
+    doc = parse_spec("construct linfty-bialgebra LB\n  fiber xi1 0\n"
+                     "  fiber xi2 0\n  component 2 1 = -xi1 * xi2 * xi1*\n"
+                     "  component 1 2 = -xi2 * xi1* * xi2*\n")
+    assert len(built) == 1
+    assert doc.lookup("LB").resolved.chart is built[0]
+
+
 @pytest.mark.parametrize("text,where", [
     ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1 q\n",
      "bad degree 'q' at line 5"),
