@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from time import perf_counter
 from typing import List, Optional
 
@@ -17,15 +18,15 @@ from .algebroid import (AlgebroidSpec, bv_operator, ce_differential,
 from .bialgebroid import (check_bialgebroid, check_linfty,
                           legendre_quadratic_check, linfty_morphism_check,
                           semistrict_morphism_check)
-from .constructions import nijenhuis_check
 from .errors import (AlgebroidsError, MissingSection, ParseError,
                      TruncationIncomplete)
-from .gpoly import KIND_FIBER, MOMENTUM_KINDS, render_poly
+from .gpoly import KIND_FIBER, render_poly
 from .report import Report, verdict_json
-from .specfile import Section, SpecFile, parse_spec, serialize
+from .specfile import (Section, SpecFile, construct_report, hamiltonian_of,
+                       parse_spec, serialize)
 from .symplectic import (PolyMap, canonical_bracket, canonical_context,
-                         check_poisson_map, hamiltonian_lift, is_integrable,
-                         legendre, shifted_cotangent, twin_chart)
+                         check_poisson_map, hamiltonian_lift, legendre,
+                         shifted_cotangent, twin_chart)
 
 
 def _value_report(title, value) -> Report:
@@ -34,14 +35,8 @@ def _value_report(title, value) -> Report:
     return report
 
 
-def _titled(report: Report, title: str) -> Report:
-    report.title = title
-    return report
-
-
-def _legendre_report(spec: AlgebroidSpec) -> Report:
+def _legendre_report(sc) -> Report:
     report = Report("legendre")
-    sc = spec.symplectic_chart()
     twin = twin_chart(sc)
     lmap = legendre(sc)
     for v in lmap.target.vars:
@@ -62,56 +57,12 @@ def _legendre_report(spec: AlgebroidSpec) -> Report:
     return report
 
 
-def _poisson_report(built) -> Report:
-    b, chi = built
-    squared = is_integrable(chi)    # read by chi-squared and by integrable
-    rep = check_bialgebroid(b, squared)
-    rep.extend(check_linfty(chi, squared))
-    return _titled(rep, "construct poisson")
-
-
-def _triangular_report(lham) -> Report:
-    rep = Report("construct triangular")
-    rep.add("self-check",
-            "lifted [r,-] matches the bracket route (checked on build)",
-            passed=True)
-    rep.extend(check_linfty(lham))
-    weights = lham.body.kind_weights(MOMENTUM_KINDS)
-    rep.add("weight-profile",
-            "momentum weights stay within the linear-quadratic window",
-            passed=weights <= {1, 2},
-            detail=f"weights={sorted(weights)}")
-    return rep
-
-
-# construction kind -> (the homotopy Hamiltonian of the section's value or
-# None, report on the section's value).  A construct section resolves to
-# what its catalog entry builds when the file is parsed (`specfile`).  The
-# lambda looks `nijenhuis_check` up by name on each call, so a wrapper
-# rebound over a module name (verdictbench/tracer.py) sees every call.
-_CONSTRUCTS = {
-    "tangent": (None, lambda spec: _titled(check_algebroid(spec),
-                                           "construct tangent")),
-    "action": (None, lambda spec: _titled(check_algebroid(spec),
-                                          "construct action")),
-    "poisson": (lambda built: built[1], _poisson_report),
-    "triangular": (lambda lham: lham, _triangular_report),
-    "nijenhuis": (None, lambda data: nijenhuis_check(data)),
-    "linfty-bialgebra": (lambda lham: lham,
-                         lambda lham: _titled(check_linfty(lham),
-                                              "construct linfty-bialgebra")),
-}
-
-
-def _construct_report(section) -> Report:
-    return _CONSTRUCTS[section.subtype][1](section.resolved)
-
-
 def _check_linfty(section) -> Optional[Report]:
-    if section.kind == "hamiltonian":
-        return check_linfty(section.resolved)
-    linfty, _ = _CONSTRUCTS[section.subtype]
-    return None if linfty is None else check_linfty(linfty(section.resolved))
+    # an algebroid, constructed or not, is check-algebroid's
+    if isinstance(section.resolved, AlgebroidSpec):
+        return None
+    ham = hamiltonian_of(section.resolved)
+    return None if ham is None else check_linfty(ham)
 
 
 def _check_morphism(section) -> Report:
@@ -141,14 +92,17 @@ def _round_trip(section) -> Report:
 
 # subcommand -> (section kinds it reads, the Section field `--name` selects
 # by, handler from a section to a Report or None for a section it skips).
-# No kinds means the whole file, as one section named "file".
+# Each kind heads a label of `specfile`'s one table of sections, `construct`
+# every construction's.  No kinds means the whole file, as one section named
+# "file".
 COMMANDS = {
     "check-algebroid": (("algebroid",), "name",
                         lambda s: check_algebroid(s.resolved)),
     # dual-structure data presented as an algebroid on the dual bundle
     "check-coalgebroid": (("algebroid",), "name",
-                          lambda s: _titled(check_algebroid(s.resolved),
-                                            "coalgebroid (dual algebroid data)")),
+                          lambda s: replace(
+                              check_algebroid(s.resolved),
+                              title="coalgebroid (dual algebroid data)")),
     "check-bialgebroid": (("bialgebroid",), "name", _check_bialgebroid),
     "check-linfty": (("hamiltonian", "construct"), "name", _check_linfty),
     "check-morphism": (("morphism",), "name", _check_morphism),
@@ -166,7 +120,7 @@ COMMANDS = {
         hamiltonian_lift(shifted_cotangent(s.resolved[0], s.resolved[1]),
                          s.resolved[2]))),
     "legendre": (("legendre",), "name", lambda s: _legendre_report(s.resolved)),
-    "construct": (("construct",), "subtype", _construct_report),
+    "construct": (("construct",), "subtype", construct_report),
     "round-trip": ((), "name", _round_trip),
 }
 SUBCOMMANDS = tuple(COMMANDS)
@@ -188,7 +142,12 @@ def run(subcommand: str, doc: SpecFile,
     out = []
     for s in sections:
         started = perf_counter()
-        rep = handler(s)
+        try:
+            rep = handler(s)
+        except AlgebroidsError as exc:   # placed at its section if lineless
+            if getattr(exc, "line", None) is None:
+                raise ParseError(str(exc), s.line) from None
+            raise
         if rep is not None:
             rep.elapsed_ms = (perf_counter() - started) * 1000.0
             out.append((s.name, rep))

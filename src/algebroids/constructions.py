@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebroid import (AlgebroidSpec, basis_section, bivector_matrix,
@@ -11,13 +11,14 @@ from .algebroid import (AlgebroidSpec, basis_section, bivector_matrix,
                         section_bracket, section_is_zero,
                         section_to_multivector, tangent_spec,
                         vector_field_commutator, _coerce)
-from .bialgebroid import BialgebroidSpec, assemble_hamiltonian
+from .bialgebroid import (BialgebroidSpec, assemble_hamiltonian,
+                          check_bialgebroid, check_linfty)
 from .errors import (AlgebroidsError, ChartMismatch, DegreeError,
                      NotLieAlgebra, NotPoisson, NotTriangular)
 from .gpoly import Chart, GPoly, KIND_FIBER, MOMENTUM_KINDS, inject
 from .report import Report
 from .symplectic import (Hamiltonian, canonical_bracket, hamiltonian_lift,
-                         legendre, twin_chart)
+                         is_integrable, legendre, twin_chart)
 
 
 def tangent_algebroid(base: Chart,
@@ -260,6 +261,30 @@ def nijenhuis_check(data: NijenhuisData) -> Report:
                    "skipped: the endomorphism-bivector identity fails",
                    passed=True, detail="skipped")
     return report
+
+
+def poisson_report(built) -> Report:
+    """The bialgebroid and homotopy checks of a Poisson construction."""
+    b, chi = built
+    squared = is_integrable(chi)    # read by chi-squared and by integrable
+    rep = check_bialgebroid(b, squared)
+    rep.extend(check_linfty(chi, squared))
+    return replace(rep, title="construct poisson")
+
+
+def triangular_report(lham) -> Report:
+    """The homotopy checks of a triangular structure, and its weights."""
+    rep = Report("construct triangular")
+    rep.add("self-check",
+            "lifted [r,-] matches the bracket route (checked on build)",
+            passed=True)
+    rep.extend(check_linfty(lham))
+    weights = lham.body.kind_weights(MOMENTUM_KINDS)
+    rep.add("weight-profile",
+            "momentum weights stay within the linear-quadratic window",
+            passed=weights <= {1, 2},
+            detail=f"weights={sorted(weights)}")
+    return rep
 
 
 def linfty_bialgebra(fiber, components: Mapping) -> Hamiltonian:

@@ -475,10 +475,16 @@ BAD_INPUTS.update({
         b"hamiltonian H\n  algebroid G\n  hbar-cap -3\n"
         b"  value = xi1 * xi1*\n",
         "bad hbar-cap -3: a cap is non-negative at line 9"),
+    # only a hamiltonian section takes an hbar-cap row
     "negative-poisson-hbar-cap": (
         b"chart M\n  var x1 0\n  var x2 0\n\nconstruct poisson P\n"
         b"  base M\n  bivector x1 x2 = x1\n  hbar-cap -1\n",
-        "bad hbar-cap -1: a cap is non-negative at line 8"),
+        "unknown key 'hbar-cap' in construct poisson section at line 8"),
+    "linfty-bialgebra-hbar-cap": (
+        b"construct linfty-bialgebra LB\n  fiber xi1 0\n  hbar-cap 2\n"
+        b"  component 2 1 = 0\n",
+        "unknown key 'hbar-cap' in construct linfty-bialgebra section "
+        "at line 3"),
 })
 # a row that takes only an expression, given an argument: the key, the
 # section that holds it, and the row's line when the section follows an
@@ -614,6 +620,20 @@ BAD_INPUTS.update({
         b"  act e1 x = 1\n",
         "structure coefficients must be constants at line 8"),
 })
+# a fault with no row of its own is placed at its section's header, when
+# the file is parsed or when the section's check runs
+BAD_INPUTS.update({
+    "bialgebroid-fiber-ranks-differ": (
+        b"chart pt\n\nalgebroid V\n  base pt\n  fiber xi1 0\n  fiber xi2 0\n"
+        b"\nalgebroid Vd\n  base pt\n  fiber xi1* 0\n\nbialgebroid B\n"
+        b"  primal V\n  dual Vd\n",
+        "fiber ranks must agree at line 12"),
+    "bv-on-an-odd-section": (
+        b"chart M\n  var x 0\n\nalgebroid V\n  base M\n  fiber e 1\n\n"
+        b"connection C\n  algebroid V\n\nbv Q\n  algebroid V\n"
+        b"  connection C\n  value = x\n",
+        "top-power evaluation needs even section degrees at line 11"),
+})
 # a name that another name's momentum takes on T*[2]V[1], or a fiber
 # declared twice over a point: each is refused at its row when parsed
 BAD_INPUTS.update({
@@ -658,7 +678,10 @@ READ_BY = {"missing-word-below-the-cap": ("check-morphism",),
                "fiber-named-as-a-fiber-momentum",
                "fiber-named-as-a-base-momentum",
                "chart-variable-named-as-a-momentum")},
-           "lift-chart-variable-named-as-a-momentum": ("round-trip", "lift")}
+           "lift-chart-variable-named-as-a-momentum": ("round-trip", "lift"),
+           "bialgebroid-fiber-ranks-differ": ("round-trip", "check-algebroid",
+                                              "check-bialgebroid"),
+           "bv-on-an-odd-section": ("bv",)}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -690,15 +713,10 @@ def test_undeclared_row_name_exits_2(case, tmp_path, capsys):
 
 def malformed_rows():
     """A header and one row that its key's shape refuses, for every key of
-    every section and construction kind: one argument short, one too many,
-    an `= expr` on a key that takes none, and no `=` on a key that takes
-    one.  Shapes are checked before any section is resolved, so no other
-    row is needed."""
-    kinds = [(kind, shapes) for kind, (shapes, _)
-             in specfile._SECTIONS.items() if shapes]
-    kinds += [(f"construct {kind}", shapes) for kind, (shapes, _)
-              in specfile._CONSTRUCTS.items()]
-    for label, shapes in kinds:
+    every section label: one argument short, one too many, an `= expr` on a
+    key that takes none, and no `=` on a key that takes one.  Shapes are
+    checked before any section is resolved, so no other row is needed."""
+    for label, (shapes, *_) in specfile._SECTIONS.items():
         for key, (n, takes_expr) in shapes.items():
             least = 1 if n is None else n
             expr = " = 1" if takes_expr else ""
@@ -798,7 +816,8 @@ def test_exponent_overflow_exits_2(tmp_path, capsys):
     code, _ = run_cli(["check-morphism", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error: exponent of 'x' is above 32767" in err.splitlines()
+    assert "error: exponent of 'x' is above 32767 at line 17" in \
+        err.splitlines()
 
 
 def test_bracket_at_the_degree_budget(tmp_path):
@@ -833,11 +852,27 @@ def test_a_linfty_bialgebra_section_is_a_morphism_endpoint(tmp_path):
     assert run_cli(["check-morphism", str(path), "--json"]) == want
 
 
+def test_a_poisson_construction_is_a_morphism_endpoint(tmp_path):
+    # poisson.alg's hamiltonian H is the chi of its construction P: the
+    # identity table on either gives the same verdict, byte for byte
+    with open(os.path.join(DATA, "poisson.alg")) as fh:
+        text = fh.read()
+    outs = []
+    for name in ("H", "P"):
+        path = tmp_path / f"{name}.alg"
+        path.write_text(text + f"\nmorphism Id\n  type full\n  source {name}\n"
+                        f"  target {name}\n  cap 2\n  word xi1 = xi1\n"
+                        "  word xi2 = xi2\n  word xi1 xi2 = xi1 * xi2\n")
+        outs.append(run_cli(["check-morphism", str(path), "--json"]))
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0]
+
+
 def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
     # {mu, mu} is the part of momentum weight one of {chi, chi}, so the
     # primal structure is not bracketed again: two Hamiltonians, mu_dual
     # and chi, for the construction P and for the bialgebroid B alike
-    from algebroids import algebroid, bialgebroid, symplectic
+    from algebroids import algebroid, bialgebroid, constructions, symplectic
     from algebroids.specfile import parse_spec
 
     bodies = []
@@ -847,7 +882,7 @@ def test_construct_poisson_brackets_each_hamiltonian_once(monkeypatch):
         bodies.append(repr(ham.body))
         return original(ham)
 
-    for module in (symplectic, algebroid, bialgebroid, cli):
+    for module in (symplectic, algebroid, bialgebroid, constructions):
         monkeypatch.setattr(module, "is_integrable", counted)
     with open(os.path.join(DATA, "poisson.alg")) as fh:
         doc = parse_spec(fh.read())

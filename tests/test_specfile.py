@@ -4,7 +4,7 @@ import pytest
 
 from algebroids.algebroid import AlgebroidSpec, hamiltonian_of_algebroid
 from algebroids.symplectic import Hamiltonian
-from algebroids.errors import DegreeError, ParseError, UndeclaredVariable
+from algebroids.errors import ParseError, UndeclaredVariable
 from algebroids.gpoly import Chart
 from algebroids.specfile import parse_spec, serialize
 
@@ -63,7 +63,10 @@ bialgebroid B
   primal V
   dual Vd
 """
-    with pytest.raises(DegreeError):
+    # a degree fault of no one row is placed at the bialgebroid's header
+    with pytest.raises(ParseError, match="^dual section degrees must be "
+                                         "opposite to the primal ones at "
+                                         "line 14$"):
         parse_spec(text)
 
 
@@ -155,6 +158,25 @@ morphism F
     assert source is lham and target is lham
 
 
+@pytest.mark.parametrize("construct", [
+    "construct tangent T\n  base M\n",
+    "construct action T\n  base M\n  fiber e1 0\n  fiber e2 0\n"
+    "  bracket e1 e2 e1 = 1\n  act e1 x = 1\n  act e2 x = x\n",
+], ids=["tangent", "action"])
+def test_an_algebroid_construction_is_a_morphism_endpoint(construct):
+    # a construction of an algebroid stands for its mu, as an algebroid does
+    doc = parse_spec("chart M\n  var x 0\n\n" + construct + """
+morphism F
+  type semistrict
+  source T
+  target T
+  map x = x
+""")
+    mu = hamiltonian_of_algebroid(doc.lookup("T").resolved)
+    _, source, target, _ = doc.lookup("F").resolved
+    assert source.body == mu.body and target.body == mu.body
+
+
 def test_a_linfty_bialgebra_section_builds_one_double_chart(monkeypatch):
     from algebroids.symplectic import SymplecticChart
     original = SymplecticChart.__init__
@@ -195,7 +217,8 @@ def test_expression_columns_count_from_line_start():
 
 @pytest.mark.parametrize("text,where", [
     ("chart pt\n\nconstruct linfty-bialgebra LB\n  fiber xi1 0\n"
-     "  hbar-cap\n", "'hbar-cap' row is missing argument 1 at line 5"),
+     "  component 2 = xi1\n",
+     "'component' row is missing argument 2 at line 5"),
     ("chart pt\n\nconstruct action A\n  base\n",
      "'base' row is missing argument 1 at line 4"),
     ("chart pt\n\nconstruct action A\n  base pt\n  fiber e1\n",

@@ -4,9 +4,10 @@
 function would leave its coverage counter silently at zero.  The tracer
 module is imported read-only from its file; only the coverage test
 installs it, around one pass of each workload, and removes it again.
-The section and construction kinds `cli` dispatches on must be the ones
-`specfile` reads, the README's spec-file table must list the keys and row
-shapes that `specfile` checks, and every committed `BENCH_*.json` must name the
+The section kinds `cli` dispatches on must head labels of `specfile`'s one
+table of sections, every construction there must carry its report, the
+README's spec-file table must list the keys and row shapes that `specfile`
+checks, and every committed `BENCH_*.json` must name the
 workloads and end-to-end metrics of `BENCHMARK.json`.  Every function of the
 package must have a caller that is not a test.
 """
@@ -72,10 +73,14 @@ def test_patched_kernel_resolves(module, qualname):
 
 
 def test_section_tables_cover_the_commands():
-    # a kind missing from either table would fail at run time with exit 3
+    # a kind no label has would select no section; a construction with no
+    # report would fail under `construct` with exit 3
+    heads = {label.split()[0] for label in specfile._SECTIONS}
     for kinds, _, _ in cli.COMMANDS.values():
-        assert set(kinds) <= set(specfile._SECTIONS), kinds
-    assert set(cli._CONSTRUCTS) == set(specfile._CONSTRUCTS)
+        assert set(kinds) <= heads, kinds
+    for label, row in specfile._SECTIONS.items():
+        if label.startswith("construct "):
+            assert len(row) == 3 and callable(row[2]), label
 
 
 def _readme_shapes():
@@ -102,10 +107,8 @@ def _readme_shapes():
 
 
 def test_readme_lists_each_key_with_its_row_shape():
-    want = {kind: shapes for kind, (shapes, _) in specfile._SECTIONS.items()
-            if shapes}
-    want.update((f"construct {kind}", shapes)
-                for kind, (shapes, _) in specfile._CONSTRUCTS.items())
+    want = {label: shapes
+            for label, (shapes, *_) in specfile._SECTIONS.items()}
     assert _readme_shapes() == want
 
 
